@@ -46,6 +46,14 @@ def _read(path):
     return Path(path).read_text()
 
 
+def _read_solution(path, g, k, err):
+    """Parse a solution file; warn on stderr when its header k is not -k."""
+    sol = parse_solution(_read(path), g)
+    if sol.k != k:
+        err.write(f"warning: solution file k={sol.k} differs from -k {k}\n")
+    return sol
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="pvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,7 +135,7 @@ def _cmd_solve(args, out, err):
 def _cmd_reopt(args, out, err):
     g_old = parse_graph(_read(args.old_graph))
     patch = parse_patch(_read(args.patch))
-    old_sol = parse_solution(_read(args.old_sol), g_old)
+    old_sol = _read_solution(args.old_sol, g_old, args.k, err)
     inst = ReoptInstance.create(g_old, patch, old_sol, args.k)
     if args.mode == "ptas":
         if args.epsilon is None:
@@ -177,7 +185,7 @@ def _cmd_gen_patch(args, out, err):
 
 def _cmd_verify(args, out, err):
     g = parse_graph(_read(args.graph))
-    sol = parse_solution(_read(args.sol), g)
+    sol = _read_solution(args.sol, g, args.k, err)
     report = verify(g, args.k, sol, check_optimal=args.optimal)
     out.write(report.stdout_line() + "\n")
     err.write(f"elapsed_ms={report.elapsed_ms:.3f}\n")

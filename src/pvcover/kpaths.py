@@ -1,18 +1,23 @@
 """Detection, enumeration and coverage checks for simple paths of order k.
 
 A k-path is stored as a tuple of k distinct vertex ids with consecutive pairs
-adjacent, in canonical orientation: first endpoint < last endpoint. The
-exhaustive routines are the deterministic oracle; color coding is the fast
-randomized alternative with one-sided error.
+adjacent, in canonical orientation: first endpoint < last endpoint. One
+iterative depth-first walker answers every exhaustive question over a graph
+and an alive vertex set, the k-paths of g[alive], without building that
+subgraph: enumeration, detection (`has_k_path(g, k, alive)`), coverage (the
+alive set is the complement of the cover) and the first path. These are the
+deterministic oracle; color coding is the fast randomized alternative with
+one-sided error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 from .errors import LimitExceeded
-from .graph import Graph, induced_subgraph, max_degree
+from .graph import Graph
 
 DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
@@ -32,107 +37,89 @@ def is_k_path(g: Graph, path, k) -> bool:
     return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
+def _walk(g: Graph, k, alive):
+    """Yield the canonical k-paths of g[alive], alive a set of vertex ids.
+
+    One iterative depth-first search: start vertices ascending, sorted
+    adjacency, so sequences come out in lexicographic order. A sequence is
+    yielded only when its first vertex is below its last, which keeps one
+    orientation of each path. `free` holds the alive vertices not on the
+    current path, so the work follows |alive| rather than g.n. The last
+    step is taken inline: once path + u has k-1 vertices, every free
+    neighbor w of u above the start closes a path.
+    """
+    adj = g.adj
+    free = set(alive)
+    for start in sorted(free):
+        if k == 2:
+            yield from ((start, u) for u in adj[start - 1] if u > start and u in free)
+            continue
+        free.remove(start)
+        path = [start]
+        stack = [iter(adj[start - 1])]
+        while stack:
+            for u in stack[-1]:
+                if u in free:
+                    break
+            else:
+                stack.pop()
+                free.add(path.pop())
+                continue
+            if len(path) < k - 2:
+                free.remove(u)
+                path.append(u)
+                stack.append(iter(adj[u - 1]))
+            else:
+                for w in adj[u - 1]:
+                    if w > start and w in free:
+                        yield (*path, u, w)
+
+
 def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP):
     """All simple paths of order exactly k, canonical, sorted lexicographically."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    found = []
-    path = []
-    on_path = [False] * (g.n + 1)
-
-    def extend(v):
-        path.append(v)
-        on_path[v] = True
-        if len(path) == k:
-            if path[0] < path[-1]:
-                found.append(tuple(path))
-                if len(found) > cap:
-                    raise LimitExceeded(f"more than {cap} {k}-paths")
-        else:
-            for u in g.adj[v - 1]:
-                if not on_path[u]:
-                    extend(u)
-        path.pop()
-        on_path[v] = False
-
-    for start in g.vertices():
-        extend(start)
-    found.sort()
+    found = list(itertools.islice(_walk(g, k, g.vertices()), cap + 1))
+    if len(found) > cap:
+        raise LimitExceeded(f"more than {cap} {k}-paths")
     return found
 
 
-def _has_k_path_dfs(g: Graph, k) -> bool:
-    on_path = [False] * (g.n + 1)
+def has_k_path(g: Graph, k, alive=None) -> bool:
+    """True iff g[alive] (all of g when alive is None) has a path of order k.
 
-    def extend(v, depth):
-        if depth == k:
-            return True
-        on_path[v] = True
-        try:
-            for u in g.adj[v - 1]:
-                if not on_path[u] and extend(u, depth + 1):
-                    return True
-        finally:
-            on_path[v] = False
-        return False
-
-    return any(extend(v, 1) for v in g.vertices())
-
-
-def has_k_path(g: Graph, k) -> bool:
-    """Deterministic detection with structural shortcuts for k=2 and k=3."""
+    For k <= 3 no search is needed: g[alive] has a k-path iff some alive
+    vertex has k-1 alive neighbors (for k=3 this is the dissociation-set
+    characterization: no 3-path iff max degree <= 1).
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k == 2:
-        return g.m > 0
-    if k == 3:
-        # no 3-path iff every component is a vertex or an edge, i.e. max degree
-        # <= 1 (the dissociation-set characterization)
-        return max_degree(g) > 1
-    if g.n < k:
-        return False
-    return _has_k_path_dfs(g, k)
+    if alive is None:
+        alive = frozenset(g.vertices())
+    else:
+        alive = frozenset(alive)
+        g._check_subset(alive)
+    if k <= 3:
+        return any(len(alive.intersection(g.adj[v - 1])) >= k - 1 for v in alive)
+    return next(_walk(g, k, alive), None) is not None
 
 
 def covers_all_k_paths(g: Graph, s, k) -> bool:
     """True iff removing s leaves no path of order k."""
     s = frozenset(s)
     g._check_subset(s)
-    rest, _ = induced_subgraph(g, frozenset(g.vertices()) - s)
-    return not has_k_path(rest, k)
-
-
-def _first_k_path_exhaustive(g: Graph, k):
-    """Lexicographically first k-path, or None; ordered DFS with early exit."""
-    path = []
-    on_path = [False] * (g.n + 1)
-
-    def extend(v):
-        path.append(v)
-        if len(path) == k:
-            return tuple(path)
-        on_path[v] = True
-        for u in g.adj[v - 1]:
-            if not on_path[u]:
-                got = extend(u)
-                if got is not None:
-                    return got
-        on_path[v] = False
-        path.pop()
-        return None
-
-    for start in g.vertices():
-        got = extend(start)
-        if got is not None:
-            # the lexicographically smallest sequence is already canonical:
-            # its reverse is also a valid sequence and compares larger
-            return got
-    return None
+    return not has_k_path(g, k, alive=frozenset(g.vertices()) - s)
 
 
 def default_trials(k, delta=DEFAULT_DELTA):
-    """Trial count giving per-path miss rate <= delta: ceil(e^k * ln(1/delta))."""
-    return math.ceil(math.exp(k) * math.log(1.0 / delta))
+    """Trial count giving per-path miss rate <= delta: ceil(e^k * ln(1/delta)).
+
+    Raises LimitExceeded when e^k overflows a float (k >= 709 at the default delta).
+    """
+    try:
+        return math.ceil(math.exp(k) * math.log(1.0 / delta))
+    except OverflowError:
+        raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
 
 def _colorful_path_trial(g: Graph, k, rng, state_cap):
@@ -193,7 +180,9 @@ def find_k_path(g: Graph, k, strategy="auto", trials=None, seed=0, state_cap=Non
     if strategy == "auto":
         strategy = "exhaustive" if (g.n <= EXHAUSTIVE_N or k <= 3) else "color-coding"
     if strategy == "exhaustive":
-        return _first_k_path_exhaustive(g, k)
+        # the lexicographically first sequence is canonical: its reverse is
+        # also a valid sequence and compares larger
+        return next(_walk(g, k, g.vertices()), None)
     if strategy != "color-coding":
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials is None:

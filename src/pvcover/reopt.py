@@ -165,8 +165,6 @@ def good_family_3pvcp(
     if len(va) > size_guard:
         raise LimitExceeded(f"patch size {len(va)} exceeds guard {size_guard}")
     old_verts = frozenset(range(1, patch.old_vertex_count + 1))
-    ga, ga_orig = induced_subgraph(g_new, va)
-    to_sub = {orig: i + 1 for i, orig in enumerate(ga_orig)}
     members = []
     labels = []
     seen = set()
@@ -183,10 +181,11 @@ def good_family_3pvcp(
                 raise LimitExceeded(f"family exceeds cap {family_cap}")
 
     for x0 in _subsets_by_size(va):
-        if not covers_all_k_paths(ga, [to_sub[v] for v in x0], 3):
-            continue
         x0 = frozenset(x0)
-        comps = connected_components(g_new, frozenset(va) - x0)
+        uncovered = frozenset(va) - x0
+        if has_k_path(g_new, 3, alive=uncovered):
+            continue
+        comps = connected_components(g_new, uncovered)
         v_i = frozenset(
             next(iter(c)) for c in comps if len(c) == 1 and old_neighbors(c)
         )
@@ -198,12 +197,11 @@ def good_family_3pvcp(
             y = old_neighbors(v_i) - x
         else:
             y = old_neighbors(frozenset(va)) - x
-        block, block_orig = induced_subgraph(g_new, v_i | y)
-        to_block = {orig: i + 1 for i, orig in enumerate(block_orig)}
         for y_spared in _subsets_by_size(y, max_size=len(v_i)):
             y_spared = frozenset(y_spared)
             kept = y - y_spared
-            if not covers_all_k_paths(block, [to_block[v] for v in kept], 3):
+            # the kept part must cover every 3-path of g_new[v_i | y]
+            if has_k_path(g_new, 3, alive=v_i | y_spared):
                 continue
             member = frozenset(x | kept | old_neighbors(y_spared))
             emit(member, f"X0={sorted(x0)} Y'={sorted(y_spared)}")
@@ -282,7 +280,7 @@ def construct_f(
     def recurse(x, v, l, level):
         assert not (v & x)
         assert l == (neighbors_of_set(g_new, v) - x if v else va)
-        assert not has_k_path(induced_subgraph(g_new, v)[0], k)
+        assert not has_k_path(g_new, k, alive=v)
         assert is_va_connected(g_new, v, va)
         emit(frozenset(x | l), f"level={level} V={sorted(v)}")
         if level >= stop_level:
@@ -292,8 +290,7 @@ def construct_f(
                 continue
             vp = frozenset(vp)
             v2 = v | vp
-            sub, _ = induced_subgraph(g_new, v2)
-            if has_k_path(sub, k):
+            if has_k_path(g_new, k, alive=v2):
                 continue
             if not is_va_connected(g_new, v2, va):
                 continue

@@ -8,7 +8,6 @@ bound (ratio k).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,10 +61,10 @@ class ApproxOracle:
     declared_ratio: str = "unknown"
 
 
-def _path_masks(g: Graph, k, cap=DEFAULT_PATH_CAP):
-    """All k-paths as vertex bitmasks (bit v-1 set for vertex v), lexicographic."""
+def _path_masks(paths):
+    """The given k-paths as vertex bitmasks (bit v-1 set for vertex v), in order."""
     masks = []
-    for p in enumerate_k_paths(g, k, cap=cap):
+    for p in paths:
         m = 0
         for v in p:
             m |= 1 << (v - 1)
@@ -93,7 +92,7 @@ def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT):
     paths = enumerate_k_paths(g, k)
     if not paths:
         return make_solution(g, frozenset(), k)
-    path_masks = _path_masks(g, k)
+    path_masks = _path_masks(paths)
 
     def key(vertices, weight):
         if objective == "weight":
@@ -144,7 +143,7 @@ def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_
     """All optimal covers by full subset enumeration, sorted canonically."""
     if g.n > size_limit:
         raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {size_limit}")
-    path_masks = _path_masks(g, k)
+    path_masks = _path_masks(enumerate_k_paths(g, k))
     if not path_masks:
         return [frozenset()]
     verts = list(g.vertices())
@@ -213,7 +212,7 @@ def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP):
                 in_cover.add(v)
                 cover.append(v)
     if prune:
-        path_masks = _path_masks(g, k, cap=cap)
+        path_masks = _path_masks(paths)
         mask = 0
         for v in in_cover:
             mask |= 1 << (v - 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from pvcover import (
     Graph,
@@ -20,6 +21,11 @@ from pvcover import (
     make_solution,
     solve_exact,
 )
+
+# Property tests draw the same examples on every run and never time out on
+# a loaded machine; nothing is written to an example database.
+settings.register_profile("pvcover", derandomize=True, deadline=None, database=None)
+settings.load_profile("pvcover")
 
 
 def perm_k_paths(g: Graph, k):

@@ -4,6 +4,7 @@ import pytest
 
 from pvcover.cli import main
 from pvcover import (
+    Graph,
     GeneratorConfig,
     gen_graph,
     gen_patch,
@@ -169,3 +170,58 @@ def test_bench_timeout_zero(tmp_path):
     )
     assert code == 0
     assert all("status=timeout" in line for line in out.strip().split("\n"))
+
+
+@pytest.fixture
+def long_path_file(tmp_path):
+    """A 1200-vertex path graph; at k=1100 a recursive path search overflows."""
+    path = tmp_path / "long.graph"
+    path.write_text(write_graph(Graph.build(1200, [(v, v + 1) for v in range(1, 1200)])))
+    return str(path)
+
+
+def test_solve_local_ratio_on_long_path(long_path_file):
+    code, out, err = run_cli(["solve", "-k", "1100", "--alg", "local-ratio", long_path_file])
+    assert code == 0, err
+    header, *xs = out.splitlines()
+    assert header.startswith("s pvc 1100 ")
+    chosen = [int(line.split()[1]) for line in xs]
+    # on a path graph, a cover must hit every window of 1100 consecutive vertices
+    assert chosen
+    assert all(any(s <= v < s + 1100 for v in chosen) for s in range(1, 102))
+
+
+def test_solve_greedy_large_k_is_a_limit(long_path_file):
+    code, out, err = run_cli(["solve", "-k", "1100", "--alg", "greedy", long_path_file])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("limit exceeded:")
+
+
+def test_verify_warns_on_solution_k_mismatch(graph_file, tmp_path):
+    mismatched = tmp_path / "s3.sol"
+    mismatched.write_text("s pvc 3 1 1\nx 3\n")
+    matching = tmp_path / "s4.sol"
+    matching.write_text("s pvc 4 1 1\nx 3\n")
+    code, out, err = run_cli(["verify", "-k", "4", graph_file, str(mismatched)])
+    code_ref, out_ref, err_ref = run_cli(["verify", "-k", "4", graph_file, str(matching)])
+    assert code == code_ref == 0
+    assert out == out_ref
+    assert "warning: solution file k=3 differs from -k 4\n" in err
+    assert "warning" not in err_ref
+
+
+def test_reopt_warns_on_solution_k_mismatch(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("p pvc 3 2\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 2 3\n")
+    ppath = tmp_path / "p.patch"
+    ppath.write_text("p patch 3 1 0 1\nv 4 1\na 3 4\n")
+    spath = tmp_path / "s.sol"
+    spath.write_text("s pvc 3 0 0\n")
+    code, out, err = run_cli(
+        ["reopt", "-k", "4", "--mode", "wk", "--oracle", "exact",
+         str(gpath), str(ppath), str(spath)]
+    )
+    assert code == 0
+    assert out == "s pvc 4 1 1\nx 4\n"
+    assert err == "warning: solution file k=3 differs from -k 4\n"

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvcover import (
     Graph,
@@ -9,7 +13,7 @@ from pvcover import (
     has_k_path,
     k_paths_through,
 )
-from pvcover.errors import LimitExceeded
+from pvcover.errors import LimitExceeded, UnknownVertex
 
 from conftest import brute_covers, perm_k_paths, random_graph
 
@@ -124,6 +128,13 @@ def test_default_trials_formula():
     assert default_trials(5) == 684
 
 
+def test_default_trials_overflow_is_a_limit():
+    assert default_trials(708) > 10**307
+    for k in (709, 1100):
+        with pytest.raises(LimitExceeded):
+            default_trials(k)
+
+
 def test_has_k_path_shortcuts():
     assert not has_k_path(Graph.build(3, []), 2)
     assert has_k_path(Graph.build(2, [(1, 2)]), 2)
@@ -135,3 +146,38 @@ def test_k_paths_through(path4):
     assert k_paths_through(path4, 3, {4}) == [(2, 3, 4)]
     assert k_paths_through(path4, 3, set()) == []
     assert k_paths_through(path4, 3, {2}) == [(1, 2, 3), (2, 3, 4)]
+
+
+def test_has_k_path_rejects_unknown_alive_vertex(path4):
+    with pytest.raises(UnknownVertex):
+        has_k_path(path4, 4, alive={0, 1, 2})
+
+
+def test_walker_is_iterative_on_long_paths():
+    # a recursive search would exceed the interpreter's recursion limit here
+    g = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
+    assert find_k_path(g, 1500, strategy="exhaustive") == tuple(range(1, 1501))
+    assert not covers_all_k_paths(g, {1}, 1499)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edge_bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.build(n, [e for i, e in enumerate(pairs) if edge_bits >> i & 1])
+    alive = draw(st.frozensets(st.integers(1, n))) if n else frozenset()
+    return g, alive
+
+
+@settings(max_examples=300)
+@given(small_graphs(), st.integers(2, 5))
+def test_walker_matches_brute_force(instance, k):
+    g, alive = instance
+    paths = perm_k_paths(g, k)
+    assert enumerate_k_paths(g, k) == paths
+    assert find_k_path(g, k, strategy="exhaustive") == (paths[0] if paths else None)
+    assert has_k_path(g, k) == bool(paths)
+    assert has_k_path(g, k, alive=alive) == any(alive.issuperset(p) for p in paths)
+    removed = frozenset(g.vertices()) - alive
+    assert covers_all_k_paths(g, removed, k) == brute_covers(g, removed, k)
