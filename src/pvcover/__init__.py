@@ -40,6 +40,7 @@ from .instances import (
     write_solution,
 )
 from .kpaths import (
+    PathIndex,
     covers_all_k_paths,
     default_trials,
     enumerate_k_paths,

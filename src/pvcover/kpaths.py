@@ -8,6 +8,13 @@ subgraph: enumeration, detection (`has_k_path(g, k, alive)`), coverage (the
 alive set is the complement of the cover) and the first path. These are the
 deterministic oracle; color coding is the fast randomized alternative with
 one-sided error.
+
+A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
+bitmask per path (bit v-1 for vertex v) built when a mask test first
+asks. Asked many questions about one graph, it enumerates once: "does s
+meet every path?" is one scan, and the index of g[alive - s] is a filter
+that keeps the walker's order, so it equals a fresh enumeration of that
+subgraph.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .graph import Graph
 DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
 EXHAUSTIVE_N = 16  # automatic strategy switches to color coding above this
+COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
 
 
 def canonical(path):
@@ -75,14 +83,77 @@ def _walk(g: Graph, k, alive):
                         yield (*path, u, w)
 
 
-def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP):
-    """All simple paths of order exactly k, canonical, sorted lexicographically."""
+def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP, alive=None):
+    """All k-paths of g[alive] (all of g when alive is None), canonical, sorted."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    found = list(itertools.islice(_walk(g, k, g.vertices()), cap + 1))
+    if alive is None:
+        alive = g.vertices()
+    else:
+        g._check_subset(alive)
+    found = list(itertools.islice(_walk(g, k, alive), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths")
     return found
+
+
+class PathIndex:
+    """The k-paths of g[alive] in lexicographic order, with their vertex masks.
+
+    Built by one `enumerate_k_paths` call, so the path cap applies. Vertex
+    set questions (`covers`, `avoiding`) are answered from the paths; the
+    bitmasks, for `covers_mask` and `first_missed`, are built on first use.
+    `avoiding(s)` returns the index of g[alive - s] without a new walk.
+    """
+
+    __slots__ = ("g", "k", "alive", "paths", "_masks")
+
+    def __init__(self, g: Graph, k, alive=None, cap=DEFAULT_PATH_CAP):
+        self.g = g
+        self.k = k
+        self.alive = frozenset(g.vertices() if alive is None else alive)
+        self.paths = enumerate_k_paths(g, k, cap=cap, alive=self.alive)
+        self._masks = None
+
+    @property
+    def masks(self):
+        """One vertex bitmask per path, in order."""
+        if self._masks is None:
+            # a path's vertices are distinct, so the sum of their bits is their OR
+            bit = [0, *(1 << i for i in range(self.g.n))].__getitem__
+            self._masks = [sum(map(bit, p)) for p in self.paths]
+        return self._masks
+
+    def _vertex_set(self, s):
+        s = frozenset(s)
+        self.g._check_subset(s)
+        return s
+
+    def covers(self, s):
+        """True iff the vertex set s meets every path."""
+        return not any(map(self._vertex_set(s).isdisjoint, self.paths))
+
+    def covers_mask(self, mask):
+        """True iff every path has a vertex in the set with this bitmask."""
+        return all(mask & pm for pm in self.masks)
+
+    def first_missed(self, mask):
+        """The first path with no vertex in the set with this bitmask, or None."""
+        for i, pm in enumerate(self.masks):
+            if not mask & pm:
+                return self.paths[i]
+        return None
+
+    def avoiding(self, s):
+        """The index of g[alive - s]: the paths with no vertex in s, in order."""
+        s = self._vertex_set(s)
+        sub = object.__new__(PathIndex)
+        sub.g = self.g
+        sub.k = self.k
+        sub.alive = self.alive - s
+        sub.paths = list(filter(s.isdisjoint, self.paths))
+        sub._masks = None
+        return sub
 
 
 def has_k_path(g: Graph, k, alive=None) -> bool:
@@ -172,7 +243,9 @@ def find_k_path(g: Graph, k, strategy="auto", trials=None, seed=0, state_cap=Non
 
     exhaustive: lexicographically first k-path or None, never errs.
     color-coding: random trials with derived seeds (seed + trial index); any
-    returned path is verified, so only "None" can be wrong.
+    returned path is verified, so only "None" can be wrong. Raises
+    LimitExceeded before the first trial when trials * 2^k * n exceeds
+    COLOR_CODING_GUARD.
     auto: exhaustive when n <= 16 or k <= 3, color-coding otherwise.
     """
     if k < 2:
@@ -191,6 +264,10 @@ def find_k_path(g: Graph, k, strategy="auto", trials=None, seed=0, state_cap=Non
         raise ValueError("color coding needs at least one trial")
     if state_cap is None:
         state_cap = (1 << k) * max(g.n, 1)
+    if trials * (1 << k) * g.n > COLOR_CODING_GUARD:
+        raise LimitExceeded(
+            f"color coding at k={k}, n={g.n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
+        )
     for t in range(trials):
         got = _colorful_path_trial(g, k, random.Random(seed + t), state_cap)
         if got is not None:

@@ -23,12 +23,11 @@ from .graph import (
     InsertionPatch,
     apply_patch,
     connected_components,
-    induced_subgraph,
     is_va_connected,
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import covers_all_k_paths, has_k_path, k_paths_through
+from .kpaths import PathIndex, covers_all_k_paths, has_k_path, k_paths_through
 from .solvers import ApproxOracle, CoverSolution, enumerate_optima, make_solution
 
 PTAS_ENUM_GUARD = 10**8
@@ -94,9 +93,10 @@ def ptas_unweighted(inst: ReoptInstance, epsilon, enum_guard=PTAS_ENUM_GUARD):
     count = sum(math.comb(n, i) for i in range(m + 1))
     if count > enum_guard:
         raise SizeLimitExceeded(f"{count} candidate sets exceed guard {enum_guard}")
+    index = PathIndex(g, inst.k)
     s1 = frozenset(g.vertices())
     for cand in _subsets_by_size(g.vertices(), m):
-        if covers_all_k_paths(g, cand, inst.k):
+        if index.covers(cand):
             s1 = frozenset(cand)
             break
     s2 = inst.old_opt.vertices | inst.added_ids()
@@ -110,24 +110,33 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     With a rho-ratio oracle and a family whose members cover every k-path
     touching the inserted vertices (and one member inside an optimum), the
     result is within (2 - 1/rho) of optimal.
+
+    The k-paths of g_new are enumerated once, into a PathIndex. For member
+    F the oracle gets index.avoiding(va | F), the paths of g_new[V_old - F]
+    in g_new's vertex ids, and returns a cover drawn from V_old - F. Both
+    candidates are checked against every k-path of g_new by index scans:
+    old_opt + F through the paths old_opt misses, which F must meet.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
     g = inst.g_new
     k = inst.k
     va = inst.added_ids()
-    old_verts = frozenset(g.vertices()) - va
+    index = PathIndex(g, k)
+    old_left = index.avoiding(inst.old_opt.vertices)  # paths old_opt misses
     best = None  # (weight, index, frozenset)
     for i, f in enumerate(family.members):
         s1 = inst.old_opt.vertices | f
-        if not covers_all_k_paths(g, s1, k):
+        if not old_left.covers(f):
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}): old_opt union member is infeasible"
             )
-        sub, orig = induced_subgraph(g, old_verts - f)
-        sub_sol = oracle.solve(sub, k, seed)
-        s2 = frozenset(orig[v - 1] for v in sub_sol.vertices) | f
-        if not covers_all_k_paths(g, s2, k):
+        part = index.avoiding(va | f)
+        sub_sol = oracle.solve(g, k, seed, index=part)
+        if not sub_sol.vertices <= part.alive:
+            raise ValueError(f"oracle {oracle.name} chose vertices outside V_old minus member {i}")
+        s2 = sub_sol.vertices | f
+        if not index.covers(s2):
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}): oracle completion is infeasible"
             )

@@ -16,9 +16,10 @@ from .graph import Graph, induced_subgraph
 from .kpaths import (
     DEFAULT_PATH_CAP,
     EXHAUSTIVE_N,
+    PathIndex,
     covers_all_k_paths,
-    enumerate_k_paths,
     find_k_path,
+    has_k_path,
 )
 
 EXACT_SIZE_LIMIT = 24
@@ -42,79 +43,76 @@ class CoverSolution:
 def make_solution(g: Graph, vertices, k) -> CoverSolution:
     """Build a CoverSolution, recomputing weight and checking feasibility."""
     vertices = frozenset(vertices)
-    g._check_subset(vertices)
+    return _solution(g, k, vertices, covers_all_k_paths(g, vertices, k))
+
+
+def _solution(g: Graph, k, vertices, feasible):
+    """A CoverSolution of vertices, with the caller's feasibility verdict."""
+    vertices = frozenset(vertices)
     return CoverSolution(
         vertices=vertices,
         k=k,
         weight=g.weight_of(vertices),
         cardinality=len(vertices),
-        feasible=covers_all_k_paths(g, vertices, k),
+        feasible=feasible,
     )
 
 
 @dataclass(frozen=True)
 class ApproxOracle:
-    """A pluggable cover algorithm with a declared (untrusted) ratio."""
+    """A pluggable cover algorithm with a declared (untrusted) ratio.
+
+    solve(g, k, seed) covers g. solve(g, k, seed, index=part), with part a
+    PathIndex of g[alive] at k, covers only part's paths: the cover is drawn
+    from part.alive, in g's vertex ids.
+    """
 
     name: str
-    solve: Callable = field(compare=False)  # (Graph, k, seed) -> CoverSolution
+    solve: Callable = field(compare=False)  # (Graph, k, seed, index=None) -> CoverSolution
     declared_ratio: str = "unknown"
 
 
-def _path_masks(paths):
-    """The given k-paths as vertex bitmasks (bit v-1 set for vertex v), in order."""
-    masks = []
-    for p in paths:
-        m = 0
-        for v in p:
-            m |= 1 << (v - 1)
-        masks.append(m)
-    return masks
+def _index_of(g: Graph, k, index, cap=DEFAULT_PATH_CAP):
+    """The given index, which must be of g at k, or a new index of all of g."""
+    if index is None:
+        return PathIndex(g, k, cap=cap)
+    if index.g is not g or index.k != k:
+        raise ValueError("path index was built for another graph or k")
+    return index
 
 
-def _mask_covers(mask, path_masks):
-    return all(mask & pm for pm in path_masks)
-
-
-def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT):
+def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, index=None):
     """Minimum-weight (or minimum-cardinality) cover by branch and bound.
 
     Branches on the k vertices of the first uncovered path in lexicographic
     order; ties resolve to smaller cardinality then lexicographically
-    smallest vertex list, so the returned optimum is canonical.
+    smallest vertex list, so the returned optimum is canonical. With an
+    index of g[alive], covers g[alive]; the size guard applies to |alive|.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if objective not in ("weight", "cardinality"):
         raise ValueError(f"unknown objective {objective!r}")
-    if g.n > size_limit:
-        raise SizeLimitExceeded(f"n={g.n} exceeds exact-solver guard {size_limit}")
-    paths = enumerate_k_paths(g, k)
-    if not paths:
-        return make_solution(g, frozenset(), k)
-    path_masks = _path_masks(paths)
+    n = g.n if index is None else len(index.alive)
+    if n > size_limit:
+        raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {size_limit}")
+    ix = _index_of(g, k, index)
 
     def key(vertices, weight):
         if objective == "weight":
             return (weight, len(vertices), tuple(sorted(vertices)))
         return (len(vertices), weight, tuple(sorted(vertices)))
 
-    all_v = frozenset(g.vertices())
+    all_v = ix.alive
     best = [key(all_v, g.weight_of(all_v)), all_v]
-
-    def first_uncovered(mask):
-        for i, pm in enumerate(path_masks):
-            if not mask & pm:
-                return paths[i]
-        return None
-
+    first_missed = ix.first_missed
     visited = set()
 
     def branch(chosen, mask, weight):
         if mask in visited:
             return
         visited.add(mask)
-        p = first_uncovered(mask)
+        p = first_missed(mask)
         if p is None:
             cand = key(chosen, weight)
             if cand < best[0]:
@@ -136,21 +134,21 @@ def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT):
             chosen.remove(v)
 
     branch(set(), 0, 0)
-    return make_solution(g, best[1], k)
+    return _solution(g, k, best[1], ix.covers(best[1]))
 
 
 def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_LIMIT):
     """All optimal covers by full subset enumeration, sorted canonically."""
     if g.n > size_limit:
         raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {size_limit}")
-    path_masks = _path_masks(enumerate_k_paths(g, k))
-    if not path_masks:
+    index = PathIndex(g, k)
+    if not index.paths:
         return [frozenset()]
     verts = list(g.vertices())
     best_val = None
     optima = []
     for mask in range(1 << g.n):
-        if not _mask_covers(mask, path_masks):
+        if not index.covers_mask(mask):
             continue
         s = frozenset(v for v in verts if mask & (1 << (v - 1)))
         val = g.weight_of(s) if objective == "weight" else len(s)
@@ -163,19 +161,22 @@ def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_
     return optima
 
 
-def greedy_approx(g: Graph, k, seed=0):
+def greedy_approx(g: Graph, k, seed=0, alive=None):
     """Min-weight-vertex deletion loop; weight at most (n-k+1) times optimal.
 
-    Path detection is exhaustive below the size threshold and color coding
-    above it; a "no path" answer from color coding is confirmed exhaustively
-    so the output is always feasible.
+    Covers g[alive] (all of g when alive is None). Path detection is
+    exhaustive below the size threshold and color coding above it; a "no
+    path" answer from color coding is confirmed exhaustively so the output
+    is always feasible.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    alive = set(g.vertices())
+    start = frozenset(g.vertices() if alive is None else alive)
+    g._check_subset(start)
+    left = set(start)
     cover = set()
     while True:
-        sub, orig = induced_subgraph(g, alive)
+        sub, orig = induced_subgraph(g, left)
         p = find_k_path(sub, k, strategy="auto", seed=seed)
         if p is None and not (sub.n <= EXHAUSTIVE_N or k <= 3):
             p = find_k_path(sub, k, strategy="exhaustive")
@@ -184,25 +185,26 @@ def greedy_approx(g: Graph, k, seed=0):
         path = [orig[v - 1] for v in p]
         vm = min(path, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
-        alive.remove(vm)
-    return make_solution(g, cover, k)
+        left.remove(vm)
+    return _solution(g, k, cover, not has_k_path(g, k, alive=start - cover))
 
 
-def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP):
+def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None):
     """Local-ratio cover; weight at most k times optimal.
 
     Processes uncovered k-paths lexicographically, subtracting the minimum
     residual weight on each; zero-residual vertices join the cover. The
     optional reverse-delete pass drops redundant vertices, latest first.
+    With an index of g[alive], covers g[alive].
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    paths = enumerate_k_paths(g, k, cap=cap)
+    ix = _index_of(g, k, index, cap=cap)
     residual = list(g.weights)
     cover = []
     in_cover = set()
-    for p in paths:
-        if in_cover.intersection(p):
+    for p in ix.paths:
+        if not in_cover.isdisjoint(p):
             continue
         delta = min(residual[v - 1] for v in p)
         for v in p:
@@ -212,16 +214,13 @@ def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP):
                 in_cover.add(v)
                 cover.append(v)
     if prune:
-        path_masks = _path_masks(paths)
-        mask = 0
-        for v in in_cover:
-            mask |= 1 << (v - 1)
+        mask = sum(1 << (v - 1) for v in in_cover)
         for v in reversed(cover):
             trial = mask & ~(1 << (v - 1))
-            if _mask_covers(trial, path_masks):
+            if ix.covers_mask(trial):
                 mask = trial
                 in_cover.remove(v)
-    return make_solution(g, in_cover, k)
+    return _solution(g, k, in_cover, ix.covers(in_cover))
 
 
 class _Registry(dict):
@@ -239,17 +238,21 @@ def oracle_registry():
         {
             "exact": ApproxOracle(
                 name="exact",
-                solve=lambda g, k, seed: solve_exact(g, k),
+                solve=lambda g, k, seed, index=None: solve_exact(g, k, index=index),
                 declared_ratio="1",
             ),
             "greedy": ApproxOracle(
                 name="greedy",
-                solve=lambda g, k, seed: greedy_approx(g, k, seed=seed),
+                solve=lambda g, k, seed, index=None: greedy_approx(
+                    g, k, seed=seed, alive=None if index is None else index.alive
+                ),
                 declared_ratio="n-k+1",
             ),
             "local-ratio": ApproxOracle(
                 name="local-ratio",
-                solve=lambda g, k, seed: local_ratio_approx(g, k, prune=False),
+                solve=lambda g, k, seed, index=None: local_ratio_approx(
+                    g, k, prune=False, index=index
+                ),
                 declared_ratio="k",
             ),
         }

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -81,6 +82,17 @@ def test_limit_exit_code(tmp_path):
     )
     assert code == 3
     assert "limit exceeded" in err
+
+
+def test_greedy_color_coding_budget_exit_code(tmp_path):
+    path = tmp_path / "p30.graph"
+    path.write_text(write_graph(Graph.build(30, [(v, v + 1) for v in range(1, 30)])))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["solve", "-k", "25", "--alg", "greedy", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("limit exceeded:")
 
 
 def test_gen_deterministic_stdout():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pvcover import (
     Graph,
+    PathIndex,
     covers_all_k_paths,
     default_trials,
     enumerate_k_paths,
@@ -181,3 +182,48 @@ def test_walker_matches_brute_force(instance, k):
     assert has_k_path(g, k, alive=alive) == any(alive.issuperset(p) for p in paths)
     removed = frozenset(g.vertices()) - alive
     assert covers_all_k_paths(g, removed, k) == brute_covers(g, removed, k)
+
+
+@settings(max_examples=200)
+@given(small_graphs(), st.data(), st.integers(2, 5))
+def test_path_index_matches_walker_and_brute_force(instance, data, k):
+    g, alive = instance
+    s = data.draw(st.frozensets(st.integers(1, g.n))) if g.n else frozenset()
+    index = PathIndex(g, k, alive=alive)
+    assert index.paths == enumerate_k_paths(g, k, alive=alive)
+    left = index.avoiding(s)
+    assert left.alive == alive - s
+    assert left.paths == enumerate_k_paths(g, k, alive=alive - s)
+    assert left.paths == [p for p in perm_k_paths(g, k) if (alive - s).issuperset(p)]
+    assert left.masks == [sum(1 << (v - 1) for v in p) for p in left.paths]
+    # s covers g[alive] iff s plus every dead vertex covers g
+    dead = frozenset(g.vertices()) - alive
+    assert index.covers(s) == brute_covers(g, s | dead, k)
+    first = next((p for p in index.paths if not s.intersection(p)), None)
+    s_mask = sum(1 << (v - 1) for v in s)
+    assert index.first_missed(s_mask) == first
+    assert index.covers_mask(s_mask) == index.covers(s)
+
+
+def test_path_index_rejects_unknown_vertices(path4):
+    with pytest.raises(UnknownVertex):
+        PathIndex(path4, 3, alive={1, 5})
+    index = PathIndex(path4, 3)
+    with pytest.raises(UnknownVertex):
+        index.covers({0})
+    with pytest.raises(UnknownVertex):
+        index.avoiding({5})
+
+
+def test_path_index_cap(path4):
+    with pytest.raises(LimitExceeded):
+        PathIndex(path4, 3, cap=1)
+    assert PathIndex(path4, 3, alive={1, 2, 3}, cap=1).paths == [(1, 2, 3)]
+
+
+def test_color_coding_budget_is_guarded():
+    g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
+    with pytest.raises(LimitExceeded, match="exceeds guard"):
+        find_k_path(g, 25, strategy="color-coding")
+    # an explicit small budget stays under the guard
+    assert find_k_path(g, 4, strategy="color-coding", trials=5, seed=0) is not None

@@ -1,7 +1,9 @@
 import pytest
 
 from pvcover import (
+    ApproxOracle,
     EmptyFamily,
+    FamilyPropertyViolated,
     GoodFamily,
     Graph,
     InsertionPatch,
@@ -9,7 +11,9 @@ from pvcover import (
     apply_patch,
     construct_f,
     construct_sol,
+    covers_all_k_paths,
     good_family_3pvcp,
+    induced_subgraph,
     level_bound,
     make_solution,
     oracle_registry,
@@ -127,6 +131,82 @@ def test_construct_sol_exact_oracle_reaches_optimum():
             family = construct_f(inst.g_new, inst.added_ids(), k)
         sol = construct_sol(inst, family, EXACT)
         assert sol.weight == solve_exact(inst.g_new, k).weight
+
+
+def subgraph_construct_sol(inst, family, oracle, seed=0):
+    """construct_sol as it was written over induced subgraphs: a reference."""
+    g, k = inst.g_new, inst.k
+    old_verts = frozenset(g.vertices()) - inst.added_ids()
+    best = None
+    for i, f in enumerate(family.members):
+        s1 = inst.old_opt.vertices | f
+        assert covers_all_k_paths(g, s1, k)
+        sub, orig = induced_subgraph(g, old_verts - f)
+        sub_sol = oracle.solve(sub, k, seed)
+        s2 = frozenset(orig[v - 1] for v in sub_sol.vertices) | f
+        assert covers_all_k_paths(g, s2, k)
+        w1, w2 = g.weight_of(s1), g.weight_of(s2)
+        cand = (w1, i, s1) if w1 <= w2 else (w2, i, s2)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return best[2]
+
+
+def test_construct_sol_matches_subgraph_reference():
+    registry = oracle_registry()
+    for seed in range(24):
+        k = 3 if seed % 2 else 4
+        # n_new 20 leaves remainders above the exhaustive threshold, so the
+        # greedy oracle also runs color coding on its relabeled subgraphs
+        n_new = 20 if seed % 4 == 0 else 11
+        inst = random_reopt_instance(seed, n_new=n_new, k=k, c=2, max_degree=4)
+        if k == 3:
+            family = good_family_3pvcp(inst.g_new, inst.patch)
+        else:
+            family = construct_f(inst.g_new, inst.added_ids(), k)
+        for name in ("exact", "local-ratio", "greedy"):
+            sol = construct_sol(inst, family, registry[name], seed=seed)
+            want = subgraph_construct_sol(inst, family, registry[name], seed=seed)
+            assert sol.vertices == want, (seed, name)
+            assert sol.feasible
+
+
+def test_construct_sol_rejects_an_infeasible_oracle_cover(weighted_path_fixture):
+    g_old, patch, g_new = weighted_path_fixture
+    inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
+    empty = ApproxOracle(
+        name="empty",
+        solve=lambda g, k, seed, index=None: make_solution(g, frozenset(), k),
+    )
+    # old_opt + {4} is feasible, but g_new[{1, 2, 3}] keeps the path 1-2-3
+    family = GoodFamily(members=(frozenset({4}),), provenance=("",))
+    with pytest.raises(FamilyPropertyViolated, match="oracle completion"):
+        construct_sol(inst, family, empty)
+
+
+def test_construct_sol_rejects_a_member_missing_a_va_path(weighted_path_fixture):
+    g_old, patch, g_new = weighted_path_fixture
+    # old_opt {3} also meets 2-3-4, so only the completion check can see
+    # that the empty member leaves that path through va = {4} uncovered
+    inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {3}, 3), 3)
+    family = GoodFamily(members=(frozenset(),), provenance=("",))
+    with pytest.raises(FamilyPropertyViolated, match="oracle completion"):
+        construct_sol(inst, family, EXACT)
+    inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
+    with pytest.raises(FamilyPropertyViolated, match="old_opt union member"):
+        construct_sol(inst, family, EXACT)
+
+
+def test_construct_sol_rejects_oracle_vertices_outside_the_remainder(weighted_path_fixture):
+    g_old, patch, g_new = weighted_path_fixture
+    inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
+    everything = ApproxOracle(
+        name="everything",
+        solve=lambda g, k, seed, index=None: make_solution(g, frozenset(g.vertices()), k),
+    )
+    family = GoodFamily(members=(frozenset({3}),), provenance=("",))
+    with pytest.raises(ValueError, match="outside"):
+        construct_sol(inst, family, everything)
 
 
 # ---------------------------------------------------------------- 3-PVCP family

@@ -2,6 +2,7 @@ import pytest
 
 from pvcover import (
     Graph,
+    PathIndex,
     UnknownOracle,
     covers_all_k_paths,
     enumerate_optima,
@@ -177,3 +178,40 @@ def test_registry_oracles_feasible():
     for name, oracle in oracle_registry().items():
         sol = oracle.solve(g, 3, 0)
         assert covers_all_k_paths(g, sol.vertices, 3)
+
+
+def test_solvers_on_an_index_match_the_induced_subgraph():
+    for seed in range(20):
+        g = random_graph(seed, 12, max_degree=4)
+        alive = frozenset(v for v in g.vertices() if (v * 7 + seed) % 5)
+        sub, orig = induced_subgraph(g, alive)
+        for k in (3, 4):
+            index = PathIndex(g, k, alive=alive)
+            pairs = [
+                (solve_exact(g, k, index=index), solve_exact(sub, k)),
+                (local_ratio_approx(g, k, index=index), local_ratio_approx(sub, k)),
+                (
+                    local_ratio_approx(g, k, prune=False, index=index),
+                    local_ratio_approx(sub, k, prune=False),
+                ),
+                (greedy_approx(g, k, seed=seed, alive=alive), greedy_approx(sub, k, seed=seed)),
+            ]
+            for got, want in pairs:
+                assert got.vertices == frozenset(orig[v - 1] for v in want.vertices)
+                assert (got.weight, got.feasible) == (want.weight, want.feasible)
+
+
+def test_exact_size_guard_counts_alive_vertices():
+    g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
+    small = PathIndex(g, 3, alive=range(1, 11))
+    assert solve_exact(g, 3, index=small).weight == 3
+    with pytest.raises(SizeLimitExceeded):
+        solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)))
+
+
+def test_solver_rejects_an_index_of_another_graph_or_k(path4):
+    with pytest.raises(ValueError):
+        solve_exact(path4, 3, index=PathIndex(path4, 4))
+    other = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError):
+        local_ratio_approx(path4, 3, index=PathIndex(other, 3))
