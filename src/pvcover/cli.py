@@ -3,7 +3,8 @@
 Solutions go to stdout in the solution file format; diagnostics go to
 stderr. With fixed seeds every command writes byte-identical stdout across
 runs (timings are stderr-only). Exit codes: 0 success/feasible, 1
-infeasible, 2 parse error, 3 limit or timeout.
+infeasible or any other error, 2 parse error or bad arguments, 3 limit or
+timeout.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    InfeasibleConfig,
     LimitExceeded,
+    MalformedPatch,
     ParseError,
+    PvcError,
     SizeLimitExceeded,
-    WeightMismatch,
 )
 from .harness import bench, incremental_build, shuffled_order, verify
 from .instances import (
@@ -32,7 +33,7 @@ from .instances import (
     write_solution,
 )
 from .reopt import ReoptInstance, ptas_unweighted, wtd_3path, wtd_kpath
-from .solvers import greedy_approx, local_ratio_approx, oracle_registry, solve_exact
+from .solvers import oracle_registry
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -56,12 +57,12 @@ def _read_solution(path, g, k, err):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="pvc", description=__doc__)
+    solvers = sorted(oracle_registry())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a k-path vertex cover instance")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--alg", choices=["exact", "greedy", "local-ratio"], required=True)
-    p.add_argument("--no-prune", action="store_true")
+    p.add_argument("--alg", choices=solvers, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("graph")
 
@@ -69,7 +70,7 @@ def build_parser():
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--mode", choices=["ptas", "w3", "wk"], required=True)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--oracle", default="local-ratio")
+    p.add_argument("--oracle", choices=solvers, default="local-ratio")
     p.add_argument("--family-mode", choices=["corrected", "paper"], default="corrected")
     p.add_argument("--cap-mode", choices=["corrected", "paper"], default="corrected")
     p.add_argument("--seed", type=int, default=0)
@@ -122,12 +123,7 @@ def build_parser():
 
 def _cmd_solve(args, out, err):
     g = parse_graph(_read(args.graph))
-    if args.alg == "exact":
-        sol = solve_exact(g, args.k)
-    elif args.alg == "greedy":
-        sol = greedy_approx(g, args.k, seed=args.seed)
-    else:
-        sol = local_ratio_approx(g, args.k, prune=not args.no_prune)
+    sol = oracle_registry()[args.alg].solve(g, args.k, args.seed)
     out.write(write_solution(sol))
     return EXIT_OK
 
@@ -242,13 +238,13 @@ def main(argv=None, stdout=None, stderr=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ParseError, WeightMismatch) as exc:
+    except (ParseError, MalformedPatch) as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except (LimitExceeded, SizeLimitExceeded) as exc:
         err.write(f"limit exceeded: {exc}\n")
         return EXIT_LIMIT
-    except (InfeasibleConfig, ValueError, OSError, KeyError) as exc:
+    except (PvcError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
 

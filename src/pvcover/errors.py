@@ -45,8 +45,8 @@ class ParseError(PvcError):
         super().__init__(message)
 
 
-class WeightMismatch(PvcError):
-    pass
+class WeightMismatch(ParseError):
+    """A solution file's stated weight differs from the recomputed one."""
 
 
 class InfeasibleConfig(PvcError):

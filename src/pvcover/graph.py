@@ -21,35 +21,29 @@ class Graph:
     __slots__ = ("n", "weights", "adj", "m")
 
     def __init__(self, weights, adj):
+        """Trusted constructor: checks nothing. Assumes integer weights >= 1,
+        one list per weight and a symmetric adjacency of ids in 1..n without
+        self-loops or repeats. `build` and `instances.parse_graph` check this
+        for outside input; graphs derived from valid ones keep it.
+        """
         self.n = len(weights)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(weights)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency size does not match weight count")
-        m2 = 0
-        for v in range(1, self.n + 1):
-            seen = set()
-            for u in self.adj[v - 1]:
-                if not 1 <= u <= self.n:
-                    raise UnknownVertex(f"neighbor {u} of vertex {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if u in seen:
-                    raise ValueError(f"duplicate edge {v}-{u}")
-                seen.add(u)
-                if v not in self.adj[u - 1]:
-                    raise ValueError(f"asymmetric adjacency {v}-{u}")
-            m2 += len(seen)
-        self.m = m2 // 2
-        for v, w in enumerate(self.weights, start=1):
-            if w < 1:
-                raise ValueError(f"vertex {v} has non-positive weight {w}")
+        self.m = sum(map(len, self.adj)) // 2
 
     @classmethod
     def build(cls, n, edges, weights=None):
-        """Build from an edge list; unit weights unless given."""
-        if weights is None:
-            weights = [1] * n
+        """Build from an edge list, checking it; unit weights unless given.
+
+        The checked constructor for edge lists: n weights, each at least 1,
+        and edges with both endpoints in 1..n, no self-loop and no repeat.
+        """
+        weights = [1] * n if weights is None else [int(w) for w in weights]
+        if len(weights) != n:
+            raise ValueError(f"expected {n} weights, got {len(weights)}")
+        for v, w in enumerate(weights, start=1):
+            if w < 1:
+                raise ValueError(f"vertex {v} has non-positive weight {w}")
         adj = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
@@ -139,6 +133,8 @@ class InsertionPatch:
             self, "attachment_edges", tuple(sorted(tuple(e) for e in self.attachment_edges))
         )
         n_old = self.old_vertex_count
+        if n_old < 0:
+            raise MalformedPatch(f"old vertex count {n_old} must be non-negative")
         c = len(self.added)
         expected = list(range(n_old + 1, n_old + c + 1))
         if [i for i, _ in self.added] != expected:

@@ -7,19 +7,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, PvcError
+from .errors import PvcError
 from .graph import Graph, InsertionPatch
 from .instances import parse_graph, parse_patch, parse_solution
 from .kpaths import covers_all_k_paths
 from .reopt import ReoptInstance, ptas_unweighted, wtd_3path, wtd_kpath
-from .solvers import (
-    CoverSolution,
-    greedy_approx,
-    local_ratio_approx,
-    make_solution,
-    oracle_registry,
-    solve_exact,
-)
+from .solvers import CoverSolution, make_solution, oracle_registry, solve_exact
+
+REOPT_ALGORITHMS = ("reopt-w3", "reopt-wk")
 
 
 @dataclass
@@ -141,31 +136,31 @@ def verify(g: Graph, k, sol: CoverSolution, check_optimal=False, seed=None) -> R
 
 
 def _run_algorithm(name, g, k, seed, patch=None, old_sol=None):
-    if name == "exact":
-        return solve_exact(g, k)
-    if name == "greedy":
-        return greedy_approx(g, k, seed=seed)
-    if name == "local-ratio":
-        return local_ratio_approx(g, k)
-    if name in ("reopt-w3", "reopt-wk"):
-        if patch is None or old_sol is None:
-            return None
-        inst = ReoptInstance.create(g, patch, old_sol, k)
-        oracle = oracle_registry()["local-ratio"]
-        if name == "reopt-w3":
-            return wtd_3path(inst, oracle, seed=seed)
-        return wtd_kpath(inst, oracle, seed=seed)
-    raise ValueError(f"unknown algorithm {name!r}")
+    if name not in REOPT_ALGORITHMS:
+        return oracle_registry()[name].solve(g, k, seed)
+    if patch is None or old_sol is None:
+        return None
+    inst = ReoptInstance.create(g, patch, old_sol, k)
+    oracle = oracle_registry()["local-ratio"]
+    if name == "reopt-w3":
+        return wtd_3path(inst, oracle, seed=seed)
+    return wtd_kpath(inst, oracle, seed=seed)
 
 
 def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, seed=0):
     """Run the algorithm matrix over a suite directory.
 
-    The suite holds <name>.graph files with optional companion <name>.patch
-    and <name>.sol files (used by the reopt algorithms). Yields one RunReport
-    per (instance, algorithm) in instance order; timeouts and parse errors
+    The algorithms are `oracle_registry()` names and REOPT_ALGORITHMS; an
+    unknown name is a ValueError before the suite is read. The suite holds
+    <name>.graph files with optional companion <name>.patch and <name>.sol
+    files (used by the reopt algorithms). Yields one RunReport per
+    (instance, algorithm) in instance order; timeouts and parse errors
     become report rows rather than failures.
     """
+    known = set(oracle_registry()).union(REOPT_ALGORITHMS)
+    for alg in algorithms:
+        if alg not in known:
+            raise ValueError(f"unknown algorithm {alg!r}")
     suite = Path(suite_dir)
     reports = []
     for path in sorted(suite.glob("*.graph")):
@@ -180,7 +175,7 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
                 patch = parse_patch(patch_path.read_text())
             if sol_path.exists():
                 old_sol = parse_solution(sol_path.read_text(), g)
-        except (ParseError, PvcError) as exc:
+        except PvcError as exc:
             for alg in algorithms:
                 reports.append((name, alg, "parse-error", str(exc), None))
             continue

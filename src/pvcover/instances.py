@@ -58,8 +58,7 @@ def _split_header(text, kind, tag, width, what):
 def parse_graph(text) -> Graph:
     (n, m), body = _split_header(text, "p", "pvc", 4, "p pvc <n> <m>")
     weights = {}
-    edges = []
-    seen_edges = set()
+    edges = set()
     for lineno, fields in body:
         kind = fields[0]
         if kind == "v":
@@ -82,17 +81,20 @@ def parse_graph(text) -> Graph:
             if u == v:
                 raise ParseError(f"self-loop at {u}", line=lineno)
             key = (min(u, v), max(u, v))
-            if key in seen_edges:
+            if key in edges:
                 raise ParseError(f"duplicate edge {key}", line=lineno)
-            seen_edges.add(key)
-            edges.append(key)
+            edges.add(key)
         else:
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(weights) != n:
         raise ParseError(f"expected {n} v lines, got {len(weights)}")
     if len(edges) != m:
         raise ParseError(f"expected {m} e lines, got {len(edges)}")
-    return Graph.build(n, edges, weights=[weights[v] for v in range(1, n + 1)])
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u - 1].append(v)
+        adj[v - 1].append(u)
+    return Graph([weights[v] for v in range(1, n + 1)], adj)
 
 
 def write_graph(g: Graph) -> str:
@@ -170,7 +172,9 @@ def write_patch(p: InsertionPatch) -> str:
 def parse_solution(text, g: Graph) -> CoverSolution:
     """Parse a solution against its companion graph; the stated weight must
     match the recomputed one."""
-    header, body = _split_header(text, "s", "pvc", 5, "s pvc <k> <size> <weight>")
+    (k, size, weight), body = _split_header(text, "s", "pvc", 5, "s pvc <k> <size> <weight>")
+    if k < 2:
+        raise ParseError(f"k={k} must be at least 2")
     chosen = []
     for lineno, fields in body:
         kind = fields[0]
@@ -185,7 +189,6 @@ def parse_solution(text, g: Graph) -> CoverSolution:
             chosen.append(vid)
         else:
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
-    k, size, weight = header
     if len(chosen) != size:
         raise ParseError(f"expected {size} x lines, got {len(chosen)}")
     actual = g.weight_of(chosen)
@@ -216,6 +219,8 @@ class GeneratorConfig:
             raise InfeasibleConfig(f"bad weight range {self.weight_range}")
         if self.n < 0:
             raise InfeasibleConfig("n must be non-negative")
+        if self.edge_target < 0:
+            raise InfeasibleConfig("edge target must be non-negative")
 
     def edge_count(self):
         pairs = self.n * (self.n - 1) // 2
@@ -272,6 +277,8 @@ def gen_patch(
     ascending order), then attachment coin flips (old ascending within new
     ascending). The optional degree cap counts existing degrees in g.
     """
+    if c < 0:
+        raise InfeasibleConfig(f"patch size {c} must be non-negative")
     rng = random.Random(seed)
     wmin, wmax = weight_range
     n_old = g.n

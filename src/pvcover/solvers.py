@@ -229,10 +229,13 @@ class _Registry(dict):
 
 
 def oracle_registry():
-    """Stable named oracles for CLI and reoptimizer wiring.
+    """The named solvers behind `pvc solve`, `pvc bench` and the reoptimizers.
 
-    The local-ratio entry runs without pruning so traces match the declared
-    scheme when used as the plug-in approximation inside reoptimizers.
+    solve(g, k, seed) covers all of g; solve(g, k, seed, index=part) covers a
+    part index from construct_sol. local-ratio prunes (reverse delete) on a
+    whole-graph solve and runs the bare ratio-k scheme on a part index. The
+    entries call the solvers by module-global name, so a wrapper bound over
+    that name sees every call.
     """
     return _Registry(
         {
@@ -251,7 +254,7 @@ def oracle_registry():
             "local-ratio": ApproxOracle(
                 name="local-ratio",
                 solve=lambda g, k, seed, index=None: local_ratio_approx(
-                    g, k, prune=False, index=index
+                    g, k, prune=index is None, index=index
                 ),
                 declared_ratio="k",
             ),

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from pvcover import (
     Graph,
@@ -26,6 +27,41 @@ from pvcover import (
 # a loaded machine; nothing is written to an example database.
 settings.register_profile("pvcover", derandomize=True, deadline=None, database=None)
 settings.load_profile("pvcover")
+
+
+SMALL_INTS = st.integers(-2, 6)
+_HEADS = st.sampled_from(["p pvc", "p patch", "s pvc"])
+_BODY = st.lists(st.tuples(st.sampled_from("veax"), SMALL_INTS, SMALL_INTS), max_size=6)
+_OFF = st.none() | SMALL_INTS
+# tokens that no line format expects where they land: words, a float, a bare
+# sign and an integer past the int() digit limit
+_STRAY = st.sampled_from(["p", "pvc", "patch", "s", "v", "x", "1.5", "-", "9" * 5000])
+_STRAY_LINES = st.lists(
+    st.lists(_STRAY | SMALL_INTS.map(str), min_size=1, max_size=4).map(" ".join), max_size=2
+)
+
+
+@st.composite
+def line_format_texts(draw):
+    """A graph, patch or solution file of small random numbers and stray tokens.
+
+    Each header count matches the body lines unless a draw replaces it, so
+    many texts get past the count checks to the id, weight and size checks.
+    Strategies are built once, outside the draws, which keeps examples cheap.
+    """
+    head = draw(_HEADS)
+    lines = [f"x {a}" if kind == "x" else f"{kind} {a} {b}" for kind, a, b in draw(_BODY)]
+    count = {kind: sum(line[0] == kind for line in lines) for kind in "veax"}
+    numbers = {
+        "p pvc": [None, count["e"]],
+        "p patch": [None, count["v"], count["e"], count["a"]],
+        "s pvc": [None, count["x"], None],
+    }[head]
+    numbers = [draw(SMALL_INTS) if x is None else x for x in numbers]
+    numbers = [x if (y := draw(_OFF)) is None else y for x in numbers]
+    lines += draw(_STRAY_LINES)
+    lines.insert(draw(st.integers(0, len(lines))), " ".join([head, *map(str, numbers)]))
+    return "\n".join(lines)
 
 
 def perm_k_paths(g: Graph, k):

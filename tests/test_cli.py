@@ -1,7 +1,10 @@
 import io
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvcover.cli import main
 from pvcover import (
@@ -9,11 +12,14 @@ from pvcover import (
     GeneratorConfig,
     gen_graph,
     gen_patch,
+    oracle_registry,
     solve_exact,
     write_graph,
     write_patch,
     write_solution,
 )
+
+from conftest import line_format_texts
 
 
 def run_cli(argv):
@@ -237,3 +243,141 @@ def test_reopt_warns_on_solution_k_mismatch(tmp_path):
     assert code == 0
     assert out == "s pvc 4 1 1\nx 4\n"
     assert err == "warning: solution file k=3 differs from -k 4\n"
+
+
+def test_reopt_patch_for_another_graph_is_a_parse_error(tmp_path):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("p pvc 3 2\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 2 3\n")
+    ppath = tmp_path / "bad.patch"
+    ppath.write_text("p patch 5 1 0 0\nv 6 1\n")
+    spath = tmp_path / "g.sol"
+    spath.write_text("s pvc 3 1 1\nx 2\n")
+    code, out, err = run_cli(
+        ["reopt", "-k", "3", "--mode", "w3", str(gpath), str(ppath), str(spath)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: patch targets a 5-vertex graph, got 3\n"
+
+
+def test_solution_k_below_two_is_a_parse_error(graph_file, tmp_path):
+    sol = tmp_path / "s.sol"
+    sol.write_text("s pvc 1 0 0\n")
+    code, out, err = run_cli(["verify", "-k", "3", graph_file, str(sol)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    g = gen_graph(GeneratorConfig(n=7, edge_target=8, seed=4))
+    for name in ("a", "b"):
+        (suite / f"{name}.graph").write_text(write_graph(g))
+        (suite / f"{name}.patch").write_text(write_patch(gen_patch(g, 2, 0.3, 0.5, seed=5)))
+    (suite / "a.sol").write_text("s pvc 1 0 0\n")
+    (suite / "b.sol").write_text(write_solution(solve_exact(g, 3)))
+    code, out, _ = run_cli(["bench", "-k", "3", "--suite", str(suite), "--algs", "greedy,reopt-w3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["instance=a alg=greedy status=parse-error",
+                         "instance=a alg=reopt-w3 status=parse-error"]
+    assert len(lines) == 4 and all("status=ok" in line for line in lines[2:])
+
+
+def test_bench_rejects_unknown_algorithms_before_reading_the_suite(tmp_path):
+    code, out, err = run_cli(
+        ["bench", "-k", "3", "--suite", str(tmp_path / "missing"), "--algs", "greedy,nope"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: unknown algorithm 'nope'\n"
+
+
+def test_solver_names_come_from_the_registry(graph_file):
+    assert sorted(oracle_registry()) == ["exact", "greedy", "local-ratio"]
+    for argv in (
+        ["solve", "-k", "3", "--alg", "nope", graph_file],
+        ["solve", "-k", "3", "--alg", "local-ratio", "--no-prune", graph_file],
+        ["reopt", "-k", "3", "--mode", "w3", "--oracle", "nope", graph_file, "p", "s"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+
+_BITS = st.integers(0, (1 << 21) - 1)  # edge and vertex subsets; n <= 6, c <= 3
+_WEIGHTS = st.integers(1, 3)
+_SOLVERS = st.sampled_from(sorted(oracle_registry()))
+_VARIANTS = st.sampled_from(["corrected", "paper"])
+
+
+def _subset(items, bits):
+    return [x for i, x in enumerate(items) if bits >> i & 1]
+
+
+@st.composite
+def pvc_runs(draw):
+    """argv for solve, verify or reopt, with the texts of its files.
+
+    The files are well formed with small random content, except that a few
+    draws give the patch another old vertex count than the graph, the
+    solution another k or a wrong weight, or put random line-format text in
+    place of a file.
+    """
+    command = draw(st.sampled_from(["solve", "verify", "reopt", "reopt", "reopt"]))
+    mode = draw(st.sampled_from(["ptas", "w3", "wk"]))
+    usual_k = {"ptas": [2, 3], "w3": [3], "wk": [4, 5]}[mode] if command == "reopt" else [2, 3, 4]
+    k = draw(st.sampled_from(usual_k * 4 + [1, 5]))
+    n = draw(st.integers(0, 6))
+    weights = [1 if mode == "ptas" else draw(_WEIGHTS) for _ in range(n)]
+    g = Graph.build(n, _subset(itertools.combinations(range(1, n + 1), 2), draw(_BITS)), weights)
+    files = {"g.graph": write_graph(g)}
+
+    n_old = n + draw(st.integers(-1, 1))
+    new = range(n_old + 1, n_old + draw(st.integers(0, 3)) + 1)
+    internal = _subset(itertools.combinations(new, 2), draw(_BITS))
+    attach = _subset(itertools.product(range(1, n_old + 1), new), draw(_BITS))
+    files["p.patch"] = "\n".join(
+        [f"p patch {n_old} {len(new)} {len(internal)} {len(attach)}"]
+        + [f"v {v} {1 if mode == 'ptas' else draw(_WEIGHTS)}" for v in new]
+        + [f"e {u} {v}" for u, v in internal]
+        + [f"a {u} {v}" for u, v in attach]
+    )
+
+    # a set of every vertex covers any graph, so reopt gets past its check
+    chosen = list(g.vertices()) if draw(st.booleans()) else _subset(g.vertices(), draw(_BITS))
+    sol_k = draw(st.sampled_from([k] * 6 + [-1, 1, 6]))
+    weight = g.weight_of(chosen) + draw(st.sampled_from([0] * 7 + [1]))
+    files["s.sol"] = "\n".join(
+        [f"s pvc {sol_k} {len(chosen)} {weight}"] + [f"x {v}" for v in chosen]
+    )
+    for name in files:
+        if draw(st.integers(0, 9)) == 0:
+            files[name] = draw(line_format_texts())
+
+    argv = [command, "-k", str(k)]
+    if command == "solve":
+        argv += ["--alg", draw(_SOLVERS), "g.graph"]
+    elif command == "verify":
+        argv += ["--optimal"] * draw(st.booleans()) + ["g.graph", "s.sol"]
+    else:
+        argv += [
+            "--mode", mode,
+            "--epsilon", draw(st.sampled_from(["0.5", "2"])),
+            "--oracle", draw(_SOLVERS),
+            "--family-mode", draw(_VARIANTS),
+            "--cap-mode", draw(_VARIANTS),
+            "g.graph", "p.patch", "s.sol",
+        ]
+    return argv, files
+
+
+@settings(max_examples=150)
+@given(run=pvc_runs())
+def test_cli_ends_in_an_exit_code_on_any_files(tmp_path_factory, run):
+    """Whatever the files hold, `pvc` returns an exit code and raises nothing."""
+    argv, files = run
+    folder = tmp_path_factory.getbasetemp() / "pvc-runs"
+    folder.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    argv = [str(folder / a) if a in files else a for a in argv]
+    code, _, _ = run_cli(argv)
+    assert code in (0, 1, 2, 3)

@@ -58,6 +58,7 @@ def test_apply_patch_rejects_mismatched_old_count():
         dict(old_vertex_count=3, added=((4, 1),), internal_edges=((3, 4),)),
         dict(old_vertex_count=3, added=((4, 1),), attachment_edges=((4, 4),)),
         dict(old_vertex_count=3, added=((4, 1),), attachment_edges=((1, 4), (1, 4))),
+        dict(old_vertex_count=-5, added=((-4, 1),)),  # negative old vertex count
     ],
 )
 def test_malformed_patches(kwargs):
@@ -151,5 +152,7 @@ def test_graph_validation():
         Graph.build(2, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         Graph.build(2, [], weights=[1, 0])
+    with pytest.raises(ValueError):
+        Graph.build(2, [], weights=[1])
     with pytest.raises(UnknownVertex):
         Graph.build(2, [(1, 3)])

@@ -1,4 +1,7 @@
+import contextlib
+
 import pytest
+from hypothesis import given, settings
 
 from pvcover import (
     GeneratorConfig,
@@ -18,6 +21,8 @@ from pvcover import (
     write_patch,
     write_solution,
 )
+
+from conftest import line_format_texts
 
 
 def test_parse_graph_basic():
@@ -144,6 +149,10 @@ def test_generator_infeasible():
         gen_graph(GeneratorConfig(n=4, edge_target=7, seed=0))
     with pytest.raises(InfeasibleConfig):
         GeneratorConfig(n=4, edge_target=2, weight_range=(0, 3), seed=0)
+    with pytest.raises(InfeasibleConfig):
+        GeneratorConfig(n=5, edge_target=-3, seed=0)
+    with pytest.raises(InfeasibleConfig):
+        gen_patch(gen_graph(GeneratorConfig(n=3, edge_target=2, seed=0)), -2, 0.3, 0.3)
 
 
 def test_gen_patch_isolated():
@@ -152,3 +161,21 @@ def test_gen_patch_isolated():
     assert p.internal_edges == () and p.attachment_edges == ()
     g_new = apply_patch(g, p)
     assert g_new.degree(6) == 0 and g_new.degree(7) == 0
+
+
+FUZZ_GRAPH = Graph.build(4, [(1, 2), (2, 3), (3, 4)], weights=[1, 2, 3, 4])
+
+
+@settings(max_examples=200)
+@given(line_format_texts())
+def test_parsers_raise_only_parse_errors(text):
+    """Any text parses into a usable value or raises ParseError, nothing else."""
+    with contextlib.suppress(ParseError):
+        g = parse_graph(text)
+        assert parse_graph(write_graph(g)) == g
+    with contextlib.suppress(ParseError):
+        p = parse_patch(text)
+        assert apply_patch(Graph.build(p.old_vertex_count, []), p).n == p.old_vertex_count + p.size
+    with contextlib.suppress(ParseError):
+        sol = parse_solution(text, FUZZ_GRAPH)
+        assert parse_solution(write_solution(sol), FUZZ_GRAPH) == sol

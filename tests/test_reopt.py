@@ -7,6 +7,7 @@ from pvcover import (
     GoodFamily,
     Graph,
     InsertionPatch,
+    PathIndex,
     ReoptInstance,
     apply_patch,
     construct_f,
@@ -142,7 +143,8 @@ def subgraph_construct_sol(inst, family, oracle, seed=0):
         s1 = inst.old_opt.vertices | f
         assert covers_all_k_paths(g, s1, k)
         sub, orig = induced_subgraph(g, old_verts - f)
-        sub_sol = oracle.solve(sub, k, seed)
+        # an index of all of sub: the oracle runs as it does on a part index
+        sub_sol = oracle.solve(sub, k, seed, index=PathIndex(sub, k))
         s2 = frozenset(orig[v - 1] for v in sub_sol.vertices) | f
         assert covers_all_k_paths(g, s2, k)
         w1, w2 = g.weight_of(s1), g.weight_of(s2)
