@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import (
     LimitExceeded,
@@ -28,6 +27,7 @@ from .instances import (
     parse_graph,
     parse_patch,
     parse_solution,
+    read_text,
     write_graph,
     write_patch,
     write_solution,
@@ -43,13 +43,9 @@ EXIT_LIMIT = 3
 _MODE_NAMES = {"corrected": "corrected", "paper": "paper-literal"}
 
 
-def _read(path):
-    return Path(path).read_text()
-
-
 def _read_solution(path, g, k, err):
     """Parse a solution file; warn on stderr when its header k is not -k."""
-    sol = parse_solution(_read(path), g)
+    sol = parse_solution(read_text(path), g)
     if sol.k != k:
         err.write(f"warning: solution file k={sol.k} differs from -k {k}\n")
     return sol
@@ -122,15 +118,15 @@ def build_parser():
 
 
 def _cmd_solve(args, out, err):
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(read_text(args.graph))
     sol = oracle_registry()[args.alg].solve(g, args.k, args.seed)
     out.write(write_solution(sol))
     return EXIT_OK
 
 
 def _cmd_reopt(args, out, err):
-    g_old = parse_graph(_read(args.old_graph))
-    patch = parse_patch(_read(args.patch))
+    g_old = parse_graph(read_text(args.old_graph))
+    patch = parse_patch(read_text(args.patch))
     old_sol = _read_solution(args.old_sol, g_old, args.k, err)
     inst = ReoptInstance.create(g_old, patch, old_sol, args.k)
     if args.mode == "ptas":
@@ -165,7 +161,7 @@ def _cmd_gen(args, out, err):
 
 
 def _cmd_gen_patch(args, out, err):
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(read_text(args.graph))
     patch = gen_patch(
         g,
         args.c,
@@ -180,7 +176,7 @@ def _cmd_gen_patch(args, out, err):
 
 
 def _cmd_verify(args, out, err):
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(read_text(args.graph))
     sol = _read_solution(args.sol, g, args.k, err)
     report = verify(g, args.k, sol, check_optimal=args.optimal)
     out.write(report.stdout_line() + "\n")
@@ -189,7 +185,7 @@ def _cmd_verify(args, out, err):
 
 
 def _cmd_incremental(args, out, err):
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(read_text(args.graph))
     order = None
     if args.order == "random":
         order = shuffled_order(g, args.seed)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import PvcError
 from .graph import Graph, InsertionPatch
-from .instances import parse_graph, parse_patch, parse_solution
+from .instances import parse_graph, parse_patch, parse_solution, read_text
 from .kpaths import covers_all_k_paths
 from .reopt import ReoptInstance, ptas_unweighted, wtd_3path, wtd_kpath
 from .solvers import CoverSolution, make_solution, oracle_registry, solve_exact
@@ -166,15 +166,15 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     for path in sorted(suite.glob("*.graph")):
         name = path.stem
         try:
-            g = parse_graph(path.read_text())
+            g = parse_graph(read_text(path))
             patch = None
             old_sol = None
             patch_path = path.with_suffix(".patch")
             sol_path = path.with_suffix(".sol")
             if patch_path.exists():
-                patch = parse_patch(patch_path.read_text())
+                patch = parse_patch(read_text(patch_path))
             if sol_path.exists():
-                old_sol = parse_solution(sol_path.read_text(), g)
+                old_sol = parse_solution(read_text(sol_path), g)
         except PvcError as exc:
             for alg in algorithms:
                 reports.append((name, alg, "parse-error", str(exc), None))

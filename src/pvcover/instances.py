@@ -16,10 +16,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import InfeasibleConfig, ParseError, WeightMismatch
 from .graph import Graph, InsertionPatch
 from .solvers import CoverSolution, make_solution
+
+
+def read_text(path):
+    """The text of an instance file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _lines(text):
@@ -176,6 +185,7 @@ def parse_solution(text, g: Graph) -> CoverSolution:
     if k < 2:
         raise ParseError(f"k={k} must be at least 2")
     chosen = []
+    seen = set()
     for lineno, fields in body:
         kind = fields[0]
         if kind == "x":
@@ -184,8 +194,9 @@ def parse_solution(text, g: Graph) -> CoverSolution:
             (vid,) = _ints(fields[1:], lineno)
             if not 1 <= vid <= g.n:
                 raise ParseError(f"vertex id {vid} out of range", line=lineno)
-            if vid in chosen:
+            if vid in seen:
                 raise ParseError(f"duplicate x line for {vid}", line=lineno)
+            seen.add(vid)
             chosen.append(vid)
         else:
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
@@ -221,10 +232,12 @@ class GeneratorConfig:
             raise InfeasibleConfig("n must be non-negative")
         if self.edge_target < 0:
             raise InfeasibleConfig("edge target must be non-negative")
+        if isinstance(self.edge_target, float) and not self.edge_target < 1.0:
+            raise InfeasibleConfig(f"density {self.edge_target} is outside [0, 1)")
 
     def edge_count(self):
         pairs = self.n * (self.n - 1) // 2
-        if isinstance(self.edge_target, float) and self.edge_target < 1.0:
+        if isinstance(self.edge_target, float):
             return round(pairs * self.edge_target)
         return int(self.edge_target)
 

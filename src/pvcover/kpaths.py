@@ -5,9 +5,12 @@ adjacent, in canonical orientation: first endpoint < last endpoint. One
 iterative depth-first walker answers every exhaustive question over a graph
 and an alive vertex set, the k-paths of g[alive], without building that
 subgraph: enumeration, detection (`has_k_path(g, k, alive)`), coverage (the
-alive set is the complement of the cover) and the first path. These are the
-deterministic oracle; color coding is the fast randomized alternative with
-one-sided error.
+alive set is the complement of the cover) and the first path
+(`first_k_path`). The walker is the deterministic oracle and decides
+whether a k-path exists. Color coding is a randomized path picker with
+one-sided error: a path it returns is verified, but "None" may be a miss,
+so a caller that must know asks the walker and keeps its path as the
+fallback.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -81,6 +84,16 @@ def _walk(g: Graph, k, alive):
                 for w in adj[u - 1]:
                     if w > start and w in free:
                         yield (*path, u, w)
+
+
+def first_k_path(g: Graph, k, alive):
+    """The lexicographically first k-path of g[alive], or None.
+
+    alive is a set of vertex ids of g and is not checked. The first sequence
+    the walker yields is canonical: its reverse is also a valid sequence and
+    compares larger.
+    """
+    return next(_walk(g, k, alive), None)
 
 
 def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP, alive=None):
@@ -172,7 +185,7 @@ def has_k_path(g: Graph, k, alive=None) -> bool:
         g._check_subset(alive)
     if k <= 3:
         return any(len(alive.intersection(g.adj[v - 1])) >= k - 1 for v in alive)
-    return next(_walk(g, k, alive), None) is not None
+    return first_k_path(g, k, alive) is not None
 
 
 def covers_all_k_paths(g: Graph, s, k) -> bool:
@@ -253,9 +266,7 @@ def find_k_path(g: Graph, k, strategy="auto", trials=None, seed=0, state_cap=Non
     if strategy == "auto":
         strategy = "exhaustive" if (g.n <= EXHAUSTIVE_N or k <= 3) else "color-coding"
     if strategy == "exhaustive":
-        # the lexicographically first sequence is canonical: its reverse is
-        # also a valid sequence and compares larger
-        return next(_walk(g, k, g.vertices()), None)
+        return first_k_path(g, k, g.vertices())
     if strategy != "color-coding":
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials is None:

@@ -19,7 +19,7 @@ from .kpaths import (
     PathIndex,
     covers_all_k_paths,
     find_k_path,
-    has_k_path,
+    first_k_path,
 )
 
 EXACT_SIZE_LIMIT = 24
@@ -164,10 +164,12 @@ def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_
 def greedy_approx(g: Graph, k, seed=0, alive=None):
     """Min-weight-vertex deletion loop; weight at most (n-k+1) times optimal.
 
-    Covers g[alive] (all of g when alive is None). Path detection is
-    exhaustive below the size threshold and color coding above it; a "no
-    path" answer from color coding is confirmed exhaustively so the output
-    is always feasible.
+    Covers g[alive] (all of g when alive is None). Each round the walker
+    decides whether g[left] still has a k-path; the loop ends when it has
+    none, so that verdict is the feasible flag. While more than
+    EXHAUSTIVE_N vertices are left and k > 3, color coding (seeded by seed)
+    picks the path on the relabeled subgraph; on a miss, and outside that
+    regime, the walker's lexicographically first path is used.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -175,18 +177,16 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     g._check_subset(start)
     left = set(start)
     cover = set()
-    while True:
-        sub, orig = induced_subgraph(g, left)
-        p = find_k_path(sub, k, strategy="auto", seed=seed)
-        if p is None and not (sub.n <= EXHAUSTIVE_N or k <= 3):
-            p = find_k_path(sub, k, strategy="exhaustive")
-        if p is None:
-            break
-        path = [orig[v - 1] for v in p]
-        vm = min(path, key=lambda v: (g.weights[v - 1], v))
+    while (p := first_k_path(g, k, left)) is not None:
+        if len(left) > EXHAUSTIVE_N and k > 3:
+            sub, orig = induced_subgraph(g, left)
+            found = find_k_path(sub, k, strategy="color-coding", seed=seed)
+            if found is not None:
+                p = [orig[v - 1] for v in found]
+        vm = min(p, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
         left.remove(vm)
-    return _solution(g, k, cover, not has_k_path(g, k, alive=start - cover))
+    return _solution(g, k, cover, p is None)
 
 
 def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None):

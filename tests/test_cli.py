@@ -1,5 +1,6 @@
 import io
 import itertools
+import shutil
 import time
 
 import pytest
@@ -99,6 +100,15 @@ def test_greedy_color_coding_budget_exit_code(tmp_path):
     assert code == 3
     assert out == ""
     assert err.startswith("limit exceeded:")
+
+
+def test_greedy_without_a_k_path_needs_no_color_coding(tmp_path):
+    # two 15-vertex paths: no 25-path, so the color-coding guard is never reached
+    path = tmp_path / "two_p15.graph"
+    edges = [(v, v + 1) for v in range(1, 30) if v != 15]
+    path.write_text(write_graph(Graph.build(30, edges)))
+    code, out, err = run_cli(["solve", "-k", "25", "--alg", "greedy", str(path)])
+    assert (code, out, err) == (0, "s pvc 25 0 0\n", "")
 
 
 def test_gen_deterministic_stdout():
@@ -280,6 +290,23 @@ def test_solution_k_below_two_is_a_parse_error(graph_file, tmp_path):
     assert lines[:2] == ["instance=a alg=greedy status=parse-error",
                          "instance=a alg=reopt-w3 status=parse-error"]
     assert len(lines) == 4 and all("status=ok" in line for line in lines[2:])
+
+
+def test_non_utf8_input_is_a_parse_error(graph_file, tmp_path):
+    binary = tmp_path / "bin.graph"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["solve", "-k", "3", "--alg", "greedy", str(binary)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.graph").write_bytes(b"\xff\xfe")
+    shutil.copy(graph_file, suite / "b.graph")
+    code, out, _ = run_cli(["bench", "-k", "3", "--suite", str(suite), "--algs", "greedy"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "instance=a alg=greedy status=parse-error"
+    assert len(lines) == 2 and lines[1].startswith("instance=b status=ok")
 
 
 def test_bench_rejects_unknown_algorithms_before_reading_the_suite(tmp_path):

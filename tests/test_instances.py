@@ -97,6 +97,14 @@ def test_parse_solution_duplicate_vertex():
     g = Graph.build(2, [(1, 2)])
     with pytest.raises(ParseError):
         parse_solution("s pvc 2 2 2\nx 1\nx 1\n", g)
+    n = 20000
+    big = Graph.build(n, [])
+    xs = "".join(f"x {v}\n" for v in range(n, 0, -1))
+    sol = parse_solution(f"s pvc 2 {n} {n}\n{xs}", big)
+    assert sol.vertices == frozenset(range(1, n + 1)) and sol.weight == n
+    with pytest.raises(ParseError, match="duplicate x line for 7") as exc:
+        parse_solution(f"s pvc 2 {n + 1} {n + 1}\n{xs}x 7\n", big)
+    assert exc.value.line == n + 2
 
 
 def test_solution_roundtrip():
@@ -151,6 +159,9 @@ def test_generator_infeasible():
         GeneratorConfig(n=4, edge_target=2, weight_range=(0, 3), seed=0)
     with pytest.raises(InfeasibleConfig):
         GeneratorConfig(n=5, edge_target=-3, seed=0)
+    for density in (1.0, 1.5, float("nan")):
+        with pytest.raises(InfeasibleConfig):
+            GeneratorConfig(n=5, edge_target=density, seed=0)
     with pytest.raises(InfeasibleConfig):
         gen_patch(gen_graph(GeneratorConfig(n=3, edge_target=2, seed=0)), -2, 0.3, 0.3)
 

@@ -1,18 +1,22 @@
 import pytest
 
+import pvcover.solvers
 from pvcover import (
     Graph,
     PathIndex,
     UnknownOracle,
     covers_all_k_paths,
     enumerate_optima,
+    find_k_path,
     greedy_approx,
+    has_k_path,
     induced_subgraph,
     local_ratio_approx,
     oracle_registry,
     solve_exact,
 )
 from pvcover.errors import SizeLimitExceeded
+from pvcover.kpaths import EXHAUSTIVE_N
 
 from conftest import brute_optima, brute_opt_weight, random_graph
 
@@ -117,6 +121,70 @@ def test_greedy_ratio_bound():
             sol = greedy_approx(g, k, seed=seed)
             assert sol.feasible
             assert sol.weight <= (g.n - k + 1) * max(brute_opt_weight(g, k), 0) or sol.weight == 0
+
+
+def reference_greedy(g, k, seed=0, alive=None, find=find_k_path):
+    """The earlier greedy loop: color coding first on every round, including
+    the last, then an exhaustive search to confirm a "no path" answer."""
+    start = frozenset(g.vertices() if alive is None else alive)
+    left = set(start)
+    cover = set()
+    while True:
+        sub, orig = induced_subgraph(g, left)
+        p = find(sub, k, strategy="auto", seed=seed)
+        if p is None and not (sub.n <= EXHAUSTIVE_N or k <= 3):
+            p = find(sub, k, strategy="exhaustive")
+        if p is None:
+            break
+        path = [orig[v - 1] for v in p]
+        vm = min(path, key=lambda v: (g.weights[v - 1], v))
+        cover.add(vm)
+        left.remove(vm)
+    return frozenset(cover), g.weight_of(cover), not has_k_path(g, k, alive=start - cover)
+
+
+def greedy_cases():
+    for seed in range(12):
+        g = random_graph(seed, 17 + 2 * seed, max_degree=4)
+        alive = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
+        for k in (4, 5):
+            yield g, k, seed, None
+            yield g, k, seed, alive
+
+
+def test_greedy_matches_the_reference_loop():
+    for g, k, seed, alive in greedy_cases():
+        sol = greedy_approx(g, k, seed=seed, alive=alive)
+        assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, seed, alive)
+
+
+def test_greedy_falls_back_to_the_walkers_path_on_a_color_coding_miss(monkeypatch):
+    def missing(g, k, strategy="auto", **kw):
+        if strategy == "color-coding" or (strategy == "auto" and g.n > EXHAUSTIVE_N and k > 3):
+            return None
+        return find_k_path(g, k, strategy=strategy, **kw)
+
+    monkeypatch.setattr(pvcover.solvers, "find_k_path", missing)
+    for g, k, seed, alive in greedy_cases():
+        sol = greedy_approx(g, k, seed=seed, alive=alive)
+        want = reference_greedy(g, k, seed, alive, find=missing)
+        assert (sol.vertices, sol.weight, sol.feasible) == want
+
+
+def test_greedy_runs_color_coding_only_when_a_path_exists(monkeypatch):
+    results = []
+
+    def recording(*args, **kw):
+        results.append(find_k_path(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(pvcover.solvers, "find_k_path", recording)
+    for g, k, seed, alive in greedy_cases():
+        sol = greedy_approx(g, k, seed=seed, alive=alive)
+        assert sol.feasible
+        assert not has_k_path(g, k, alive=set(alive or g.vertices()) - sol.vertices)
+    assert results
+    assert None not in results
 
 
 def test_local_ratio_trace_small():
