@@ -115,7 +115,7 @@ class PathIndex:
 
     Built by one `enumerate_k_paths` call, so the path cap applies. Vertex
     set questions (`covers`, `avoiding`) are answered from the paths; the
-    bitmasks, for `covers_mask` and `first_missed`, are built on first use.
+    bitmasks, for `covers_mask` and branch and bound, are built on first use.
     `avoiding(s)` returns the index of g[alive - s] without a new walk.
     """
 
@@ -149,13 +149,6 @@ class PathIndex:
     def covers_mask(self, mask):
         """True iff every path has a vertex in the set with this bitmask."""
         return all(mask & pm for pm in self.masks)
-
-    def first_missed(self, mask):
-        """The first path with no vertex in the set with this bitmask, or None."""
-        for i, pm in enumerate(self.masks):
-            if not mask & pm:
-                return self.paths[i]
-        return None
 
     def avoiding(self, s):
         """The index of g[alive - s]: the paths with no vertex in s, in order."""

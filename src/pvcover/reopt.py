@@ -111,11 +111,13 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     touching the inserted vertices (and one member inside an optimum), the
     result is within (2 - 1/rho) of optimal.
 
-    The k-paths of g_new are enumerated once, into a PathIndex. For member
-    F the oracle gets index.avoiding(va | F), the paths of g_new[V_old - F]
-    in g_new's vertex ids, and returns a cover drawn from V_old - F. Both
-    candidates are checked against every k-path of g_new by index scans:
-    old_opt + F through the paths old_opt misses, which F must meet.
+    The k-paths of g_new are enumerated once, into a PathIndex. Each member
+    F must meet every k-path through va (the family contract), so old_opt +
+    F covers g_new, and so does F plus any cover of the rest. The oracle gets
+    index.avoiding(va | F), the paths of g_new[V_old - F] in g_new's ids,
+    and below = min(w(old_opt + F), best so far) - w(F). A member the bound
+    settles (None) keeps old_opt + F and has no oracle output to check; any
+    other cover must lie in V_old - F and meet every path of its part.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
@@ -123,28 +125,33 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     k = inst.k
     va = inst.added_ids()
     index = PathIndex(g, k)
-    old_left = index.avoiding(inst.old_opt.vertices)  # paths old_opt misses
+    va_paths = [p for p in index.paths if not va.isdisjoint(p)]
     best = None  # (weight, index, frozenset)
     for i, f in enumerate(family.members):
+        if any(map(f.isdisjoint, va_paths)):
+            raise FamilyPropertyViolated(
+                f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
+            )
         s1 = inst.old_opt.vertices | f
-        if not old_left.covers(f):
-            raise FamilyPropertyViolated(
-                f"member {i} ({sorted(f)}): old_opt union member is infeasible"
-            )
+        cand = (g.weight_of(s1), i, s1)
+        w_f = g.weight_of(f)
         part = index.avoiding(va | f)
-        sub_sol = oracle.solve(g, k, seed, index=part)
-        if not sub_sol.vertices <= part.alive:
-            raise ValueError(f"oracle {oracle.name} chose vertices outside V_old minus member {i}")
-        s2 = sub_sol.vertices | f
-        if not index.covers(s2):
-            raise FamilyPropertyViolated(
-                f"member {i} ({sorted(f)}): oracle completion is infeasible"
-            )
-        w1, w2 = g.weight_of(s1), g.weight_of(s2)
-        si, wi = (s1, w1) if w1 <= w2 else (s2, w2)
-        cand = (wi, i, si)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
+        below = min(cand, best or cand)[0] - w_f
+        sub_sol = oracle.solve(g, k, seed, index=part, below=below)
+        if sub_sol is not None:
+            if not sub_sol.vertices <= part.alive:
+                raise ValueError(
+                    f"oracle {oracle.name} chose vertices outside V_old minus member {i}"
+                )
+            if not part.covers(sub_sol.vertices):
+                raise FamilyPropertyViolated(
+                    f"member {i} ({sorted(f)}): oracle completion is infeasible"
+                )
+            w2 = g.weight_of(sub_sol.vertices) + w_f
+            if w2 < cand[0]:
+                cand = (w2, i, sub_sol.vertices | f)
+        # indices differ, so ties in weight go to the earlier member
+        best = min(best or cand, cand)
     return make_solution(g, best[2], k)
 
 

@@ -64,11 +64,14 @@ class ApproxOracle:
 
     solve(g, k, seed) covers g. solve(g, k, seed, index=part), with part a
     PathIndex of g[alive] at k, covers only part's paths: the cover is drawn
-    from part.alive, in g's vertex ids.
+    from part.alive, in g's vertex ids. With below=b the oracle may return
+    None instead, but only when the cover it would return weighs at least b;
+    the exact oracle returns None iff no cover of part weighs less than b.
     """
 
     name: str
-    solve: Callable = field(compare=False)  # (Graph, k, seed, index=None) -> CoverSolution
+    # (Graph, k, seed, index=None, below=None) -> CoverSolution | None
+    solve: Callable = field(compare=False)
     declared_ratio: str = "unknown"
 
 
@@ -81,18 +84,26 @@ def _index_of(g: Graph, k, index, cap=DEFAULT_PATH_CAP):
     return index
 
 
-def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, index=None):
+def solve_exact(
+    g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, index=None, below=None
+):
     """Minimum-weight (or minimum-cardinality) cover by branch and bound.
 
     Branches on the k vertices of the first uncovered path in lexicographic
     order; ties resolve to smaller cardinality then lexicographically
     smallest vertex list, so the returned optimum is canonical. With an
     index of g[alive], covers g[alive]; the size guard applies to |alive|.
+
+    With a weight bound below, returns None iff no cover weighs less than
+    below, and otherwise the same optimum. The local-ratio Σδ, a lower
+    bound on the optimum, settles most such calls before any branching.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if objective not in ("weight", "cardinality"):
         raise ValueError(f"unknown objective {objective!r}")
+    if below is not None and objective != "weight":
+        raise ValueError("a weight bound needs objective='weight'")
     n = g.n if index is None else len(index.alive)
     if n > size_limit:
         raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {size_limit}")
@@ -105,15 +116,28 @@ def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, in
 
     all_v = ix.alive
     best = [key(all_v, g.weight_of(all_v)), all_v]
-    first_missed = ix.first_missed
+    if below is not None:
+        cover, bound = _local_ratio(g, ix)
+        if bound >= below:
+            return None
+        # a cover of weight below or more can never replace this incumbent
+        best = [(below, -1), None]
+        w_cover = g.weight_of(cover)
+        if w_cover < below:
+            best = [key(cover, w_cover), frozenset(cover)]
+    masks = ix.masks
+    paths = ix.paths
+    n_paths = len(masks)
     visited = set()
 
-    def branch(chosen, mask, weight):
+    def branch(chosen, mask, weight, i):
         if mask in visited:
             return
         visited.add(mask)
-        p = first_missed(mask)
-        if p is None:
+        # chosen contains the parent's set, so paths before i are still hit
+        while i < n_paths and mask & masks[i]:
+            i += 1
+        if i == n_paths:
             cand = key(chosen, weight)
             if cand < best[0]:
                 best[0] = cand
@@ -126,14 +150,16 @@ def solve_exact(g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, in
         else:
             if len(chosen) >= best[0][0]:
                 return
-        for v in p:
+        for v in paths[i]:
             if v in chosen:
                 continue
             chosen.add(v)
-            branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1])
+            branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1], i + 1)
             chosen.remove(v)
 
-    branch(set(), 0, 0)
+    branch(set(), 0, 0, 0)
+    if best[1] is None:
+        return None
     return _solution(g, k, best[1], ix.covers(best[1]))
 
 
@@ -189,30 +215,43 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     return _solution(g, k, cover, p is None)
 
 
-def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None):
-    """Local-ratio cover; weight at most k times optimal.
+def _local_ratio(g: Graph, ix):
+    """The local-ratio pass over ix's paths: (cover in join order, Σδ).
 
-    Processes uncovered k-paths lexicographically, subtracting the minimum
-    residual weight on each; zero-residual vertices join the cover. The
-    optional reverse-delete pass drops redundant vertices, latest first.
-    With an index of g[alive], covers g[alive].
+    Each path the cover misses, taken lexicographically, loses its minimum
+    residual weight δ on every vertex, and zero-residual vertices join the
+    cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    ix = _index_of(g, k, index, cap=cap)
     residual = list(g.weights)
     cover = []
     in_cover = set()
+    total = 0
     for p in ix.paths:
         if not in_cover.isdisjoint(p):
             continue
         delta = min(residual[v - 1] for v in p)
+        total += delta
         for v in p:
             residual[v - 1] -= delta
         for v in sorted(p):
             if residual[v - 1] == 0 and v not in in_cover:
                 in_cover.add(v)
                 cover.append(v)
+    return cover, total
+
+
+def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None):
+    """Local-ratio cover; weight at most k times optimal.
+
+    Runs the local-ratio pass; the optional reverse-delete pass then drops
+    redundant vertices, latest first. With an index of g[alive], covers
+    g[alive].
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    ix = _index_of(g, k, index, cap=cap)
+    cover, _ = _local_ratio(g, ix)
+    in_cover = set(cover)
     if prune:
         mask = sum(1 << (v - 1) for v in in_cover)
         for v in reversed(cover):
@@ -232,28 +271,31 @@ def oracle_registry():
     """The named solvers behind `pvc solve`, `pvc bench` and the reoptimizers.
 
     solve(g, k, seed) covers all of g; solve(g, k, seed, index=part) covers a
-    part index from construct_sol. local-ratio prunes (reverse delete) on a
-    whole-graph solve and runs the bare ratio-k scheme on a part index. The
-    entries call the solvers by module-global name, so a wrapper bound over
-    that name sees every call.
+    part index from construct_sol. Each takes below=None; only exact uses
+    it. local-ratio prunes (reverse delete) on a whole-graph solve and runs
+    the bare ratio-k scheme on a part index. The entries call the solvers
+    by module-global name, so a wrapper bound over that name sees every
+    call.
     """
     return _Registry(
         {
             "exact": ApproxOracle(
                 name="exact",
-                solve=lambda g, k, seed, index=None: solve_exact(g, k, index=index),
+                solve=lambda g, k, seed, index=None, below=None: solve_exact(
+                    g, k, index=index, below=below
+                ),
                 declared_ratio="1",
             ),
             "greedy": ApproxOracle(
                 name="greedy",
-                solve=lambda g, k, seed, index=None: greedy_approx(
+                solve=lambda g, k, seed, index=None, below=None: greedy_approx(
                     g, k, seed=seed, alive=None if index is None else index.alive
                 ),
                 declared_ratio="n-k+1",
             ),
             "local-ratio": ApproxOracle(
                 name="local-ratio",
-                solve=lambda g, k, seed, index=None: local_ratio_approx(
+                solve=lambda g, k, seed, index=None, below=None: local_ratio_approx(
                     g, k, prune=index is None, index=index
                 ),
                 declared_ratio="k",

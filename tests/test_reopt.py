@@ -178,7 +178,7 @@ def test_construct_sol_rejects_an_infeasible_oracle_cover(weighted_path_fixture)
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
     empty = ApproxOracle(
         name="empty",
-        solve=lambda g, k, seed, index=None: make_solution(g, frozenset(), k),
+        solve=lambda g, k, seed, index=None, below=None: make_solution(g, frozenset(), k),
     )
     # old_opt + {4} is feasible, but g_new[{1, 2, 3}] keeps the path 1-2-3
     family = GoodFamily(members=(frozenset({4}),), provenance=("",))
@@ -188,14 +188,14 @@ def test_construct_sol_rejects_an_infeasible_oracle_cover(weighted_path_fixture)
 
 def test_construct_sol_rejects_a_member_missing_a_va_path(weighted_path_fixture):
     g_old, patch, g_new = weighted_path_fixture
-    # old_opt {3} also meets 2-3-4, so only the completion check can see
-    # that the empty member leaves that path through va = {4} uncovered
+    # the empty member leaves the path 2-3-4 through va = {4} uncovered;
+    # the family contract is checked per member, whether or not old_opt hits it
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {3}, 3), 3)
     family = GoodFamily(members=(frozenset(),), provenance=("",))
-    with pytest.raises(FamilyPropertyViolated, match="oracle completion"):
+    with pytest.raises(FamilyPropertyViolated, match="misses a k-path through"):
         construct_sol(inst, family, EXACT)
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
-    with pytest.raises(FamilyPropertyViolated, match="old_opt union member"):
+    with pytest.raises(FamilyPropertyViolated, match="misses a k-path through"):
         construct_sol(inst, family, EXACT)
 
 
@@ -204,7 +204,9 @@ def test_construct_sol_rejects_oracle_vertices_outside_the_remainder(weighted_pa
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
     everything = ApproxOracle(
         name="everything",
-        solve=lambda g, k, seed, index=None: make_solution(g, frozenset(g.vertices()), k),
+        solve=lambda g, k, seed, index=None, below=None: make_solution(
+            g, frozenset(g.vertices()), k
+        ),
     )
     family = GoodFamily(members=(frozenset({3}),), provenance=("",))
     with pytest.raises(ValueError, match="outside"):
@@ -391,3 +393,21 @@ def test_corrected_families_pass_p1():
             fam = construct_f(inst.g_new, va, k)
         report = validate_good_family(inst.g_new, va, fam, k)
         assert report.property2_ok and report.property1_ok, (seed, k)
+
+
+def test_construct_sol_exact_oracle_settles_members_by_the_bound():
+    inst = random_reopt_instance(3, n_new=16, k=4, c=2, max_degree=4)
+    family = construct_f(inst.g_new, inst.added_ids(), 4)
+    answers = []
+
+    def counting(g, k, seed, index=None, below=None):
+        sol = EXACT.solve(g, k, seed, index=index, below=below)
+        answers.append(sol)
+        return sol
+
+    oracle = ApproxOracle(name="counting-exact", solve=counting, declared_ratio="1")
+    sol = construct_sol(inst, family, oracle)
+    assert len(answers) == len(family)
+    assert any(a is None for a in answers)
+    assert sol.vertices == subgraph_construct_sol(inst, family, EXACT)
+    assert sol.weight == solve_exact(inst.g_new, 4).weight

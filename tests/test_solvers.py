@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import pvcover.solvers
@@ -283,3 +285,53 @@ def test_solver_rejects_an_index_of_another_graph_or_k(path4):
     other = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
     with pytest.raises(ValueError):
         local_ratio_approx(path4, 3, index=PathIndex(other, 3))
+
+
+@functools.cache
+def desk_parts():
+    """Seeded desk-size (g, index, OPT) cases: whole graphs and avoiding parts."""
+    cases = []
+    for seed in range(12):
+        g = random_graph(seed, 9 + seed % 4, max_degree=4)
+        for k in (3, 4, 5):
+            whole = PathIndex(g, k)
+            removed = frozenset(v for v in g.vertices() if (v * 5 + seed + k) % 4 == 0)
+            for index in (whole, whole.avoiding(removed)):
+                sub, _ = induced_subgraph(g, index.alive)
+                cases.append((g, index, brute_opt_weight(sub, k)))
+    return cases
+
+
+def test_local_ratio_bound_is_at_most_the_optimum():
+    # the deltas pack the path-hitting LP's dual, so their sum is a lower bound
+    for g, index, opt in desk_parts():
+        cover, bound = pvcover.solvers._local_ratio(g, index)
+        assert 0 <= bound <= opt
+        assert index.covers(cover)
+        assert (bound == 0) == (not index.paths)
+
+
+def test_solve_exact_below_returns_none_iff_no_lighter_cover():
+    for g, index, opt in desk_parts():
+        k = index.k
+        plain = solve_exact(g, k, index=index)
+        assert plain.weight == opt
+        _, bound = pvcover.solvers._local_ratio(g, index)
+        for below in (bound, opt - 1, opt, opt + 1, 0, -3):
+            got = solve_exact(g, k, index=index, below=below)
+            if opt >= below:
+                assert got is None, (below, opt)
+            else:
+                assert got.vertices == plain.vertices
+                assert (got.weight, got.feasible) == (plain.weight, plain.feasible)
+
+
+def test_solve_exact_below_keeps_the_guards():
+    g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
+    with pytest.raises(SizeLimitExceeded):
+        solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)), below=100)
+    with pytest.raises(SizeLimitExceeded):
+        solve_exact(g, 3, below=0)
+    small = PathIndex(g, 3, alive=range(1, 11))
+    with pytest.raises(ValueError, match="objective"):
+        solve_exact(g, 3, objective="cardinality", index=small, below=5)
