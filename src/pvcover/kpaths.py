@@ -15,9 +15,10 @@ fallback.
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
 asks. Asked many questions about one graph, it enumerates once: "does s
-meet every path?" is one scan, and the index of g[alive - s] is a filter
-that keeps the walker's order, so it equals a fresh enumeration of that
-subgraph.
+meet every path?" is one scan, and the index of g[alive - s] is a part
+that keeps the enumerated list and the removed set, and filters on first
+read of its paths. The filter keeps the walker's order, so a part equals a
+fresh enumeration of that subgraph.
 """
 
 from __future__ import annotations
@@ -116,17 +117,30 @@ class PathIndex:
     Built by one `enumerate_k_paths` call, so the path cap applies. Vertex
     set questions (`covers`, `avoiding`) are answered from the paths; the
     bitmasks, for `covers_mask` and branch and bound, are built on first use.
-    `avoiding(s)` returns the index of g[alive - s] without a new walk.
+    `avoiding(s)` returns the index of g[alive - s] without a new walk or a
+    filter: the part shares the enumerated list (`base`) and records the
+    vertices it drops (`removed`), and `paths`, the paths of `base` that
+    avoid `removed`, is built on first read. A pass that walks `base` and
+    skips the paths meeting `removed` sees the same sequence, so it can
+    filter as it goes and stop early.
     """
 
-    __slots__ = ("g", "k", "alive", "paths", "_masks")
+    __slots__ = ("g", "k", "alive", "base", "removed", "_paths", "_masks")
 
     def __init__(self, g: Graph, k, alive=None, cap=DEFAULT_PATH_CAP):
         self.g = g
         self.k = k
         self.alive = frozenset(g.vertices() if alive is None else alive)
-        self.paths = enumerate_k_paths(g, k, cap=cap, alive=self.alive)
+        self.base = self._paths = enumerate_k_paths(g, k, cap=cap, alive=self.alive)
+        self.removed = frozenset()
         self._masks = None
+
+    @property
+    def paths(self):
+        """The paths of g[alive], in the walker's order."""
+        if self._paths is None:
+            self._paths = list(filter(self.removed.isdisjoint, self.base))
+        return self._paths
 
     @property
     def masks(self):
@@ -151,13 +165,15 @@ class PathIndex:
         return all(mask & pm for pm in self.masks)
 
     def avoiding(self, s):
-        """The index of g[alive - s]: the paths with no vertex in s, in order."""
+        """The index of g[alive - s]; its paths are filtered on first read."""
         s = self._vertex_set(s)
         sub = object.__new__(PathIndex)
         sub.g = self.g
         sub.k = self.k
         sub.alive = self.alive - s
-        sub.paths = list(filter(s.isdisjoint, self.paths))
+        sub.base = self.base
+        sub.removed = self.removed | s
+        sub._paths = None
         sub._masks = None
         return sub
 

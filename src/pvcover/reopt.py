@@ -115,9 +115,12 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     F must meet every k-path through va (the family contract), so old_opt +
     F covers g_new, and so does F plus any cover of the rest. The oracle gets
     index.avoiding(va | F), the paths of g_new[V_old - F] in g_new's ids,
-    and below = min(w(old_opt + F), best so far) - w(F). A member the bound
-    settles (None) keeps old_opt + F and has no oracle output to check; any
-    other cover must lie in V_old - F and meet every path of its part.
+    and below = min(w(old_opt + F), best so far) - w(F). The part filters
+    its paths only when something reads them, so an oracle that needs only
+    part.alive (greedy) or walks the shared list (local ratio) pays no
+    filter. A member the bound settles (None) keeps old_opt + F and has no
+    oracle output to check; any other cover must lie in V_old - F and meet
+    every path of its part.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")

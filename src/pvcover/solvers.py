@@ -8,6 +8,7 @@ bound (ratio k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +67,9 @@ class ApproxOracle:
     PathIndex of g[alive] at k, covers only part's paths: the cover is drawn
     from part.alive, in g's vertex ids. With below=b the oracle may return
     None instead, but only when the cover it would return weighs at least b;
-    the exact oracle returns None iff no cover of part weighs less than b.
+    the exact oracle returns None iff no cover of part weighs less than b,
+    and the local-ratio oracle on a part returns None as soon as its growing
+    cover weighs b. Greedy ignores b.
     """
 
     name: str
@@ -215,42 +218,59 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     return _solution(g, k, cover, p is None)
 
 
-def _local_ratio(g: Graph, ix):
+def _local_ratio(g: Graph, ix, below=math.inf):
     """The local-ratio pass over ix's paths: (cover in join order, Σδ).
 
     Each path the cover misses, taken lexicographically, loses its minimum
     residual weight δ on every vertex, and zero-residual vertices join the
     cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT.
+
+    The pass walks ix.base and skips the paths that meet ix.removed or the
+    cover, which is ix.paths without building that list. The cover only
+    grows, so once it weighs below or more the pass returns None.
     """
+    if below <= 0:  # the empty cover already weighs below
+        return None
     residual = list(g.weights)
     cover = []
-    in_cover = set()
-    total = 0
-    for p in ix.paths:
-        if not in_cover.isdisjoint(p):
+    skip = set(ix.removed)  # the removed vertices, then the cover
+    weight = total = 0
+    for p in ix.base:
+        if not skip.isdisjoint(p):
             continue
         delta = min(residual[v - 1] for v in p)
         total += delta
         for v in p:
             residual[v - 1] -= delta
         for v in sorted(p):
-            if residual[v - 1] == 0 and v not in in_cover:
-                in_cover.add(v)
+            if residual[v - 1] == 0 and v not in skip:
+                skip.add(v)
                 cover.append(v)
+                weight += g.weights[v - 1]
+        if weight >= below:
+            return None
     return cover, total
 
 
-def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None):
+def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None, below=None):
     """Local-ratio cover; weight at most k times optimal.
 
     Runs the local-ratio pass; the optional reverse-delete pass then drops
     redundant vertices, latest first. With an index of g[alive], covers
     g[alive].
+
+    Without pruning, a weight bound below makes the pass return None as
+    soon as its cover weighs below or more; the cover only grows, so it
+    would have weighed at least below. Pruning ignores below: reverse
+    delete can make a heavy cover light.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     ix = _index_of(g, k, index, cap=cap)
-    cover, _ = _local_ratio(g, ix)
+    found = _local_ratio(g, ix, math.inf if prune or below is None else below)
+    if found is None:
+        return None
+    cover, _ = found
     in_cover = set(cover)
     if prune:
         mask = sum(1 << (v - 1) for v in in_cover)
@@ -271,9 +291,12 @@ def oracle_registry():
     """The named solvers behind `pvc solve`, `pvc bench` and the reoptimizers.
 
     solve(g, k, seed) covers all of g; solve(g, k, seed, index=part) covers a
-    part index from construct_sol. Each takes below=None; only exact uses
-    it. local-ratio prunes (reverse delete) on a whole-graph solve and runs
-    the bare ratio-k scheme on a part index. The entries call the solvers
+    part index from construct_sol. Each takes below=None: exact returns
+    None iff no cover of the part is lighter, local-ratio on a part stops
+    its pass and returns None once its cover weighs below, and greedy
+    ignores it. local-ratio prunes (reverse delete) on a whole-graph solve
+    and runs the bare ratio-k scheme on a part index, which it reads
+    without building the part's path list. The entries call the solvers
     by module-global name, so a wrapper bound over that name sees every
     call.
     """
@@ -296,7 +319,7 @@ def oracle_registry():
             "local-ratio": ApproxOracle(
                 name="local-ratio",
                 solve=lambda g, k, seed, index=None, below=None: local_ratio_approx(
-                    g, k, prune=index is None, index=index
+                    g, k, prune=index is None, index=index, below=below
                 ),
                 declared_ratio="k",
             ),

@@ -188,14 +188,21 @@ def test_walker_matches_brute_force(instance, k):
 @given(small_graphs(), st.data(), st.integers(2, 5))
 def test_path_index_matches_walker_and_brute_force(instance, data, k):
     g, alive = instance
-    s = data.draw(st.frozensets(st.integers(1, g.n))) if g.n else frozenset()
+    sets = st.frozensets(st.integers(1, g.n)) if g.n else st.just(frozenset())
+    s, t, u = data.draw(st.tuples(sets, sets, sets))
     index = PathIndex(g, k, alive=alive)
-    assert index.paths == enumerate_k_paths(g, k, alive=alive)
     left = index.avoiding(s)
+    # a part of a part, made before either has filtered its paths
+    chained = left.avoiding(t)
+    fresh = PathIndex(g, k, alive=alive - s - t)
+    assert (chained.alive, chained.paths, chained.masks) == (fresh.alive, fresh.paths, fresh.masks)
+    assert chained.covers(u) == fresh.covers(u)
+    assert index.paths == enumerate_k_paths(g, k, alive=alive)
     assert left.alive == alive - s
     assert left.paths == enumerate_k_paths(g, k, alive=alive - s)
     assert left.paths == [p for p in perm_k_paths(g, k) if (alive - s).issuperset(p)]
     assert left.masks == [sum(1 << (v - 1) for v in p) for p in left.paths]
+    assert left.avoiding(t).paths == fresh.paths
     # s covers g[alive] iff s plus every dead vertex covers g
     dead = frozenset(g.vertices()) - alive
     assert index.covers(s) == brute_covers(g, s | dead, k)

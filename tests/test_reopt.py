@@ -13,9 +13,11 @@ from pvcover import (
     construct_f,
     construct_sol,
     covers_all_k_paths,
+    gen_patch,
     good_family_3pvcp,
     induced_subgraph,
     level_bound,
+    local_ratio_approx,
     make_solution,
     oracle_registry,
     ptas_unweighted,
@@ -25,7 +27,7 @@ from pvcover import (
     wtd_kpath,
 )
 
-from conftest import random_reopt_instance
+from conftest import random_graph, random_reopt_instance
 
 EXACT = oracle_registry()["exact"]
 LOCAL_RATIO = oracle_registry()["local-ratio"]
@@ -411,3 +413,38 @@ def test_construct_sol_exact_oracle_settles_members_by_the_bound():
     assert any(a is None for a in answers)
     assert sol.vertices == subgraph_construct_sol(inst, family, EXACT)
     assert sol.weight == solve_exact(inst.g_new, 4).weight
+
+
+def mid_reopt_instance(seed, n_new, k, c):
+    """A seeded mid-size wtd_kpath instance, Δ <= 3, with a local-ratio old cover."""
+    n_old = n_new - c
+    g_old = random_graph(seed, n_old, m=n_old + n_old // 4, max_degree=3)
+    patch = gen_patch(
+        g_old, c, attach_prob=2.0 / n_old, internal_prob=0.4, seed=seed + 1, max_degree=3
+    )
+    return ReoptInstance.create(g_old, patch, local_ratio_approx(g_old, k), k)
+
+
+def test_construct_sol_local_ratio_cutoff_keeps_the_result():
+    answers = []
+
+    def counting(g, k, seed, index=None, below=None):
+        sol = LOCAL_RATIO.solve(g, k, seed, index=index, below=below)
+        answers.append(sol)
+        return sol
+
+    def unbounded(g, k, seed, index=None, below=None):
+        return LOCAL_RATIO.solve(g, k, seed, index=index)
+
+    bounded = ApproxOracle(name="counting-local-ratio", solve=counting, declared_ratio="k")
+    plain = ApproxOracle(name="unbounded-local-ratio", solve=unbounded, declared_ratio="k")
+    for seed in range(12):
+        k = 4 + seed % 2
+        inst = mid_reopt_instance(seed, n_new=40 + 10 * (seed % 5), k=k, c=1 + seed % 3)
+        family = construct_f(inst.g_new, inst.added_ids(), k)
+        got = construct_sol(inst, family, bounded, seed=seed)
+        want = construct_sol(inst, family, plain, seed=seed)
+        assert (got.vertices, got.weight) == (want.vertices, want.weight), seed
+        assert got.feasible
+    assert any(a is None for a in answers)
+    assert any(a is not None for a in answers)

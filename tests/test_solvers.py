@@ -326,6 +326,22 @@ def test_solve_exact_below_returns_none_iff_no_lighter_cover():
                 assert (got.weight, got.feasible) == (plain.weight, plain.feasible)
 
 
+def test_local_ratio_below_returns_none_iff_the_cover_is_not_lighter():
+    for g, index, _ in desk_parts():
+        k = index.k
+        plain = local_ratio_approx(g, k, prune=False, index=index)
+        w = plain.weight
+        for below in (w - 1, w, w + 1, 0):
+            got = local_ratio_approx(g, k, prune=False, index=index, below=below)
+            if w >= below:
+                assert got is None, (below, w)
+            else:
+                assert got.vertices == plain.vertices
+                assert (got.weight, got.feasible) == (plain.weight, plain.feasible)
+            # reverse delete can make a heavy cover light, so pruning ignores below
+            assert local_ratio_approx(g, k, below=below) == local_ratio_approx(g, k)
+
+
 def test_solve_exact_below_keeps_the_guards():
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
     with pytest.raises(SizeLimitExceeded):
