@@ -47,7 +47,10 @@ def _ints(fields, lineno):
 
 
 def _split_header(text, kind, tag, width, what):
-    """Find the single header line; any line order is accepted."""
+    """Find the single header line; any line order is accepted.
+
+    Returns (header ints, header line number, body lines).
+    """
     body = []
     header = None
     for lineno, fields in _lines(text):
@@ -57,15 +60,16 @@ def _split_header(text, kind, tag, width, what):
             if len(fields) != width or fields[1] != tag:
                 raise ParseError(f"expected '{what}'", line=lineno)
             header = _ints(fields[2:], lineno)
+            head = lineno
         else:
             body.append((lineno, fields))
     if header is None:
         raise ParseError(f"missing {kind} line")
-    return header, body
+    return header, head, body
 
 
 def parse_graph(text) -> Graph:
-    (n, m), body = _split_header(text, "p", "pvc", 4, "p pvc <n> <m>")
+    (n, m), _, body = _split_header(text, "p", "pvc", 4, "p pvc <n> <m>")
     weights = {}
     edges = set()
     for lineno, fields in body:
@@ -114,11 +118,15 @@ def write_graph(g: Graph) -> str:
 
 
 def parse_patch(text) -> InsertionPatch:
-    header, body = _split_header(text, "p", "patch", 6, "p patch <n_old> <c> <mA> <ma>")
+    """The checked boundary for patches: every fault raises ParseError, with
+    its line number when one line is at fault."""
+    header, head, body = _split_header(text, "p", "patch", 6, "p patch <n_old> <c> <mA> <ma>")
     n_old, c, m_a, m_att = header
+    if n_old < 0:
+        raise ParseError(f"old vertex count {n_old} must be non-negative", line=head)
     weights = {}
-    internal = []
-    attach = []
+    internal = set()
+    attach = set()
     for lineno, fields in body:
         kind = fields[0]
         if kind == "v":
@@ -138,7 +146,12 @@ def parse_patch(text) -> InsertionPatch:
             u, v = _ints(fields[1:], lineno)
             if not (n_old < u <= n_old + c and n_old < v <= n_old + c):
                 raise ParseError(f"internal edge ({u},{v}) must join two new vertices", line=lineno)
-            internal.append((min(u, v), max(u, v)))
+            if u == v:
+                raise ParseError(f"self-loop at {u}", line=lineno)
+            key = (min(u, v), max(u, v))
+            if key in internal:
+                raise ParseError(f"duplicate internal edge {key}", line=lineno)
+            internal.add(key)
         elif kind == "a":
             if len(fields) != 3:
                 raise ParseError("expected 'a <old> <new>'", line=lineno)
@@ -147,7 +160,9 @@ def parse_patch(text) -> InsertionPatch:
                 raise ParseError(
                     f"attachment edge ({u},{v}) must join an old and a new vertex", line=lineno
                 )
-            attach.append((u, v))
+            if (u, v) in attach:
+                raise ParseError(f"duplicate attachment edge ({u},{v})", line=lineno)
+            attach.add((u, v))
         else:
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(weights) != c:
@@ -156,15 +171,12 @@ def parse_patch(text) -> InsertionPatch:
         raise ParseError(f"expected {m_a} e lines, got {len(internal)}")
     if len(attach) != m_att:
         raise ParseError(f"expected {m_att} a lines, got {len(attach)}")
-    try:
-        return InsertionPatch(
-            old_vertex_count=n_old,
-            added=tuple((vid, weights[vid]) for vid in sorted(weights)),
-            internal_edges=tuple(internal),
-            attachment_edges=tuple(attach),
-        )
-    except Exception as exc:
-        raise ParseError(str(exc))
+    return InsertionPatch(
+        old_vertex_count=n_old,
+        added=tuple((vid, weights[vid]) for vid in sorted(weights)),
+        internal_edges=tuple(internal),
+        attachment_edges=tuple(attach),
+    )
 
 
 def write_patch(p: InsertionPatch) -> str:
@@ -181,7 +193,7 @@ def write_patch(p: InsertionPatch) -> str:
 def parse_solution(text, g: Graph) -> CoverSolution:
     """Parse a solution against its companion graph; the stated weight must
     match the recomputed one."""
-    (k, size, weight), body = _split_header(text, "s", "pvc", 5, "s pvc <k> <size> <weight>")
+    (k, size, weight), _, body = _split_header(text, "s", "pvc", 5, "s pvc <k> <size> <weight>")
     if k < 2:
         raise ParseError(f"k={k} must be at least 2")
     chosen = []
@@ -214,6 +226,13 @@ def write_solution(sol: CoverSolution) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_weight_range(weight_range):
+    """Generated weights are drawn from [wmin, wmax] and must be at least 1."""
+    wmin, wmax = weight_range
+    if wmin < 1 or wmax < wmin:
+        raise InfeasibleConfig(f"bad weight range {weight_range}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Seeded random graph parameters; edge_target < 1.0 means density."""
@@ -225,9 +244,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        wmin, wmax = self.weight_range
-        if wmin < 1 or wmax < wmin:
-            raise InfeasibleConfig(f"bad weight range {self.weight_range}")
+        _check_weight_range(self.weight_range)
         if self.n < 0:
             raise InfeasibleConfig("n must be non-negative")
         if self.edge_target < 0:
@@ -292,6 +309,7 @@ def gen_patch(
     """
     if c < 0:
         raise InfeasibleConfig(f"patch size {c} must be non-negative")
+    _check_weight_range(weight_range)
     rng = random.Random(seed)
     wmin, wmax = weight_range
     n_old = g.n

@@ -32,7 +32,7 @@ from .graph import Graph
 
 DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
-EXHAUSTIVE_N = 16  # automatic strategy switches to color coding above this
+EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
 
 
@@ -260,20 +260,17 @@ def _colorful_path_trial(g: Graph, k, rng, state_cap):
     return None
 
 
-def find_k_path(g: Graph, k, strategy="auto", trials=None, seed=0, state_cap=None):
-    """Find one k-path.
+def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, state_cap=None):
+    """Find one k-path; strategy is "exhaustive" or "color-coding".
 
     exhaustive: lexicographically first k-path or None, never errs.
     color-coding: random trials with derived seeds (seed + trial index); any
     returned path is verified, so only "None" can be wrong. Raises
     LimitExceeded before the first trial when trials * 2^k * n exceeds
     COLOR_CODING_GUARD.
-    auto: exhaustive when n <= 16 or k <= 3, color-coding otherwise.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if strategy == "auto":
-        strategy = "exhaustive" if (g.n <= EXHAUSTIVE_N or k <= 3) else "color-coding"
     if strategy == "exhaustive":
         return first_k_path(g, k, g.vertices())
     if strategy != "color-coding":

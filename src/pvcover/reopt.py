@@ -47,8 +47,16 @@ class ReoptInstance:
 
     @classmethod
     def create(cls, g_old, patch, old_opt, k):
+        """Apply the patch and check that old_opt, a solution of g_old, covers
+        it at k. A CoverSolution's feasible flag is a verdict at its own k,
+        so g_old is walked only when old_opt was checked at another k.
+        """
         g_new = apply_patch(g_old, patch)
-        if not covers_all_k_paths(g_old, old_opt.vertices, k):
+        if old_opt.k == k:
+            feasible = old_opt.feasible
+        else:
+            feasible = covers_all_k_paths(g_old, old_opt.vertices, k)
+        if not feasible:
             raise ValueError("old solution is not feasible for the old graph")
         return cls(g_old=g_old, patch=patch, g_new=g_new, old_opt=old_opt, k=k)
 

@@ -29,7 +29,9 @@ ENUMERATE_SIZE_LIMIT = 14
 
 @dataclass(frozen=True)
 class CoverSolution:
-    """A vertex set claimed to cover every k-path, with its bookkeeping."""
+    """A vertex set of a graph, with its weight and whether it covers every
+    k-path at this k. Built only through _solution, so feasible is always
+    a verdict at k: a walk, an index scan or greedy's last walker call."""
 
     vertices: frozenset
     k: int
@@ -87,10 +89,8 @@ def _index_of(g: Graph, k, index, cap=DEFAULT_PATH_CAP):
     return index
 
 
-def solve_exact(
-    g: Graph, k, objective="weight", size_limit=EXACT_SIZE_LIMIT, index=None, below=None
-):
-    """Minimum-weight (or minimum-cardinality) cover by branch and bound.
+def solve_exact(g: Graph, k, size_limit=EXACT_SIZE_LIMIT, index=None, below=None):
+    """Minimum-weight cover by branch and bound.
 
     Branches on the k vertices of the first uncovered path in lexicographic
     order; ties resolve to smaller cardinality then lexicographically
@@ -103,19 +103,13 @@ def solve_exact(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if objective not in ("weight", "cardinality"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if below is not None and objective != "weight":
-        raise ValueError("a weight bound needs objective='weight'")
     n = g.n if index is None else len(index.alive)
     if n > size_limit:
         raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {size_limit}")
     ix = _index_of(g, k, index)
 
     def key(vertices, weight):
-        if objective == "weight":
-            return (weight, len(vertices), tuple(sorted(vertices)))
-        return (len(vertices), weight, tuple(sorted(vertices)))
+        return (weight, len(vertices), tuple(sorted(vertices)))
 
     all_v = ix.alive
     best = [key(all_v, g.weight_of(all_v)), all_v]
@@ -147,12 +141,8 @@ def solve_exact(
                 best[1] = frozenset(chosen)
             return
         # any completion adds at least one more positive-weight vertex
-        if objective == "weight":
-            if weight >= best[0][0]:
-                return
-        else:
-            if len(chosen) >= best[0][0]:
-                return
+        if weight >= best[0][0]:
+            return
         for v in paths[i]:
             if v in chosen:
                 continue
@@ -166,8 +156,8 @@ def solve_exact(
     return _solution(g, k, best[1], ix.covers(best[1]))
 
 
-def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_LIMIT):
-    """All optimal covers by full subset enumeration, sorted canonically."""
+def enumerate_optima(g: Graph, k, size_limit=ENUMERATE_SIZE_LIMIT):
+    """All minimum-weight covers by full subset enumeration, sorted canonically."""
     if g.n > size_limit:
         raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {size_limit}")
     index = PathIndex(g, k)
@@ -180,7 +170,7 @@ def enumerate_optima(g: Graph, k, objective="weight", size_limit=ENUMERATE_SIZE_
         if not index.covers_mask(mask):
             continue
         s = frozenset(v for v in verts if mask & (1 << (v - 1)))
-        val = g.weight_of(s) if objective == "weight" else len(s)
+        val = g.weight_of(s)
         if best_val is None or val < best_val:
             best_val = val
             optima = [s]

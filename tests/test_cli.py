@@ -126,6 +126,15 @@ def test_gen_patch_roundtrip(graph_file):
     assert out.startswith("p patch 4 2 ")
 
 
+@pytest.mark.parametrize("wmin, wmax", [(0, 0), (5, 2)])
+def test_gen_patch_rejects_a_bad_weight_range(graph_file, wmin, wmax):
+    code, out, err = run_cli(
+        ["gen-patch", "-c", "2", "--wmin", str(wmin), "--wmax", str(wmax), graph_file]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: bad weight range ({wmin}, {wmax})\n"
+
+
 def test_reopt_ptas(tmp_path, graph_file):
     ppath = tmp_path / "p.patch"
     ppath.write_text("p patch 4 1 0 1\nv 5 1\na 4 5\n")
@@ -253,6 +262,23 @@ def test_reopt_warns_on_solution_k_mismatch(tmp_path):
     assert code == 0
     assert out == "s pvc 4 1 1\nx 4\n"
     assert err == "warning: solution file k=3 differs from -k 4\n"
+
+
+def test_reopt_checks_the_old_cover_at_the_requested_k(graph_file, tmp_path):
+    # {1} covers every 4-path of the 4-vertex path but leaves the 3-path 2-3-4
+    ppath = tmp_path / "p.patch"
+    ppath.write_text("p patch 4 1 0 1\nv 5 1\na 4 5\n")
+    spath = tmp_path / "s.sol"
+    spath.write_text("s pvc 4 1 1\nx 1\n")
+    argv = ["reopt", "-k", "3", "--mode", "w3", graph_file, str(ppath), str(spath)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "warning: solution file k=4 differs from -k 3\n"
+        "error: old solution is not feasible for the old graph\n"
+    )
+    argv[2], argv[4] = "4", "wk"
+    assert run_cli(argv)[0] == 0
 
 
 def test_reopt_patch_for_another_graph_is_a_parse_error(tmp_path):

@@ -5,6 +5,7 @@ from pvcover import (
     Graph,
     InsertionPatch,
     MalformedPatch,
+    ParseError,
     UnknownVertex,
     apply_patch,
     bfs_forest_from_set,
@@ -12,6 +13,7 @@ from pvcover import (
     is_va_connected,
     max_degree,
     neighbors_of_set,
+    parse_patch,
 )
 
 from conftest import random_graph
@@ -52,18 +54,31 @@ def test_apply_patch_rejects_mismatched_old_count():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(old_vertex_count=3, added=((5, 1),)),  # id gap
-        dict(old_vertex_count=3, added=((4, 0),)),  # zero weight
-        dict(old_vertex_count=3, added=((4, 1),), internal_edges=((4, 4),)),
-        dict(old_vertex_count=3, added=((4, 1),), internal_edges=((3, 4),)),
-        dict(old_vertex_count=3, added=((4, 1),), attachment_edges=((4, 4),)),
-        dict(old_vertex_count=3, added=((4, 1),), attachment_edges=((1, 4), (1, 4))),
-        dict(old_vertex_count=-5, added=((-4, 1),)),  # negative old vertex count
+        dict(text="p patch 3 1 0 0\nv 5 1\n", line=2),  # id gap
+        dict(text="p patch 3 1 0 0\nv 4 0\n", line=2),  # zero weight
+        dict(text="p patch 3 1 1 0\nv 4 1\ne 4 4\n", line=3),  # internal self-loop
+        dict(text="p patch 3 1 1 0\nv 4 1\ne 3 4\n", line=3),  # internal edge to an old vertex
+        dict(text="p patch 3 1 0 1\nv 4 1\na 4 4\n", line=3),  # attachment between new vertices
+        dict(text="p patch 3 1 0 2\nv 4 1\na 1 4\na 1 4\n", line=4),  # duplicate attachment
+        dict(text="p patch -5 1 0 0\nv -4 1\n", line=1),  # negative old vertex count
+        dict(text="p patch 3 2 2 0\nv 4 1\nv 5 1\ne 4 5\ne 5 4\n", line=5),  # duplicate edge
     ],
 )
 def test_malformed_patches(kwargs):
-    with pytest.raises(MalformedPatch):
-        InsertionPatch(**kwargs)
+    """parse_patch is the only patch check; each fault names its line."""
+    with pytest.raises(ParseError) as info:
+        parse_patch(kwargs["text"])
+    assert info.value.line == kwargs["line"], info.value
+
+
+def test_insertion_patch_trusts_its_caller_and_canonicalises():
+    patch = InsertionPatch(3, added=((4, 1), (5, 2)), internal_edges=((5, 4),),
+                           attachment_edges=((2, 5), (1, 4)))
+    assert patch == InsertionPatch(3, added=((4, 1), (5, 2)), internal_edges=((4, 5),),
+                                   attachment_edges=((1, 4), (2, 5)))
+    assert patch.internal_edges == ((4, 5),) and patch.attachment_edges == ((1, 4), (2, 5))
+    # no check: a patch that parse_patch would refuse is built as given
+    assert InsertionPatch(3, added=((4, 0),), internal_edges=((4, 4),)).added == ((4, 0),)
 
 
 def test_neighbors_of_set(path4):

@@ -1,5 +1,6 @@
 import pytest
 
+import pvcover.reopt
 from pvcover import (
     ApproxOracle,
     EmptyFamily,
@@ -35,6 +36,31 @@ LOCAL_RATIO = oracle_registry()["local-ratio"]
 
 def members(family):
     return [sorted(m) for m in family.members]
+
+
+# ---------------------------------------------------------------- instance
+
+
+def test_create_reads_the_old_covers_verdict_at_its_own_k(monkeypatch):
+    calls = []
+
+    def counting(g, s, k):
+        calls.append(k)
+        return covers_all_k_paths(g, s, k)
+
+    g_old = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
+    patch = InsertionPatch(4, added=((5, 1),), attachment_edges=((4, 5),))
+    feasible, infeasible = make_solution(g_old, {2}, 3), make_solution(g_old, {1}, 3)
+    monkeypatch.setattr(pvcover.reopt, "covers_all_k_paths", counting)
+    assert ReoptInstance.create(g_old, patch, feasible, 3).old_opt is feasible
+    with pytest.raises(ValueError, match="not feasible"):
+        ReoptInstance.create(g_old, patch, infeasible, 3)
+    assert calls == []
+    # checked at another k, the cover is walked again at the requested k
+    assert ReoptInstance.create(g_old, patch, infeasible, 4).k == 4
+    with pytest.raises(ValueError, match="not feasible"):
+        ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 4), 3)
+    assert calls == [4, 3]
 
 
 # ---------------------------------------------------------------- PTAS

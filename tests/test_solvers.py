@@ -64,14 +64,6 @@ def test_exact_canonical_tiebreak():
         assert sol.vertices == expected
 
 
-def test_exact_cardinality_equals_weight_on_unit():
-    for seed in range(20):
-        g = random_graph(seed, 9, weighted=False)
-        a = solve_exact(g, 3, objective="weight")
-        b = solve_exact(g, 3, objective="cardinality")
-        assert a.vertices == b.vertices
-
-
 def test_exact_size_guard():
     g = random_graph(0, 10)
     with pytest.raises(SizeLimitExceeded):
@@ -133,8 +125,9 @@ def reference_greedy(g, k, seed=0, alive=None, find=find_k_path):
     cover = set()
     while True:
         sub, orig = induced_subgraph(g, left)
-        p = find(sub, k, strategy="auto", seed=seed)
-        if p is None and not (sub.n <= EXHAUSTIVE_N or k <= 3):
+        strategy = "exhaustive" if sub.n <= EXHAUSTIVE_N or k <= 3 else "color-coding"
+        p = find(sub, k, strategy=strategy, seed=seed)
+        if p is None and strategy == "color-coding":
             p = find(sub, k, strategy="exhaustive")
         if p is None:
             break
@@ -161,8 +154,8 @@ def test_greedy_matches_the_reference_loop():
 
 
 def test_greedy_falls_back_to_the_walkers_path_on_a_color_coding_miss(monkeypatch):
-    def missing(g, k, strategy="auto", **kw):
-        if strategy == "color-coding" or (strategy == "auto" and g.n > EXHAUSTIVE_N and k > 3):
+    def missing(g, k, strategy, **kw):
+        if strategy == "color-coding":
             return None
         return find_k_path(g, k, strategy=strategy, **kw)
 
@@ -348,6 +341,3 @@ def test_solve_exact_below_keeps_the_guards():
         solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)), below=100)
     with pytest.raises(SizeLimitExceeded):
         solve_exact(g, 3, below=0)
-    small = PathIndex(g, 3, alive=range(1, 11))
-    with pytest.raises(ValueError, match="objective"):
-        solve_exact(g, 3, objective="cardinality", index=small, below=5)
