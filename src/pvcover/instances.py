@@ -18,9 +18,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InfeasibleConfig, ParseError, WeightMismatch
+from .errors import InfeasibleConfig, LimitExceeded, ParseError, WeightMismatch
 from .graph import Graph, InsertionPatch
 from .solvers import CoverSolution, make_solution
+
+PATCH_COIN_GUARD = 10**7  # cap on gen_patch's c(c-1)/2 + c*n coin flips
 
 
 def read_text(path):
@@ -233,6 +235,12 @@ def _check_weight_range(weight_range):
         raise InfeasibleConfig(f"bad weight range {weight_range}")
 
 
+def _check_max_degree(max_degree):
+    """A degree cap is None (no cap) or a non-negative int."""
+    if max_degree is not None and max_degree < 0:
+        raise InfeasibleConfig(f"max degree {max_degree} must be non-negative")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Seeded random graph parameters; edge_target < 1.0 means density."""
@@ -245,6 +253,7 @@ class GeneratorConfig:
 
     def __post_init__(self):
         _check_weight_range(self.weight_range)
+        _check_max_degree(self.max_degree)
         if self.n < 0:
             raise InfeasibleConfig("n must be non-negative")
         if self.edge_target < 0:
@@ -305,11 +314,19 @@ def gen_patch(
 
     Stream order: new-vertex weights, then internal edge coin flips (pairs in
     ascending order), then attachment coin flips (old ascending within new
-    ascending). The optional degree cap counts existing degrees in g.
+    ascending). The optional degree cap counts existing degrees in g. A size
+    past PATCH_COIN_GUARD coin flips is refused before the first draw.
     """
     if c < 0:
         raise InfeasibleConfig(f"patch size {c} must be non-negative")
     _check_weight_range(weight_range)
+    _check_max_degree(max_degree)
+    for name, prob in (("attach", attach_prob), ("internal", internal_prob)):
+        if not 0 <= prob <= 1:
+            raise InfeasibleConfig(f"{name} probability {prob} is outside [0, 1]")
+    coins = c * (c - 1) // 2 + c * g.n
+    if coins > PATCH_COIN_GUARD:
+        raise LimitExceeded(f"a {c}-vertex patch draws {coins} coins, past {PATCH_COIN_GUARD}")
     rng = random.Random(seed)
     wmin, wmax = weight_range
     n_old = g.n

@@ -7,10 +7,14 @@ and an alive vertex set, the k-paths of g[alive], without building that
 subgraph: enumeration, detection (`has_k_path(g, k, alive)`), coverage (the
 alive set is the complement of the cover) and the first path
 (`first_k_path`). The walker is the deterministic oracle and decides
-whether a k-path exists. Color coding is a randomized path picker with
-one-sided error: a path it returns is verified, but "None" may be a miss,
-so a caller that must know asks the walker and keeps its path as the
-fallback.
+whether a k-path exists. Its focus mode (`has_k_path_through`,
+`k_paths_through`) yields only the k-paths of g[alive] that meet a focus
+set: it grows two arms from each focus vertex and drops that vertex from
+the free set once it is done, so each such path comes out once and the work
+follows the paths near the focus, not the whole of g[alive]. Color coding
+is a randomized path picker with one-sided error: a path it returns is
+verified, but "None" may be a miss, so a caller that must know asks the
+walker and keeps its path as the fallback.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -95,6 +99,66 @@ def first_k_path(g: Graph, k, alive):
     compares larger.
     """
     return next(_walk(g, k, alive), None)
+
+
+def _arms(adj, free, root, lo, hi):
+    """Yield each tuple (a1, ..., aL), lo <= L <= hi, of vertices in free such
+    that root, a1, ..., aL is a simple path; root is not in free.
+
+    Iterative, like `_walk`. While an arm is out, its vertices are not in
+    free, so a caller may grow a second, disjoint arm from root before it
+    asks for the next one.
+    """
+    if lo == 0:
+        yield ()
+    if hi == 0:
+        return
+    arm = []
+    stack = [iter(adj[root - 1])]
+    while stack:
+        for u in stack[-1]:
+            if u in free:
+                break
+        else:
+            stack.pop()
+            if arm:
+                free.add(arm.pop())
+            continue
+        free.remove(u)
+        arm.append(u)
+        if len(arm) >= lo:
+            yield tuple(arm)
+        if len(arm) < hi:
+            stack.append(iter(adj[u - 1]))
+        else:
+            free.add(arm.pop())
+
+
+def _walk_through(g: Graph, k, alive, focus):
+    """Yield each canonical k-path of g[alive] that meets focus exactly once.
+
+    Focus vertices are taken in ascending order, and a path is yielded from
+    the first of them it holds: once a focus vertex f is done it leaves the
+    free set, so later ones never see a path through it. At f a path splits
+    into two arms with k-1 vertices between them. The long arm has at least
+    k//2 = ceil((k-1)/2) of them, and the short arm the rest, grown disjoint
+    from it. Arms of equal length come in both orders; the one whose long
+    arm ends below the short arm's end is kept. Order of yield is not sorted.
+    """
+    adj = g.adj
+    free = set(alive)
+    for f in sorted(free.intersection(focus)):
+        free.remove(f)
+        for long in _arms(adj, free, f, k // 2, k - 1):
+            rest = k - 1 - len(long)
+            for short in _arms(adj, free, f, rest, rest):
+                if len(long) > rest or long[-1] < short[-1]:
+                    yield canonical((*long[::-1], f, *short))
+
+
+def has_k_path_through(g: Graph, k, alive, focus) -> bool:
+    """True iff g[alive] has a k-path that meets focus; neither set is checked."""
+    return next(_walk_through(g, k, alive, focus), None) is not None
 
 
 def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP, alive=None):
@@ -215,11 +279,12 @@ def default_trials(k, delta=DEFAULT_DELTA):
         raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
 
-def _colorful_path_trial(g: Graph, k, rng, state_cap):
+def _colorful_path_trial(g: Graph, k, rng):
     """One color-coding trial: random k-coloring + colorful-path DP.
 
     Returns a verified k-path or None. States are (vertex, color-subset)
-    pairs with a parent pointer for reconstruction.
+    pairs with a parent pointer for reconstruction; a state's subset holds
+    its vertex's color, so a trial has at most n * 2^(k-1) of them.
     """
     color = [rng.randrange(k) for _ in range(g.n)]
     full = (1 << k) - 1
@@ -241,8 +306,6 @@ def _colorful_path_trial(g: Graph, k, rng, state_cap):
                 if key not in parent:
                     parent[key] = v
                     nxt.append(key)
-                    if len(parent) > state_cap:
-                        raise LimitExceeded("colorful-path state cap exceeded")
         frontier = nxt
     for v in g.vertices():
         if (v, full) in parent:
@@ -260,7 +323,7 @@ def _colorful_path_trial(g: Graph, k, rng, state_cap):
     return None
 
 
-def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, state_cap=None):
+def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0):
     """Find one k-path; strategy is "exhaustive" or "color-coding".
 
     exhaustive: lexicographically first k-path or None, never errs.
@@ -279,23 +342,27 @@ def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, state_cap=None):
         trials = default_trials(k)
     if trials < 1:
         raise ValueError("color coding needs at least one trial")
-    if state_cap is None:
-        state_cap = (1 << k) * max(g.n, 1)
     if trials * (1 << k) * g.n > COLOR_CODING_GUARD:
         raise LimitExceeded(
             f"color coding at k={k}, n={g.n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
     for t in range(trials):
-        got = _colorful_path_trial(g, k, random.Random(seed + t), state_cap)
+        got = _colorful_path_trial(g, k, random.Random(seed + t))
         if got is not None:
             return got
     return None
 
 
 def k_paths_through(g: Graph, k, focus, cap=DEFAULT_PATH_CAP):
-    """The enumerated k-paths containing at least one focus vertex."""
+    """The k-paths of g that contain a focus vertex, canonical, sorted.
+
+    The cap counts only these paths.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
     focus = frozenset(focus)
     g._check_subset(focus)
-    if not focus:
-        return []
-    return [p for p in enumerate_k_paths(g, k, cap=cap) if focus.intersection(p)]
+    found = list(itertools.islice(_walk_through(g, k, g.vertices(), focus), cap + 1))
+    if len(found) > cap:
+        raise LimitExceeded(f"more than {cap} {k}-paths through the focus set")
+    return sorted(found)

@@ -23,11 +23,10 @@ from .graph import (
     InsertionPatch,
     apply_patch,
     connected_components,
-    is_va_connected,
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import PathIndex, covers_all_k_paths, has_k_path, k_paths_through
+from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
 from .solvers import ApproxOracle, CoverSolution, enumerate_optima, make_solution
 
 PTAS_ENUM_GUARD = 10**8
@@ -276,6 +275,15 @@ def construct_f(
     vertices; at each call X (rejected earlier-level vertices) plus the
     current frontier L is a candidate member.
 
+    Each candidate V | V' (V' a non-empty subset of L with at most b
+    vertices, by increasing size) is tested once, where it can fail. A call
+    does not re-test its entry set, which its caller tested. g[V] has no
+    k-path, so a k-path of g[V | V'] meets V' and the walker starts only
+    there. g[V | V'] is induced in g[V | V''] for V'' containing V', so a
+    rejected V' rejects every later superset without a walk. Every
+    component of g[V | V'] meets va with no test: V' lies in L, which is va
+    at level 1 and deeper holds only neighbors of V, whose components do.
+
     corrected: recursion expands up to level k-1 (stop test level >= k).
     paper-literal stops one level early, which can omit the empty set from
     the family when the whole neighborhood stays k-path-free (see the
@@ -305,21 +313,19 @@ def construct_f(
                 raise LimitExceeded(f"family exceeds cap {family_cap}")
 
     def recurse(x, v, l, level):
-        assert not (v & x)
-        assert l == (neighbors_of_set(g_new, v) - x if v else va)
-        assert not has_k_path(g_new, k, alive=v)
-        assert is_va_connected(g_new, v, va)
         emit(frozenset(x | l), f"level={level} V={sorted(v)}")
         if level >= stop_level:
             return
+        rejected = []  # minimal V' for which V | V' has a k-path
         for vp in _subsets_by_size(l, max_size=b):
             if not vp:
                 continue
             vp = frozenset(vp)
-            v2 = v | vp
-            if has_k_path(g_new, k, alive=v2):
+            if any(r <= vp for r in rejected):
                 continue
-            if not is_va_connected(g_new, v2, va):
+            v2 = v | vp
+            if has_k_path_through(g_new, k, v2, vp):
+                rejected.append(vp)
                 continue
             x2 = x | (l - vp)
             l2 = neighbors_of_set(g_new, v2) - x2

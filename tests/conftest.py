@@ -127,7 +127,7 @@ def random_reopt_instance(seed, n_new, k, c, weighted=True, max_degree=None):
     patch = gen_patch(
         g_old,
         c,
-        attach_prob=2.0 / max(n_old, 1),
+        attach_prob=min(1.0, 2.0 / max(n_old, 1)),
         internal_prob=0.4,
         seed=seed + 1,
         weight_range=(1, 10) if weighted else (1, 1),

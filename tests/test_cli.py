@@ -135,6 +135,28 @@ def test_gen_patch_rejects_a_bad_weight_range(graph_file, wmin, wmax):
     assert err == f"error: bad weight range ({wmin}, {wmax})\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--attach-prob", "2"], "attach probability 2.0 is outside [0, 1]"),
+        (["--attach-prob", "nan"], "attach probability nan is outside [0, 1]"),
+        (["--internal-prob", "-1"], "internal probability -1.0 is outside [0, 1]"),
+        (["--max-degree", "-1"], "max degree -1 must be non-negative"),
+    ],
+)
+def test_gen_patch_rejects_a_bad_probability_or_degree_cap(graph_file, flags, message):
+    code, out, err = run_cli(["gen-patch", "-c", "2", *flags, graph_file])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_gen_patch_refuses_a_patch_past_its_coin_guard(graph_file):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["gen-patch", "-c", "100000000", graph_file])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("limit exceeded:")
+
+
 def test_reopt_ptas(tmp_path, graph_file):
     ppath = tmp_path / "p.patch"
     ppath.write_text("p patch 4 1 0 1\nv 5 1\na 4 5\n")

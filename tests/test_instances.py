@@ -159,6 +159,8 @@ def test_generator_infeasible():
         GeneratorConfig(n=4, edge_target=2, weight_range=(0, 3), seed=0)
     with pytest.raises(InfeasibleConfig):
         GeneratorConfig(n=5, edge_target=-3, seed=0)
+    with pytest.raises(InfeasibleConfig, match="max degree -1"):
+        GeneratorConfig(n=4, edge_target=0, max_degree=-1, seed=0)
     for density in (1.0, 1.5, float("nan")):
         with pytest.raises(InfeasibleConfig):
             GeneratorConfig(n=5, edge_target=density, seed=0)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pvcover import (
     k_paths_through,
 )
 from pvcover.errors import LimitExceeded, UnknownVertex
+from pvcover.kpaths import _walk_through, has_k_path_through
 
 from conftest import brute_covers, perm_k_paths, random_graph
 
@@ -147,6 +149,28 @@ def test_k_paths_through(path4):
     assert k_paths_through(path4, 3, {4}) == [(2, 3, 4)]
     assert k_paths_through(path4, 3, set()) == []
     assert k_paths_through(path4, 3, {2}) == [(1, 2, 3), (2, 3, 4)]
+    # the focus mode yields the paths of g[alive] that meet focus, each once
+    for seed in range(60):
+        n = 6 + seed % 7
+        g = random_graph(seed, n, m=min(n * (1 + seed % 3), n * (n - 1) // 2))
+        rng = random.Random(seed)
+        alive = frozenset(v for v in g.vertices() if rng.random() < 0.8)
+        focus = frozenset(rng.sample(range(1, g.n + 1), 1 + seed % 3))
+        for k in (2, 3, 4, 5, 6):
+            want = [p for p in enumerate_k_paths(g, k, alive=alive) if focus.intersection(p)]
+            got = list(_walk_through(g, k, alive, focus))
+            assert sorted(got) == want and len(set(got)) == len(got), (seed, k)
+            assert has_k_path_through(g, k, alive, focus) == bool(want)
+            everything = [p for p in enumerate_k_paths(g, k) if focus.intersection(p)]
+            assert k_paths_through(g, k, focus) == everything
+    # the cap counts only the paths through the focus set
+    star = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
+    assert k_paths_through(star, 3, {4}, cap=1) == [(2, 3, 4)]
+    with pytest.raises(LimitExceeded):
+        k_paths_through(star, 3, {2}, cap=2)
+    # both arms are grown iteratively: no recursion limit at large k
+    long_path = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
+    assert k_paths_through(long_path, 1500, {750}) == [tuple(range(1, 1501))]
 
 
 def test_has_k_path_rejects_unknown_alive_vertex(path4):

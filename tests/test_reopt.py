@@ -1,3 +1,7 @@
+import itertools
+import json
+import random
+
 import pytest
 
 import pvcover.reopt
@@ -16,10 +20,14 @@ from pvcover import (
     covers_all_k_paths,
     gen_patch,
     good_family_3pvcp,
+    has_k_path,
     induced_subgraph,
+    is_va_connected,
     level_bound,
     local_ratio_approx,
     make_solution,
+    max_degree,
+    neighbors_of_set,
     oracle_registry,
     ptas_unweighted,
     solve_exact,
@@ -315,8 +323,70 @@ def test_level_bound_values():
 # ---------------------------------------------------------------- construct_f
 
 
+def reference_construct_f(g, va, k, cap_mode="corrected"):
+    """construct_f as it was before its candidate tests went local: every
+    candidate V | V' is walked whole and tested for va-connectivity, and each
+    call re-checks its entry set."""
+    va = frozenset(va)
+    b = max(level_bound(len(va), max_degree(g), k), len(va)) if va else 0
+    stop_level = k if cap_mode == "corrected" else k - 1
+    members, labels, seen = [], [], set()
+
+    def recurse(x, v, l, level):
+        assert not (v & x)
+        assert l == (neighbors_of_set(g, v) - x if v else va)
+        assert not has_k_path(g, k, alive=v)
+        assert is_va_connected(g, v, va)
+        member = frozenset(x | l)
+        if member not in seen:
+            seen.add(member)
+            members.append(member)
+            labels.append(f"level={level} V={sorted(v)}")
+        if level >= stop_level:
+            return
+        for size in range(1, min(b, len(l)) + 1):
+            for vp in map(frozenset, itertools.combinations(sorted(l), size)):
+                v2 = v | vp
+                if has_k_path(g, k, alive=v2) or not is_va_connected(g, v2, va):
+                    continue
+                x2 = x | (l - vp)
+                recurse(x2, v2, neighbors_of_set(g, v2) - x2, level + 1)
+
+    recurse(frozenset(), frozenset(), va, 1)
+    return GoodFamily(members=tuple(members), provenance=tuple(labels))
+
+
+def check_family_invariants(g, va, k, family):
+    """What the recursion holds for each member X | L and the set V in its label."""
+    va = frozenset(va)
+    for member, label in zip(family.members, family.provenance):
+        v = frozenset(json.loads(label.split(" V=")[1]))
+        assert not has_k_path(g, k, alive=v), label
+        assert is_va_connected(g, v, va), label
+        assert not v & member, label
+        assert neighbors_of_set(g, v) <= member if v else member == va, label
+
+
+def test_construct_f_matches_the_whole_set_reference():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n, delta = rng.randint(8, 40), rng.choice((3, 4, 5))
+        k, c = rng.randint(4, 6), rng.randint(1, 3)
+        g_old = random_graph(seed, n - c, m=n - c, max_degree=delta)
+        patch = gen_patch(
+            g_old, c, attach_prob=2.0 / (n - c), internal_prob=0.4, seed=seed, max_degree=delta
+        )
+        g, va = apply_patch(g_old, patch), patch.added_ids()
+        for cap_mode in ("corrected", "paper-literal"):
+            got = construct_f(g, va, k, cap_mode=cap_mode)
+            want = reference_construct_f(g, va, k, cap_mode=cap_mode)
+            assert (got.members, got.provenance) == (want.members, want.provenance), seed
+            check_family_invariants(g, va, k, got)
+
+
 def test_construct_f_path_chain(path4):
     fam = construct_f(path4, {4}, 4)
+    check_family_invariants(path4, {4}, 4, fam)
     assert members(fam) == [[4], [3], [2], [1]]
     report = validate_good_family(path4, {4}, fam, 4)
     assert report.property2_ok and report.property1_ok
@@ -326,6 +396,10 @@ def test_construct_f_star_modes():
     star = Graph.build(4, [(1, 2), (2, 3), (2, 4)])
     corrected = construct_f(star, {4}, 4)
     literal = construct_f(star, {4}, 4, cap_mode="paper-literal")
+    for fam, cap_mode in ((corrected, "corrected"), (literal, "paper-literal")):
+        want = reference_construct_f(star, {4}, 4, cap_mode=cap_mode)
+        assert (fam.members, fam.provenance) == (want.members, want.provenance)
+        check_family_invariants(star, {4}, 4, fam)
     assert frozenset() in corrected.members
     assert members(literal) == [[4], [2], [1, 3]]
     assert frozenset() not in literal.members
@@ -336,12 +410,14 @@ def test_construct_f_star_modes():
 def test_construct_f_isolated_patch_vertex():
     g = Graph.build(4, [(1, 2), (2, 3)])
     fam = construct_f(g, {4}, 4)
+    check_family_invariants(g, {4}, 4, fam)
     assert members(fam) == [[4], []]
 
 
 def test_construct_f_empty_root_set():
     g = Graph.build(3, [(1, 2)])
     fam = construct_f(g, set(), 4)
+    check_family_invariants(g, set(), 4, fam)
     assert members(fam) == [[]]
 
 
