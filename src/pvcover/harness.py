@@ -151,9 +151,10 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     """Run the algorithm matrix over a suite directory.
 
     The algorithms are `oracle_registry()` names and REOPT_ALGORITHMS; an
-    unknown name is a ValueError before the suite is read. The suite holds
-    <name>.graph files with optional companion <name>.patch and <name>.sol
-    files (used by the reopt algorithms). Yields one RunReport per
+    unknown name, or a suite_dir that is not a directory, is a ValueError
+    before the suite is read. The suite holds <name>.graph files with
+    optional companion <name>.patch and <name>.sol files (used by the
+    reopt algorithms). Yields one RunReport per
     (instance, algorithm) in instance order; timeouts and parse errors
     become report rows rather than failures.
     """
@@ -162,6 +163,8 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
         if alg not in known:
             raise ValueError(f"unknown algorithm {alg!r}")
     suite = Path(suite_dir)
+    if not suite.is_dir():
+        raise ValueError(f"suite {suite_dir} is not a directory")
     reports = []
     for path in sorted(suite.glob("*.graph")):
         name = path.stem

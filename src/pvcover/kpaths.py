@@ -11,10 +11,11 @@ whether a k-path exists. Its focus mode (`has_k_path_through`,
 `k_paths_through`) yields only the k-paths of g[alive] that meet a focus
 set: it grows two arms from each focus vertex and drops that vertex from
 the free set once it is done, so each such path comes out once and the work
-follows the paths near the focus, not the whole of g[alive]. Color coding
-is a randomized path picker with one-sided error: a path it returns is
-verified, but "None" may be a miss, so a caller that must know asks the
-walker and keeps its path as the fallback.
+follows the paths near the focus, not the whole of g[alive]. Color coding,
+also over g[alive] without a copy, is a randomized path picker with
+one-sided error: a path it returns is verified, but "None" may be a miss,
+so a caller that must know asks the walker and keeps its path as the
+fallback.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -279,35 +280,61 @@ def default_trials(k, delta=DEFAULT_DELTA):
         raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
 
-def _colorful_path_trial(g: Graph, k, rng):
-    """One color-coding trial: random k-coloring + colorful-path DP.
+def _trial_colors(k, s, n, draws):
+    """The first n values of the stream Random(s).randrange(k).
 
-    Returns a verified k-path or None. States are (vertex, color-subset)
-    pairs with a parent pointer for reconstruction; a state's subset holds
-    its vertex's color, so a trial has at most n * 2^(k-1) of them.
+    draws, a dict the caller may keep across calls or None, maps (k, s) to
+    the longest prefix of that stream drawn so far, so a later call that
+    needs no more values draws none.
     """
-    color = [rng.randrange(k) for _ in range(g.n)]
+    drawn = None if draws is None else draws.get((k, s))
+    if drawn is None or len(drawn) < n:
+        rng = random.Random(s)
+        drawn = [rng.randrange(k) for _ in range(n)]
+        if draws is not None:
+            draws[(k, s)] = drawn
+    return drawn
+
+
+def _colorful_path_trial(g: Graph, k, order, colors):
+    """One color-coding trial on g[alive]: colorful-path DP under a k-coloring.
+
+    order lists the alive vertices ascending and colors[i] is the color of
+    order[i]; colors may run longer. Each vertex's color bit sits in a list indexed by vertex id.
+    A vertex off alive holds the full mask, which every state's subset
+    meets, so the DP walks g.adj and skips it by the same test that skips a
+    used color. A trial thus sees the same colors, states and path as one
+    on the subgraph induced by alive, relabeled in ascending id order.
+    Returns a verified k-path or None. States are
+    (vertex, color-subset) pairs with a parent pointer for reconstruction;
+    a state's subset holds its vertex's color, so a trial has at most
+    |alive| * 2^(k-1) of them.
+    """
     full = (1 << k) - 1
+    bit = [full] * (g.n + 1)
+    for v, c in zip(order, colors):
+        bit[v] = 1 << c
+    adj = g.adj
     # parent[(v, mask)] = previous vertex on some colorful path ending at v
     parent = {}
     frontier = []
-    for v in g.vertices():
-        mask = 1 << color[v - 1]
+    for v in order:
+        mask = bit[v]
         parent[(v, mask)] = None
         frontier.append((v, mask))
     for _ in range(k - 1):
         nxt = []
         for v, mask in frontier:
-            for u in g.adj[v - 1]:
-                bit = 1 << color[u - 1]
-                if mask & bit:
+            for u in adj[v - 1]:
+                b = bit[u]
+                if mask & b:
                     continue
-                key = (u, mask | bit)
+                key = (u, mask | b)
                 if key not in parent:
                     parent[key] = v
                     nxt.append(key)
         frontier = nxt
-    for v in g.vertices():
+    for v in order:
         if (v, full) in parent:
             path = []
             key = (v, full)
@@ -316,38 +343,50 @@ def _colorful_path_trial(g: Graph, k, rng):
                 path.append(cur)
                 cur = parent[key]
                 if cur is not None:
-                    key = (cur, key[1] & ~(1 << color[path[-1] - 1]))
+                    key = (cur, key[1] & ~bit[path[-1]])
             path.reverse()
             if is_k_path(g, path, k):
                 return canonical(path)
     return None
 
 
-def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0):
-    """Find one k-path; strategy is "exhaustive" or "color-coding".
+def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws=None):
+    """Find one k-path of g[alive] (all of g when alive is None); strategy
+    is "exhaustive" or "color-coding".
 
     exhaustive: lexicographically first k-path or None, never errs.
-    color-coding: random trials with derived seeds (seed + trial index); any
-    returned path is verified, so only "None" can be wrong. Raises
-    LimitExceeded before the first trial when trials * 2^k * n exceeds
-    COLOR_CODING_GUARD.
+    color-coding: random trials with derived seeds; trial t colors the
+    alive vertices in ascending id order from Random(seed + t).randrange(k),
+    which are the colors it gives the subgraph induced by alive, relabeled
+    in that order, so both return the same path. Any returned path is
+    verified, so only "None" can be wrong. With a draws dict (see
+    `_trial_colors`) kept across calls at one k and seed, each stream is
+    drawn once and later calls on fewer vertices reuse its prefix. Raises
+    LimitExceeded before the first trial when trials * 2^k * |alive|
+    exceeds COLOR_CODING_GUARD.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if alive is None:
+        alive = g.vertices()
+    else:
+        g._check_subset(alive)
     if strategy == "exhaustive":
-        return first_k_path(g, k, g.vertices())
+        return first_k_path(g, k, alive)
     if strategy != "color-coding":
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials is None:
         trials = default_trials(k)
     if trials < 1:
         raise ValueError("color coding needs at least one trial")
-    if trials * (1 << k) * g.n > COLOR_CODING_GUARD:
+    order = sorted(alive)
+    n = len(order)
+    if trials * (1 << k) * n > COLOR_CODING_GUARD:
         raise LimitExceeded(
-            f"color coding at k={k}, n={g.n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
+            f"color coding at k={k}, n={n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
     for t in range(trials):
-        got = _colorful_path_trial(g, k, random.Random(seed + t))
+        got = _colorful_path_trial(g, k, order, _trial_colors(k, seed + t, n, draws))
         if got is not None:
             return got
     return None

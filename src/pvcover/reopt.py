@@ -27,7 +27,7 @@ from .graph import (
     neighbors_of_set,
 )
 from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
-from .solvers import ApproxOracle, CoverSolution, enumerate_optima, make_solution
+from .solvers import ApproxOracle, CoverSolution, _solution, enumerate_optima, make_solution
 
 PTAS_ENUM_GUARD = 10**8
 FAMILY_CAP = 10**6
@@ -89,7 +89,7 @@ def ptas_unweighted(inst: ReoptInstance, epsilon, enum_guard=PTAS_ENUM_GUARD):
     falls back to old_opt plus the inserted vertices when the enumeration
     finds nothing smaller.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     g = inst.g_new
     if any(w != 1 for w in g.weights):
@@ -127,7 +127,8 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     part.alive (greedy) or walks the shared list (local ratio) pays no
     filter. A member the bound settles (None) keeps old_opt + F and has no
     oracle output to check; any other cover must lie in V_old - F and meet
-    every path of its part.
+    every path of its part. The winner's feasible flag is a scan of the
+    index, not a new walk of g_new.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
@@ -162,7 +163,7 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
                 cand = (w2, i, sub_sol.vertices | f)
         # indices differ, so ties in weight go to the earlier member
         best = min(best or cand, cand)
-    return make_solution(g, best[2], k)
+    return _solution(g, k, best[2], index.covers(best[2]))
 
 
 def good_family_3pvcp(

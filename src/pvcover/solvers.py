@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 from .kpaths import (
     DEFAULT_PATH_CAP,
     EXHAUSTIVE_N,
@@ -99,7 +99,8 @@ def solve_exact(g: Graph, k, size_limit=EXACT_SIZE_LIMIT, index=None, below=None
 
     With a weight bound below, returns None iff no cover weighs less than
     below, and otherwise the same optimum. The local-ratio Σδ, a lower
-    bound on the optimum, settles most such calls before any branching.
+    bound on the optimum, settles most such calls before any branching;
+    its pass stops as soon as Σδ reaches below.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -114,9 +115,10 @@ def solve_exact(g: Graph, k, size_limit=EXACT_SIZE_LIMIT, index=None, below=None
     all_v = ix.alive
     best = [key(all_v, g.weight_of(all_v)), all_v]
     if below is not None:
-        cover, bound = _local_ratio(g, ix)
-        if bound >= below:
+        found = _local_ratio(g, ix, dual_below=below)
+        if found is None:  # Σδ <= OPT reached below
             return None
+        cover, _ = found
         # a cover of weight below or more can never replace this incumbent
         best = [(below, -1), None]
         w_cover = g.weight_of(cover)
@@ -187,8 +189,13 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     decides whether g[left] still has a k-path; the loop ends when it has
     none, so that verdict is the feasible flag. While more than
     EXHAUSTIVE_N vertices are left and k > 3, color coding (seeded by seed)
-    picks the path on the relabeled subgraph; on a miss, and outside that
+    picks the path on g[left], without a copy; on a miss, and outside that
     regime, the walker's lexicographically first path is used.
+
+    Every round reruns trials 0, 1, ... from the same seeds on one vertex
+    fewer, so a round's coloring for trial t is a prefix of the stream an
+    earlier round drew. One draws dict, owned by this call, keeps each
+    stream, and each is drawn once per call.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -196,19 +203,21 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     g._check_subset(start)
     left = set(start)
     cover = set()
+    draws = {}
     while (p := first_k_path(g, k, left)) is not None:
         if len(left) > EXHAUSTIVE_N and k > 3:
-            sub, orig = induced_subgraph(g, left)
-            found = find_k_path(sub, k, strategy="color-coding", seed=seed)
+            found = find_k_path(
+                g, k, strategy="color-coding", seed=seed, alive=left, draws=draws
+            )
             if found is not None:
-                p = [orig[v - 1] for v in found]
+                p = found
         vm = min(p, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
         left.remove(vm)
     return _solution(g, k, cover, p is None)
 
 
-def _local_ratio(g: Graph, ix, below=math.inf):
+def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     """The local-ratio pass over ix's paths: (cover in join order, Σδ).
 
     Each path the cover misses, taken lexicographically, loses its minimum
@@ -216,10 +225,11 @@ def _local_ratio(g: Graph, ix, below=math.inf):
     cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT.
 
     The pass walks ix.base and skips the paths that meet ix.removed or the
-    cover, which is ix.paths without building that list. The cover only
-    grows, so once it weighs below or more the pass returns None.
+    cover, which is ix.paths without building that list. The cover and Σδ
+    only grow, so the pass returns None once the cover weighs below or
+    more, or once Σδ reaches dual_below.
     """
-    if below <= 0:  # the empty cover already weighs below
+    if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
     residual = list(g.weights)
     cover = []
@@ -230,6 +240,8 @@ def _local_ratio(g: Graph, ix, below=math.inf):
             continue
         delta = min(residual[v - 1] for v in p)
         total += delta
+        if total >= dual_below:
+            return None
         for v in p:
             residual[v - 1] -= delta
         for v in sorted(p):
@@ -249,6 +261,12 @@ def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None
     redundant vertices, latest first. With an index of g[alive], covers
     g[alive].
 
+    Reverse delete keeps, for each path, the count of cover vertices on it,
+    and for each cover vertex the paths through it. The cover meets every
+    path, so a vertex may leave iff each of its paths has another cover
+    vertex, a count above 1; leaving lowers those counts. Building the
+    counts is one pass over the paths.
+
     Without pruning, a weight bound below makes the pass return None as
     soon as its cover weighs below or more; the cover only grows, so it
     would have weighed at least below. Pruning ignores below: reverse
@@ -263,11 +281,17 @@ def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None
     cover, _ = found
     in_cover = set(cover)
     if prune:
-        mask = sum(1 << (v - 1) for v in in_cover)
+        hits = []
+        through = {v: [] for v in cover}
+        for i, p in enumerate(ix.paths):
+            on = [through[v] for v in p if v in through]
+            for paths in on:
+                paths.append(i)
+            hits.append(len(on))
         for v in reversed(cover):
-            trial = mask & ~(1 << (v - 1))
-            if ix.covers_mask(trial):
-                mask = trial
+            if all(hits[i] > 1 for i in through[v]):
+                for i in through[v]:
+                    hits[i] -= 1
                 in_cover.remove(v)
     return _solution(g, k, in_cover, ix.covers(in_cover))
 

@@ -170,6 +170,20 @@ def test_reopt_ptas(tmp_path, graph_file):
     assert out.startswith("s pvc 3 ")
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])
+def test_ptas_refuses_an_epsilon_that_is_not_positive(tmp_path, graph_file, epsilon):
+    ppath = tmp_path / "p.patch"
+    ppath.write_text("p patch 4 1 0 1\nv 5 1\na 4 5\n")
+    sol = tmp_path / "s.sol"
+    sol.write_text("s pvc 3 1 1\nx 2\n")
+    for argv in (
+        ["reopt", "-k", "3", "--mode", "ptas", "--epsilon", epsilon,
+         graph_file, str(ppath), str(sol)],
+        ["incremental", "-k", "3", "--reopt", "ptas", "--epsilon", epsilon, graph_file],
+    ):
+        assert run_cli(argv) == (1, "", "error: epsilon must be positive\n")
+
+
 def test_reopt_w3_exact_oracle(tmp_path):
     gpath = tmp_path / "g.graph"
     gpath.write_text("p pvc 3 2\nv 1 1\nv 2 5\nv 3 1\ne 1 2\ne 2 3\n")
@@ -363,6 +377,13 @@ def test_bench_rejects_unknown_algorithms_before_reading_the_suite(tmp_path):
     )
     assert (code, out) == (1, "")
     assert err == "error: unknown algorithm 'nope'\n"
+
+
+def test_bench_refuses_a_suite_that_is_not_a_directory(tmp_path, graph_file):
+    for suite in (str(tmp_path / "missing"), graph_file):
+        code, out, err = run_cli(["bench", "-k", "3", "--suite", suite])
+        assert (code, out) == (1, "")
+        assert err == f"error: suite {suite} is not a directory\n"
 
 
 def test_solver_names_come_from_the_registry(graph_file):

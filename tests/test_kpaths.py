@@ -13,6 +13,7 @@ from pvcover import (
     enumerate_k_paths,
     find_k_path,
     has_k_path,
+    induced_subgraph,
     k_paths_through,
 )
 from pvcover.errors import LimitExceeded, UnknownVertex
@@ -123,6 +124,87 @@ def test_color_coding_deterministic_per_seed():
     a = find_k_path(g, 4, strategy="color-coding", trials=30, seed=42)
     b = find_k_path(g, 4, strategy="color-coding", trials=30, seed=42)
     assert a == b
+
+
+def alive_cases():
+    """Seeded (g, alive, k, seed) cases, with few trials so that misses occur."""
+    for gseed in range(15):
+        g = random_graph(gseed, 14 + gseed, max_degree=4)
+        rng = random.Random(gseed)
+        for _ in range(3):
+            alive = frozenset(v for v in g.vertices() if rng.random() < 0.75)
+            for k in (3, 4, 5):
+                yield g, alive, k, rng.randrange(1000)
+
+
+def reference_color_coding(g, k, trials, seed):
+    """The color-coding loop on a whole graph as first written: trial t
+    colors vertex v with the v-th draw of Random(seed + t).randrange(k)."""
+    full = (1 << k) - 1
+    for t in range(trials):
+        rng = random.Random(seed + t)
+        color = [rng.randrange(k) for _ in range(g.n)]
+        parent = {(v, 1 << color[v - 1]): None for v in g.vertices()}
+        frontier = list(parent)
+        for _ in range(k - 1):
+            nxt = []
+            for v, mask in frontier:
+                for u in g.adj[v - 1]:
+                    bit = 1 << color[u - 1]
+                    if not mask & bit and (u, mask | bit) not in parent:
+                        parent[(u, mask | bit)] = v
+                        nxt.append((u, mask | bit))
+            frontier = nxt
+        for v in g.vertices():
+            if (v, full) in parent:
+                path, key = [v], (v, full)
+                while parent[key] is not None:
+                    key = (parent[key], key[1] & ~(1 << color[key[0] - 1]))
+                    path.append(key[0])
+                return tuple(path if path[0] < path[-1] else path[::-1])
+    return None
+
+
+def test_color_coding_matches_the_reference_loop():
+    for g, alive, k, seed in alive_cases():
+        sub, _ = induced_subgraph(g, alive)
+        want = reference_color_coding(sub, k, 3, seed)
+        assert find_k_path(sub, k, strategy="color-coding", trials=3, seed=seed) == want
+
+
+def test_color_coding_on_alive_matches_the_relabeled_subgraph():
+    # coloring alive in ascending id order is the coloring of the copy
+    outcomes = set()
+    for g, alive, k, seed in alive_cases():
+        sub, orig = induced_subgraph(g, alive)
+        want = find_k_path(sub, k, strategy="color-coding", trials=3, seed=seed)
+        got = find_k_path(g, k, strategy="color-coding", trials=3, seed=seed, alive=alive)
+        assert got == (None if want is None else tuple(orig[v - 1] for v in want))
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_reused_draws_give_the_fresh_answer():
+    # a shared draws dict, asked for shorter and then longer prefixes
+    draws = {}
+    for g, alive, k, seed in alive_cases():
+        for part in (alive, frozenset(sorted(alive)[1:]), frozenset(g.vertices())):
+            fresh = find_k_path(g, k, strategy="color-coding", trials=4, seed=seed, alive=part)
+            reused = find_k_path(
+                g, k, strategy="color-coding", trials=4, seed=seed, alive=part, draws=draws
+            )
+            assert reused == fresh
+    assert draws
+    for (k, s), drawn in draws.items():
+        rng = random.Random(s)
+        assert drawn == [rng.randrange(k) for _ in drawn]
+
+
+def test_exhaustive_find_on_alive_is_the_first_path():
+    for g, alive, k, _ in alive_cases():
+        paths = enumerate_k_paths(g, k, alive=alive)
+        got = find_k_path(g, k, strategy="exhaustive", alive=alive)
+        assert got == (paths[0] if paths else None)
 
 
 def test_default_trials_formula():
@@ -256,3 +338,7 @@ def test_color_coding_budget_is_guarded():
         find_k_path(g, 25, strategy="color-coding")
     # an explicit small budget stays under the guard
     assert find_k_path(g, 4, strategy="color-coding", trials=5, seed=0) is not None
+    # the guard counts alive vertices: 500 * 2^20 * 30 is over it, * 10 is not
+    with pytest.raises(LimitExceeded, match="exceeds guard"):
+        find_k_path(g, 20, strategy="color-coding", trials=500)
+    assert find_k_path(g, 20, strategy="color-coding", trials=500, alive=range(1, 11)) is None

@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import pytest
 
@@ -182,6 +183,21 @@ def test_greedy_runs_color_coding_only_when_a_path_exists(monkeypatch):
     assert None not in results
 
 
+def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("no subgraph copy or mask scan expected")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("pvcover") and hasattr(
+            module, "induced_subgraph"
+        ):
+            monkeypatch.setattr(module, "induced_subgraph", forbidden)
+    monkeypatch.setattr(PathIndex, "covers_mask", forbidden)
+    for g, k, seed, alive in greedy_cases():
+        assert greedy_approx(g, k, seed=seed, alive=alive).feasible
+        assert local_ratio_approx(g, k).feasible
+
+
 def test_local_ratio_trace_small():
     g = Graph.build(3, [(1, 2), (2, 3)], weights=[3, 1, 2])
     sol = local_ratio_approx(g, 3)
@@ -207,6 +223,31 @@ def test_local_ratio_ratio_bound_and_prune_helps():
             assert raw.feasible and pruned.feasible
             assert raw.weight <= k * brute_opt_weight(g, k)
             assert pruned.weight <= raw.weight
+
+
+def reference_prune(g, k, cover, index):
+    """The earlier reverse delete: one bitmask scan of every path per cover
+    vertex, latest first."""
+    in_cover = set(cover)
+    mask = sum(1 << (v - 1) for v in in_cover)
+    for v in reversed(cover):
+        trial = mask & ~(1 << (v - 1))
+        if index.covers_mask(trial):
+            mask = trial
+            in_cover.remove(v)
+    return frozenset(in_cover)
+
+
+def test_hit_count_prune_matches_the_mask_loop():
+    for seed in range(40):
+        g = random_graph(seed, 12 + seed % 20, max_degree=4 + seed % 2)
+        alive = frozenset(v for v in g.vertices() if (v * 3 + seed) % 8)
+        for k in (3, 4, 5):
+            for index in (PathIndex(g, k), PathIndex(g, k, alive=alive)):
+                cover, _ = pvcover.solvers._local_ratio(g, index)
+                got = local_ratio_approx(g, k, index=index)
+                assert got.vertices == reference_prune(g, k, cover, index)
+                assert got.feasible
 
 
 def test_optimum_subset_removal_monotonicity():
@@ -302,6 +343,9 @@ def test_local_ratio_bound_is_at_most_the_optimum():
         assert 0 <= bound <= opt
         assert index.covers(cover)
         assert (bound == 0) == (not index.paths)
+        # Σδ only grows: the pass stops once it reaches dual_below
+        assert pvcover.solvers._local_ratio(g, index, dual_below=bound) is None
+        assert pvcover.solvers._local_ratio(g, index, dual_below=bound + 1) == (cover, bound)
 
 
 def test_solve_exact_below_returns_none_iff_no_lighter_cover():
