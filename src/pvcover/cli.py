@@ -189,9 +189,7 @@ def _cmd_incremental(args, out, err):
     order = None
     if args.order == "random":
         order = shuffled_order(g, args.seed)
-    sol = incremental_build(
-        g, args.k, reoptimizer=args.reopt, epsilon=args.epsilon, seed=args.seed, order=order
-    )
+    sol = incremental_build(g, args.k, reoptimizer=args.reopt, epsilon=args.epsilon, order=order)
     out.write(write_solution(sol))
     return EXIT_OK
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PvcError
@@ -32,7 +33,6 @@ class RunReport:
     exact_weight: int | None = None
     ratio: str | None = None  # decimal string, or "both-zero"
     seed: int | None = None
-    flags: dict = field(default_factory=dict)
 
     def stdout_line(self):
         """Deterministic report line; timings are deliberately excluded."""
@@ -51,8 +51,6 @@ class RunReport:
             parts.append(f"ratio={self.ratio}")
         if self.seed is not None:
             parts.append(f"seed={self.seed}")
-        for key in sorted(self.flags):
-            parts.append(f"{key}={self.flags[key]}")
         return " ".join(parts)
 
 
@@ -61,7 +59,6 @@ def incremental_build(
     k,
     reoptimizer="exact",
     epsilon=None,
-    seed=0,
     order=None,
 ) -> CoverSolution:
     """Insert vertices one by one, maintaining a solution via a reoptimizer.
@@ -106,7 +103,7 @@ def incremental_build(
     return make_solution(g, frozenset(back[v] for v in sol.vertices), k)
 
 
-def verify(g: Graph, k, sol: CoverSolution, check_optimal=False, seed=None) -> RunReport:
+def verify(g: Graph, k, sol: CoverSolution, check_optimal=False) -> RunReport:
     """Feasibility check, optionally with the ratio against the exact optimum."""
     start = time.perf_counter()
     feasible = covers_all_k_paths(g, sol.vertices, k)
@@ -131,7 +128,6 @@ def verify(g: Graph, k, sol: CoverSolution, check_optimal=False, seed=None) -> R
         feasible=feasible,
         exact_weight=exact_weight,
         ratio=ratio,
-        seed=seed,
     )
 
 
@@ -156,8 +152,12 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     optional companion <name>.patch and <name>.sol files (used by the
     reopt algorithms). Yields one RunReport per
     (instance, algorithm) in instance order; timeouts and parse errors
-    become report rows rather than failures.
+    become report rows rather than failures. A timeout_sec of None means no
+    limit, one of 0 or less marks every row a timeout, and NaN is a
+    ValueError before the suite is read.
     """
+    if timeout_sec is not None and math.isnan(timeout_sec):
+        raise ValueError("timeout must be a number of seconds, not NaN")
     known = set(oracle_registry()).union(REOPT_ALGORITHMS)
     for alg in algorithms:
         if alg not in known:

@@ -162,14 +162,18 @@ def has_k_path_through(g: Graph, k, alive, focus) -> bool:
     return next(_walk_through(g, k, alive, focus), None) is not None
 
 
-def enumerate_k_paths(g: Graph, k, cap=DEFAULT_PATH_CAP, alive=None):
-    """All k-paths of g[alive] (all of g when alive is None), canonical, sorted."""
+def enumerate_k_paths(g: Graph, k, alive=None):
+    """All k-paths of g[alive] (all of g when alive is None), canonical, sorted.
+
+    More than DEFAULT_PATH_CAP paths raise LimitExceeded.
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
     if alive is None:
         alive = g.vertices()
     else:
         g._check_subset(alive)
+    cap = DEFAULT_PATH_CAP
     found = list(itertools.islice(_walk(g, k, alive), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths")
@@ -192,11 +196,11 @@ class PathIndex:
 
     __slots__ = ("g", "k", "alive", "base", "removed", "_paths", "_masks")
 
-    def __init__(self, g: Graph, k, alive=None, cap=DEFAULT_PATH_CAP):
+    def __init__(self, g: Graph, k, alive=None):
         self.g = g
         self.k = k
         self.alive = frozenset(g.vertices() if alive is None else alive)
-        self.base = self._paths = enumerate_k_paths(g, k, cap=cap, alive=self.alive)
+        self.base = self._paths = enumerate_k_paths(g, k, alive=self.alive)
         self.removed = frozenset()
         self._masks = None
 
@@ -269,13 +273,14 @@ def covers_all_k_paths(g: Graph, s, k) -> bool:
     return not has_k_path(g, k, alive=frozenset(g.vertices()) - s)
 
 
-def default_trials(k, delta=DEFAULT_DELTA):
-    """Trial count giving per-path miss rate <= delta: ceil(e^k * ln(1/delta)).
+def default_trials(k):
+    """Trials for a per-path miss rate of at most delta = DEFAULT_DELTA:
+    ceil(e^k * ln(1/delta)).
 
-    Raises LimitExceeded when e^k overflows a float (k >= 709 at the default delta).
+    Raises LimitExceeded when e^k overflows a float (k >= 709).
     """
     try:
-        return math.ceil(math.exp(k) * math.log(1.0 / delta))
+        return math.ceil(math.exp(k) * math.log(1.0 / DEFAULT_DELTA))
     except OverflowError:
         raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
@@ -392,15 +397,16 @@ def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws
     return None
 
 
-def k_paths_through(g: Graph, k, focus, cap=DEFAULT_PATH_CAP):
+def k_paths_through(g: Graph, k, focus):
     """The k-paths of g that contain a focus vertex, canonical, sorted.
 
-    The cap counts only these paths.
+    DEFAULT_PATH_CAP counts only these paths.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     focus = frozenset(focus)
     g._check_subset(focus)
+    cap = DEFAULT_PATH_CAP
     found = list(itertools.islice(_walk_through(g, k, g.vertices(), focus), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths through the focus set")

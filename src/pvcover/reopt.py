@@ -27,7 +27,7 @@ from .graph import (
     neighbors_of_set,
 )
 from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
-from .solvers import ApproxOracle, CoverSolution, _solution, enumerate_optima, make_solution
+from .solvers import ApproxOracle, CoverSolution, _solution, enumerate_optima
 
 PTAS_ENUM_GUARD = 10**8
 FAMILY_CAP = 10**6
@@ -82,12 +82,21 @@ def _subsets_by_size(items, max_size=None):
         yield from itertools.combinations(items, r)
 
 
-def ptas_unweighted(inst: ReoptInstance, epsilon, enum_guard=PTAS_ENUM_GUARD):
+def _emit(family, member, label):
+    """Add member to family, a dict from each member to its first label in
+    insertion order; a family past FAMILY_CAP members raises LimitExceeded."""
+    family.setdefault(member, label)
+    if len(family) > FAMILY_CAP:
+        raise LimitExceeded(f"family exceeds cap {FAMILY_CAP}")
+
+
+def ptas_unweighted(inst: ReoptInstance, epsilon):
     """(1+epsilon)-approximation for the unweighted problem.
 
     Enumerates all covers of size at most m = min(ceil(c/epsilon), n) and
     falls back to old_opt plus the inserted vertices when the enumeration
-    finds nothing smaller.
+    finds nothing smaller. More than PTAS_ENUM_GUARD candidate sets raise
+    SizeLimitExceeded before the first.
     """
     if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
@@ -98,8 +107,8 @@ def ptas_unweighted(inst: ReoptInstance, epsilon, enum_guard=PTAS_ENUM_GUARD):
     n = g.n
     m = min(math.ceil(c / epsilon), n)
     count = sum(math.comb(n, i) for i in range(m + 1))
-    if count > enum_guard:
-        raise SizeLimitExceeded(f"{count} candidate sets exceed guard {enum_guard}")
+    if count > PTAS_ENUM_GUARD:
+        raise SizeLimitExceeded(f"{count} candidate sets exceed guard {PTAS_ENUM_GUARD}")
     index = PathIndex(g, inst.k)
     s1 = frozenset(g.vertices())
     for cand in _subsets_by_size(g.vertices(), m):
@@ -108,7 +117,7 @@ def ptas_unweighted(inst: ReoptInstance, epsilon, enum_guard=PTAS_ENUM_GUARD):
             break
     s2 = inst.old_opt.vertices | inst.added_ids()
     chosen = s1 if len(s1) <= len(s2) else s2
-    return make_solution(g, chosen, inst.k)
+    return _solution(g, inst.k, chosen, index.covers(chosen))
 
 
 def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle, seed=0):
@@ -166,13 +175,7 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     return _solution(g, k, best[2], index.covers(best[2]))
 
 
-def good_family_3pvcp(
-    g_new: Graph,
-    patch: InsertionPatch,
-    mode="corrected",
-    size_guard=PATCH_SIZE_GUARD,
-    family_cap=FAMILY_CAP,
-):
+def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):
     """Candidate family for k=3 under graph insertion.
 
     For each cover X0 of the inserted part, uncovered inserted vertices are
@@ -185,27 +188,20 @@ def good_family_3pvcp(
     set, which can force a neighbor of an already-covered inserted vertex
     into every member and lose the subset-of-an-optimum property (see the
     edge-plus-pendant fixture in the tests).
+
+    A patch of more than PATCH_SIZE_GUARD vertices raises LimitExceeded.
+    Members come out by size, then by sorted vertex ids.
     """
     if mode not in ("corrected", "paper-literal"):
         raise ValueError(f"unknown mode {mode!r}")
     va = sorted(patch.added_ids())
-    if len(va) > size_guard:
-        raise LimitExceeded(f"patch size {len(va)} exceeds guard {size_guard}")
+    if len(va) > PATCH_SIZE_GUARD:
+        raise LimitExceeded(f"patch size {len(va)} exceeds guard {PATCH_SIZE_GUARD}")
     old_verts = frozenset(range(1, patch.old_vertex_count + 1))
-    members = []
-    labels = []
-    seen = set()
+    family = {}
 
     def old_neighbors(s):
         return neighbors_of_set(g_new, s) & old_verts
-
-    def emit(member, label):
-        if member not in seen:
-            seen.add(member)
-            members.append(member)
-            labels.append(label)
-            if len(members) > family_cap:
-                raise LimitExceeded(f"family exceeds cap {family_cap}")
 
     for x0 in _subsets_by_size(va):
         x0 = frozenset(x0)
@@ -231,12 +227,9 @@ def good_family_3pvcp(
             if has_k_path(g_new, 3, alive=v_i | y_spared):
                 continue
             member = frozenset(x | kept | old_neighbors(y_spared))
-            emit(member, f"X0={sorted(x0)} Y'={sorted(y_spared)}")
-    order = sorted(range(len(members)), key=lambda i: (len(members[i]), tuple(sorted(members[i]))))
-    return GoodFamily(
-        members=tuple(members[i] for i in order),
-        provenance=tuple(labels[i] for i in order),
-    )
+            _emit(family, member, f"X0={sorted(x0)} Y'={sorted(y_spared)}")
+    members = sorted(family, key=lambda m: (len(m), sorted(m)))
+    return GoodFamily(members=tuple(members), provenance=tuple(family[m] for m in members))
 
 
 def wtd_3path(inst: ReoptInstance, oracle: ApproxOracle, mode="corrected", seed=0):
@@ -263,13 +256,7 @@ def level_bound(c, delta, k):
     return c * delta * (delta - 1) ** exponent
 
 
-def construct_f(
-    g_new: Graph,
-    va,
-    k,
-    cap_mode="corrected",
-    family_cap=FAMILY_CAP,
-):
+def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
     """Recursive candidate family for k >= 4 on bounded-degree graphs.
 
     Grows a k-path-free component set V level by level from the inserted
@@ -289,6 +276,8 @@ def construct_f(
     paper-literal stops one level early, which can omit the empty set from
     the family when the whole neighborhood stays k-path-free (see the
     star fixture in the tests).
+
+    Members come out in the order the recursion first reaches them.
     """
     if k < 4:
         raise ValueError("construct_f requires k >= 4")
@@ -301,20 +290,10 @@ def construct_f(
     # always holds the whole root set; never cap below |va|
     b = max(level_bound(len(va), delta, k), len(va)) if va else 0
     stop_level = k if cap_mode == "corrected" else k - 1
-    members = []
-    labels = []
-    seen = set()
-
-    def emit(member, label):
-        if member not in seen:
-            seen.add(member)
-            members.append(member)
-            labels.append(label)
-            if len(members) > family_cap:
-                raise LimitExceeded(f"family exceeds cap {family_cap}")
+    family = {}
 
     def recurse(x, v, l, level):
-        emit(frozenset(x | l), f"level={level} V={sorted(v)}")
+        _emit(family, frozenset(x | l), f"level={level} V={sorted(v)}")
         if level >= stop_level:
             return
         rejected = []  # minimal V' for which V | V' has a k-path
@@ -333,7 +312,7 @@ def construct_f(
             recurse(x2, v2, l2, level + 1)
 
     recurse(frozenset(), frozenset(), frozenset(va), 1)
-    return GoodFamily(members=tuple(members), provenance=tuple(labels))
+    return GoodFamily(members=tuple(family), provenance=tuple(family.values()))
 
 
 def wtd_kpath(inst: ReoptInstance, oracle: ApproxOracle, cap_mode="corrected", seed=0):

@@ -15,7 +15,6 @@ from typing import Callable
 from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
 from .kpaths import (
-    DEFAULT_PATH_CAP,
     EXHAUSTIVE_N,
     PathIndex,
     covers_all_k_paths,
@@ -75,55 +74,53 @@ class ApproxOracle:
     """
 
     name: str
-    # (Graph, k, seed, index=None, below=None) -> CoverSolution | None
+    # (Graph, k, seed, index=None, below=math.inf) -> CoverSolution | None
     solve: Callable = field(compare=False)
     declared_ratio: str = "unknown"
 
 
-def _index_of(g: Graph, k, index, cap=DEFAULT_PATH_CAP):
+def _index_of(g: Graph, k, index):
     """The given index, which must be of g at k, or a new index of all of g."""
     if index is None:
-        return PathIndex(g, k, cap=cap)
+        return PathIndex(g, k)
     if index.g is not g or index.k != k:
         raise ValueError("path index was built for another graph or k")
     return index
 
 
-def solve_exact(g: Graph, k, size_limit=EXACT_SIZE_LIMIT, index=None, below=None):
+def solve_exact(g: Graph, k, index=None, below=math.inf):
     """Minimum-weight cover by branch and bound.
 
     Branches on the k vertices of the first uncovered path in lexicographic
     order; ties resolve to smaller cardinality then lexicographically
     smallest vertex list, so the returned optimum is canonical. With an
-    index of g[alive], covers g[alive]; the size guard applies to |alive|.
+    index of g[alive], covers g[alive]; EXACT_SIZE_LIMIT applies to |alive|.
 
-    With a weight bound below, returns None iff no cover weighs less than
-    below, and otherwise the same optimum. The local-ratio Σδ, a lower
-    bound on the optimum, settles most such calls before any branching;
-    its pass stops as soon as Σδ reaches below.
+    Returns None iff no cover weighs less than below, and otherwise the
+    same optimum. The local-ratio pass runs first: its Σδ, a lower bound on
+    the optimum, settles most bounded calls before any branching, as the
+    pass stops once Σδ reaches below, and its cover is the incumbent when
+    it weighs less than below.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     n = g.n if index is None else len(index.alive)
-    if n > size_limit:
-        raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {size_limit}")
+    if n > EXACT_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
     ix = _index_of(g, k, index)
 
     def key(vertices, weight):
         return (weight, len(vertices), tuple(sorted(vertices)))
 
-    all_v = ix.alive
-    best = [key(all_v, g.weight_of(all_v)), all_v]
-    if below is not None:
-        found = _local_ratio(g, ix, dual_below=below)
-        if found is None:  # Σδ <= OPT reached below
-            return None
-        cover, _ = found
-        # a cover of weight below or more can never replace this incumbent
-        best = [(below, -1), None]
-        w_cover = g.weight_of(cover)
-        if w_cover < below:
-            best = [key(cover, w_cover), frozenset(cover)]
+    found = _local_ratio(g, ix, dual_below=below)
+    if found is None:  # Σδ <= OPT reached below
+        return None
+    cover, _ = found
+    # a cover of weight below or more can never replace this incumbent
+    best = [(below, -1), None]
+    w_cover = g.weight_of(cover)
+    if w_cover < below:
+        best = [key(cover, w_cover), frozenset(cover)]
     masks = ix.masks
     paths = ix.paths
     n_paths = len(masks)
@@ -158,10 +155,10 @@ def solve_exact(g: Graph, k, size_limit=EXACT_SIZE_LIMIT, index=None, below=None
     return _solution(g, k, best[1], ix.covers(best[1]))
 
 
-def enumerate_optima(g: Graph, k, size_limit=ENUMERATE_SIZE_LIMIT):
+def enumerate_optima(g: Graph, k):
     """All minimum-weight covers by full subset enumeration, sorted canonically."""
-    if g.n > size_limit:
-        raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {size_limit}")
+    if g.n > ENUMERATE_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {ENUMERATE_SIZE_LIMIT}")
     index = PathIndex(g, k)
     if not index.paths:
         return [frozenset()]
@@ -254,7 +251,7 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     return cover, total
 
 
-def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None, below=None):
+def local_ratio_approx(g: Graph, k, prune=True, index=None, below=math.inf):
     """Local-ratio cover; weight at most k times optimal.
 
     Runs the local-ratio pass; the optional reverse-delete pass then drops
@@ -274,8 +271,8 @@ def local_ratio_approx(g: Graph, k, prune=True, cap=DEFAULT_PATH_CAP, index=None
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    ix = _index_of(g, k, index, cap=cap)
-    found = _local_ratio(g, ix, math.inf if prune or below is None else below)
+    ix = _index_of(g, k, index)
+    found = _local_ratio(g, ix, math.inf if prune else below)
     if found is None:
         return None
     cover, _ = found
@@ -305,7 +302,7 @@ def oracle_registry():
     """The named solvers behind `pvc solve`, `pvc bench` and the reoptimizers.
 
     solve(g, k, seed) covers all of g; solve(g, k, seed, index=part) covers a
-    part index from construct_sol. Each takes below=None: exact returns
+    part index from construct_sol. Each takes below=math.inf: exact returns
     None iff no cover of the part is lighter, local-ratio on a part stops
     its pass and returns None once its cover weighs below, and greedy
     ignores it. local-ratio prunes (reverse delete) on a whole-graph solve
@@ -318,21 +315,21 @@ def oracle_registry():
         {
             "exact": ApproxOracle(
                 name="exact",
-                solve=lambda g, k, seed, index=None, below=None: solve_exact(
+                solve=lambda g, k, seed, index=None, below=math.inf: solve_exact(
                     g, k, index=index, below=below
                 ),
                 declared_ratio="1",
             ),
             "greedy": ApproxOracle(
                 name="greedy",
-                solve=lambda g, k, seed, index=None, below=None: greedy_approx(
+                solve=lambda g, k, seed, index=None, below=math.inf: greedy_approx(
                     g, k, seed=seed, alive=None if index is None else index.alive
                 ),
                 declared_ratio="n-k+1",
             ),
             "local-ratio": ApproxOracle(
                 name="local-ratio",
-                solve=lambda g, k, seed, index=None, below=None: local_ratio_approx(
+                solve=lambda g, k, seed, index=None, below=math.inf: local_ratio_approx(
                     g, k, prune=index is None, index=index, below=below
                 ),
                 declared_ratio="k",

@@ -245,6 +245,16 @@ def test_bench_timeout_zero(tmp_path):
     assert all("status=timeout" in line for line in out.strip().split("\n"))
 
 
+def test_bench_refuses_a_nan_timeout(tmp_path):
+    g = gen_graph(GeneratorConfig(n=7, edge_target=8, seed=0))
+    (tmp_path / "i.graph").write_text(write_graph(g))
+    code, out, err = run_cli(
+        ["bench", "-k", "3", "--suite", str(tmp_path), "--timeout-sec", "nan"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: timeout must be a number of seconds, not NaN\n"
+
+
 @pytest.fixture
 def long_path_file(tmp_path):
     """A 1200-vertex path graph; at k=1100 a recursive path search overflows."""
@@ -402,6 +412,10 @@ _BITS = st.integers(0, (1 << 21) - 1)  # edge and vertex subsets; n <= 6, c <= 3
 _WEIGHTS = st.integers(1, 3)
 _SOLVERS = st.sampled_from(sorted(oracle_registry()))
 _VARIANTS = st.sampled_from(["corrected", "paper"])
+_BENCH_ALGS = st.lists(
+    st.sampled_from(sorted(oracle_registry()) + ["reopt-w3", "reopt-wk"]),
+    min_size=1, max_size=3, unique=True,
+).map(",".join)
 
 
 def _subset(items, bits):
@@ -410,14 +424,18 @@ def _subset(items, bits):
 
 @st.composite
 def pvc_runs(draw):
-    """argv for solve, verify or reopt, with the texts of its files.
+    """argv for solve, verify, reopt, incremental or bench, with the texts
+    of its files; bench runs over the folder that holds them, where the
+    patch and solution share the graph's name.
 
     The files are well formed with small random content, except that a few
     draws give the patch another old vertex count than the graph, the
     solution another k or a wrong weight, or put random line-format text in
     place of a file.
     """
-    command = draw(st.sampled_from(["solve", "verify", "reopt", "reopt", "reopt"]))
+    command = draw(
+        st.sampled_from(["solve", "bench", "verify", "reopt", "incremental", "reopt", "reopt"])
+    )
     mode = draw(st.sampled_from(["ptas", "w3", "wk"]))
     usual_k = {"ptas": [2, 3], "w3": [3], "wk": [4, 5]}[mode] if command == "reopt" else [2, 3, 4]
     k = draw(st.sampled_from(usual_k * 4 + [1, 5]))
@@ -430,7 +448,7 @@ def pvc_runs(draw):
     new = range(n_old + 1, n_old + draw(st.integers(0, 3)) + 1)
     internal = _subset(itertools.combinations(new, 2), draw(_BITS))
     attach = _subset(itertools.product(range(1, n_old + 1), new), draw(_BITS))
-    files["p.patch"] = "\n".join(
+    files["g.patch"] = "\n".join(
         [f"p patch {n_old} {len(new)} {len(internal)} {len(attach)}"]
         + [f"v {v} {1 if mode == 'ptas' else draw(_WEIGHTS)}" for v in new]
         + [f"e {u} {v}" for u, v in internal]
@@ -441,7 +459,7 @@ def pvc_runs(draw):
     chosen = list(g.vertices()) if draw(st.booleans()) else _subset(g.vertices(), draw(_BITS))
     sol_k = draw(st.sampled_from([k] * 6 + [-1, 1, 6]))
     weight = g.weight_of(chosen) + draw(st.sampled_from([0] * 7 + [1]))
-    files["s.sol"] = "\n".join(
+    files["g.sol"] = "\n".join(
         [f"s pvc {sol_k} {len(chosen)} {weight}"] + [f"x {v}" for v in chosen]
     )
     for name in files:
@@ -452,7 +470,20 @@ def pvc_runs(draw):
     if command == "solve":
         argv += ["--alg", draw(_SOLVERS), "g.graph"]
     elif command == "verify":
-        argv += ["--optimal"] * draw(st.booleans()) + ["g.graph", "s.sol"]
+        argv += ["--optimal"] * draw(st.booleans()) + ["g.graph", "g.sol"]
+    elif command == "incremental":
+        argv += [
+            "--reopt", draw(st.sampled_from(["exact", "ptas"])),
+            "--order", draw(st.sampled_from(["ascending", "random"])),
+            "--epsilon", draw(st.sampled_from(["0.5", "2", "0", "nan"])),
+            "g.graph",
+        ]
+    elif command == "bench":
+        argv += [
+            "--suite", ".",
+            "--algs", draw(_BENCH_ALGS),
+            "--timeout-sec", draw(st.sampled_from(["nan", "0", "1", "inf"])),
+        ]
     else:
         argv += [
             "--mode", mode,
@@ -460,12 +491,12 @@ def pvc_runs(draw):
             "--oracle", draw(_SOLVERS),
             "--family-mode", draw(_VARIANTS),
             "--cap-mode", draw(_VARIANTS),
-            "g.graph", "p.patch", "s.sol",
+            "g.graph", "g.patch", "g.sol",
         ]
     return argv, files
 
 
-@settings(max_examples=150)
+@settings(max_examples=210)
 @given(run=pvc_runs())
 def test_cli_ends_in_an_exit_code_on_any_files(tmp_path_factory, run):
     """Whatever the files hold, `pvc` returns an exit code and raises nothing."""
@@ -474,6 +505,6 @@ def test_cli_ends_in_an_exit_code_on_any_files(tmp_path_factory, run):
     folder.mkdir(exist_ok=True)
     for name, text in files.items():
         (folder / name).write_text(text)
-    argv = [str(folder / a) if a in files else a for a in argv]
+    argv = [str(folder / a) if a in files or a == "." else a for a in argv]
     code, _, _ = run_cli(argv)
     assert code in (0, 1, 2, 3)

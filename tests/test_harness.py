@@ -100,6 +100,11 @@ def test_bench_timeout_zero(tmp_path):
     assert [status for _, _, status, _, _ in rows] == ["timeout", "timeout"]
 
 
+def test_bench_refuses_a_nan_timeout_before_reading_the_suite(tmp_path):
+    with pytest.raises(ValueError, match="not NaN"):
+        bench(tmp_path / "missing", 3, timeout_sec=float("nan"))
+
+
 def test_bench_empty_suite(tmp_path):
     assert bench(tmp_path, 3) == []
 

@@ -45,12 +45,6 @@ def test_enumerate_matches_brute_force():
             assert enumerate_k_paths(g, k) == perm_k_paths(g, k)
 
 
-def test_enumerate_cap():
-    g = random_graph(0, 10, m=20)
-    with pytest.raises(LimitExceeded):
-        enumerate_k_paths(g, 4, cap=1)
-
-
 def test_covers_path_graph(path4):
     assert covers_all_k_paths(path4, {3}, 3)
     assert not covers_all_k_paths(path4, set(), 3)
@@ -245,11 +239,6 @@ def test_k_paths_through(path4):
             assert has_k_path_through(g, k, alive, focus) == bool(want)
             everything = [p for p in enumerate_k_paths(g, k) if focus.intersection(p)]
             assert k_paths_through(g, k, focus) == everything
-    # the cap counts only the paths through the focus set
-    star = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
-    assert k_paths_through(star, 3, {4}, cap=1) == [(2, 3, 4)]
-    with pytest.raises(LimitExceeded):
-        k_paths_through(star, 3, {2}, cap=2)
     # both arms are grown iteratively: no recursion limit at large k
     long_path = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
     assert k_paths_through(long_path, 1500, {750}) == [tuple(range(1, 1501))]
@@ -324,12 +313,6 @@ def test_path_index_rejects_unknown_vertices(path4):
         index.covers({0})
     with pytest.raises(UnknownVertex):
         index.avoiding({5})
-
-
-def test_path_index_cap(path4):
-    with pytest.raises(LimitExceeded):
-        PathIndex(path4, 3, cap=1)
-    assert PathIndex(path4, 3, alive={1, 2, 3}, cap=1).paths == [(1, 2, 3)]
 
 
 def test_color_coding_budget_is_guarded():

@@ -1,0 +1,117 @@
+"""Each exponential step is guarded by one module constant, read at call time.
+
+Every case lowers one constant, then checks that the guarded call past the
+lowered limit raises and that a call within it still gives its answer.
+"""
+
+import pytest
+
+import pvcover.kpaths
+import pvcover.reopt
+import pvcover.solvers
+from pvcover import (
+    Graph,
+    InsertionPatch,
+    PathIndex,
+    ReoptInstance,
+    apply_patch,
+    construct_f,
+    enumerate_k_paths,
+    enumerate_optima,
+    good_family_3pvcp,
+    k_paths_through,
+    make_solution,
+    ptas_unweighted,
+    solve_exact,
+)
+from pvcover.errors import LimitExceeded, SizeLimitExceeded
+
+from conftest import random_graph
+
+PATH3 = Graph.build(3, [(1, 2), (2, 3)])
+PATH4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
+# its 3-paths (1,2,3), (1,2,5), (2,3,4), (3,2,5) all meet 2; only (2,3,4) meets 4
+STAR = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
+
+
+def _patch(c):
+    """c isolated unit-weight vertices added to PATH3."""
+    return InsertionPatch(3, added=tuple((4 + i, 1) for i in range(c)))
+
+
+def _family3(c):
+    patch = _patch(c)
+    return good_family_3pvcp(apply_patch(PATH3, patch), patch)
+
+
+def _ptas(c):
+    """The PTAS at epsilon 1 enumerates 1 + n candidate sets when c >= 1."""
+    inst = ReoptInstance.create(PATH3, _patch(c), make_solution(PATH3, {2}, 3), 3)
+    return ptas_unweighted(inst, 1.0)
+
+
+LIMITS = [
+    pytest.param(
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
+        lambda: enumerate_k_paths(random_graph(0, 10, m=20), 4),
+        lambda: enumerate_k_paths(PATH4, 4) == [(1, 2, 3, 4)],
+        id="DEFAULT_PATH_CAP-enumerate_k_paths",
+    ),
+    pytest.param(
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
+        lambda: PathIndex(PATH4, 3),
+        lambda: PathIndex(PATH4, 3, alive={1, 2, 3}).paths == [(1, 2, 3)],
+        id="DEFAULT_PATH_CAP-PathIndex",
+    ),
+    pytest.param(
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
+        lambda: k_paths_through(STAR, 3, {2}),
+        # the cap counts only the paths through the focus set
+        lambda: k_paths_through(STAR, 3, {4}) == [(2, 3, 4)],
+        id="DEFAULT_PATH_CAP-k_paths_through",
+    ),
+    pytest.param(
+        pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,
+        lambda: solve_exact(random_graph(0, 10), 3),
+        lambda: solve_exact(random_graph(0, 9), 3).feasible,
+        id="EXACT_SIZE_LIMIT-solve_exact",
+    ),
+    pytest.param(
+        pvcover.solvers, "ENUMERATE_SIZE_LIMIT", 3, SizeLimitExceeded,
+        lambda: enumerate_optima(PATH4, 3),
+        lambda: enumerate_optima(PATH3, 3) == [{1}, {2}, {3}],
+        id="ENUMERATE_SIZE_LIMIT-enumerate_optima",
+    ),
+    pytest.param(
+        pvcover.reopt, "PTAS_ENUM_GUARD", 4, SizeLimitExceeded,
+        lambda: _ptas(1),
+        lambda: _ptas(0).vertices == {2},
+        id="PTAS_ENUM_GUARD-ptas_unweighted",
+    ),
+    pytest.param(
+        pvcover.reopt, "PATCH_SIZE_GUARD", 1, LimitExceeded,
+        lambda: _family3(2),
+        lambda: _family3(1).members == (frozenset(), frozenset({4})),
+        id="PATCH_SIZE_GUARD-good_family_3pvcp",
+    ),
+    pytest.param(
+        pvcover.reopt, "FAMILY_CAP", 1, LimitExceeded,
+        lambda: _family3(1),
+        lambda: _family3(0).members == (frozenset(),),
+        id="FAMILY_CAP-good_family_3pvcp",
+    ),
+    pytest.param(
+        pvcover.reopt, "FAMILY_CAP", 1, LimitExceeded,
+        lambda: construct_f(Graph.build(4, [(1, 2), (2, 3)]), {4}, 4),
+        lambda: construct_f(Graph.build(3, [(1, 2)]), set(), 4).members == (frozenset(),),
+        id="FAMILY_CAP-construct_f",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, value, error, past, within", LIMITS)
+def test_limit_constant_guards_its_call(monkeypatch, module, name, value, error, past, within):
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(error):
+        past()
+    assert within()

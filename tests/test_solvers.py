@@ -65,12 +65,6 @@ def test_exact_canonical_tiebreak():
         assert sol.vertices == expected
 
 
-def test_exact_size_guard():
-    g = random_graph(0, 10)
-    with pytest.raises(SizeLimitExceeded):
-        solve_exact(g, 3, size_limit=9)
-
-
 def test_enumerate_optima_path_graph(path4):
     assert enumerate_optima(path4, 3) == [frozenset({2}), frozenset({3})]
 
