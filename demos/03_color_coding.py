@@ -1,8 +1,11 @@
 """Randomized k-path detection versus the exhaustive search.
 
-On a graph too large for comfortable exhaustive search the color-coding
-detector finds a k-path with high probability; every returned path is
-verified, so a positive answer is always trustworthy.
+The color-coding detector finds a k-path with high probability; every
+returned path is verified, so a positive answer is always trustworthy. Each
+trial colors the vertices at random and returns the path the colorful-path
+DP would, found by scanning the walker's k-paths, read lazily, for the first
+whose colors are all distinct, so a trial that hits reads only a prefix of
+the list.
 """
 
 import time

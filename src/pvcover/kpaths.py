@@ -11,11 +11,19 @@ whether a k-path exists. Its focus mode (`has_k_path_through`,
 `k_paths_through`) yields only the k-paths of g[alive] that meet a focus
 set: it grows two arms from each focus vertex and drops that vertex from
 the free set once it is done, so each such path comes out once and the work
-follows the paths near the focus, not the whole of g[alive]. Color coding,
-also over g[alive] without a copy, is a randomized path picker with
-one-sided error: a path it returns is verified, but "None" may be a miss,
-so a caller that must know asks the walker and keeps its path as the
-fallback.
+follows the paths near the focus, not the whole of g[alive]. The walker
+can also resume just after a given path (`_walk(after=)`).
+
+A `LivePaths` is the walker's list of g[alive], read only as far as a
+caller asks and shrunk by each vertex it loses; its next read resumes the
+walk of the smaller g[alive] after the last path read, so it stays a prefix
+of a fresh walk's list. Color coding is a randomized path picker over it,
+with one-sided error: a path it returns is verified, but "None" may be a
+miss, so a caller that must know asks the walker and keeps its path as the
+fallback. A trial gives the path the colorful-path DP of Alon, Yuster and
+Zwick would, without running it: the first colorful path of the list marks
+the DP's end vertex, and a search from that vertex under the coloring
+gives the DP's sequence.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -28,6 +36,7 @@ fresh enumeration of that subgraph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -54,7 +63,7 @@ def is_k_path(g: Graph, path, k) -> bool:
     return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
-def _walk(g: Graph, k, alive):
+def _walk(g: Graph, k, alive, after=None):
     """Yield the canonical k-paths of g[alive], alive a set of vertex ids.
 
     One iterative depth-first search: start vertices ascending, sorted
@@ -64,16 +73,41 @@ def _walk(g: Graph, k, alive):
     current path, so the work follows |alive| rather than g.n. The last
     step is taken inline: once path + u has k-1 vertices, every free
     neighbor w of u above the start closes a path.
+
+    With after, a canonical k-path of g whose vertices need not be alive,
+    only the sequences that follow it are yielded: the search starts at its
+    first vertex and steps down its deepest alive prefix, each level's
+    neighbor iterator placed just past after's next vertex, so nothing
+    before after is walked again.
     """
     adj = g.adj
     free = set(alive)
-    for start in sorted(free):
+    starts = sorted(free)
+    if after is not None:
+        starts = starts[bisect.bisect_left(starts, after[0]) :]
+    for start in starts:
+        resume = after is not None and start == after[0]
         if k == 2:
-            yield from ((start, u) for u in adj[start - 1] if u > start and u in free)
+            lo = after[1] if resume else start
+            yield from ((start, u) for u in adj[start - 1] if u > lo and u in free)
             continue
         free.remove(start)
         path = [start]
         stack = [iter(adj[start - 1])]
+        if resume:
+            for u in after[1:-1]:
+                nbrs = adj[path[-1] - 1]
+                stack[-1] = iter(nbrs[nbrs.index(u) + 1 :])
+                if u not in free:
+                    break
+                if len(path) == k - 2:
+                    for w in adj[u - 1]:
+                        if w > after[-1] and w in free:
+                            yield (*path, u, w)
+                    break
+                free.remove(u)
+                path.append(u)
+                stack.append(iter(adj[u - 1]))
         while stack:
             for u in stack[-1]:
                 if u in free:
@@ -301,61 +335,116 @@ def _trial_colors(k, s, n, draws):
     return drawn
 
 
-def _colorful_path_trial(g: Graph, k, order, colors):
-    """One color-coding trial on g[alive]: colorful-path DP under a k-coloring.
+class LivePaths:
+    """The k-paths of g[alive] in the walker's order, read only as far as asked.
 
-    order lists the alive vertices ascending and colors[i] is the color of
-    order[i]; colors may run longer. Each vertex's color bit sits in a list indexed by vertex id.
-    A vertex off alive holds the full mask, which every state's subset
-    meets, so the DP walks g.adj and skips it by the same test that skips a
-    used color. A trial thus sees the same colors, states and path as one
-    on the subgraph induced by alive, relabeled in ascending id order.
-    Returns a verified k-path or None. States are
-    (vertex, color-subset) pairs with a parent pointer for reconstruction;
-    a state's subset holds its vertex's color, so a trial has at most
-    |alive| * 2^(k-1) of them.
+    `paths` holds the paths read so far, and `more()` reads on. `discard(v)`
+    takes v out of `alive` and its paths out of `paths`; the next read
+    resumes a walk of the smaller g[alive] just after the last path read
+    (`_walk(after=)`). A deletion creates no path, so `paths` is always a
+    prefix of what a fresh walk of g[alive] yields. alive is not checked.
+    The paths read count against DEFAULT_PATH_CAP.
     """
-    full = (1 << k) - 1
-    bit = [full] * (g.n + 1)
-    for v, c in zip(order, colors):
-        bit[v] = 1 << c
-    adj = g.adj
-    # parent[(v, mask)] = previous vertex on some colorful path ending at v
-    parent = {}
-    frontier = []
-    for v in order:
-        mask = bit[v]
-        parent[(v, mask)] = None
-        frontier.append((v, mask))
+
+    __slots__ = ("g", "k", "alive", "paths", "_walker", "_last", "_read", "_done")
+
+    def __init__(self, g: Graph, k, alive):
+        self.g = g
+        self.k = k
+        self.alive = set(alive)
+        self.paths = []
+        self._walker = None
+        self._last = None
+        self._read = 0
+        self._done = False
+
+    def more(self):
+        """Yield the paths of g[alive] that follow paths, each appended to
+        paths before it is yielded."""
+        if self._done:
+            return
+        if self._walker is None:
+            self._walker = _walk(self.g, self.k, self.alive, after=self._last)
+        for p in self._walker:
+            self._read += 1
+            if self._read > DEFAULT_PATH_CAP:
+                raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {self.k}-paths")
+            self._last = p
+            self.paths.append(p)
+            yield p
+        self._done = True
+
+    def first(self):
+        """The lexicographically first k-path of g[alive], or None."""
+        return self.paths[0] if self.paths else next(self.more(), None)
+
+    def discard(self, v):
+        """Take the alive vertex v out of alive and its paths out of paths."""
+        self.alive.remove(v)
+        self.paths = [p for p in self.paths if v not in p]
+        self._walker = None
+
+
+def _least_colorful_from(adj, k, bit, v):
+    """The colorful k-path from v whose reversal is least, as a sequence from v.
+
+    bit maps each alive vertex to its color bit; a vertex it lacks is dead.
+    layers[i] holds each (x, colors) such that a colorful sequence of i + 1
+    vertices runs from v to x with those colors. The far end is the least
+    x of the last layer, and each vertex before it the least neighbor whose
+    state, with the colors still free, is in the layer before.
+    """
+    layers = [{(v, bit[v])}]
     for _ in range(k - 1):
-        nxt = []
-        for v, mask in frontier:
-            for u in adj[v - 1]:
-                b = bit[u]
-                if mask & b:
-                    continue
-                key = (u, mask | b)
-                if key not in parent:
-                    parent[key] = v
-                    nxt.append(key)
-        frontier = nxt
-    for v in order:
-        if (v, full) in parent:
-            path = []
-            key = (v, full)
-            cur = v
-            while cur is not None:
-                path.append(cur)
-                cur = parent[key]
-                if cur is not None:
-                    key = (cur, key[1] & ~bit[path[-1]])
-            path.reverse()
-            if is_k_path(g, path, k):
-                return canonical(path)
-    return None
+        step = set()
+        for x, mask in layers[-1]:
+            for u in adj[x - 1]:
+                b = bit.get(u)
+                if b is not None and not mask & b:
+                    step.add((u, mask | b))
+        layers.append(step)
+    seq = [min(layers.pop())[0]]
+    mask = (1 << k) - 1
+    while layers:
+        mask ^= bit[seq[-1]]
+        layer = layers.pop()
+        seq.append(min(x for x in adj[seq[-1] - 1] if (x, mask) in layer))
+    return tuple(reversed(seq))
 
 
-def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws=None):
+def _color_coding_trial(live, order, colors):
+    """One color-coding trial: the path the colorful-path DP would return.
+
+    live is the LivePaths of g[alive] at k and order the alive vertices
+    ascending; order[i] has color colors[i], and colors may run longer.
+    The DP keeps, for each (vertex, color set) state, its lexicographically
+    least colorful sequence, and returns the one ending at the least vertex
+    v* that ends any colorful k-sequence, made canonical. v* is the least
+    first vertex of a colorful canonical path, so the scan of live in
+    walker order stops at the first path whose color bits sum to 2^k - 1,
+    reading live no further; the rest is a search from v*
+    (`_least_colorful_from`). Returns a verified k-path or None.
+    """
+    g, k = live.g, live.k
+    full = (1 << k) - 1
+    bit = dict(zip(order, map([1 << c for c in range(k)].__getitem__, colors)))
+    code = itertools.repeat(bit.__getitem__)
+
+    def colorful(paths):
+        return map(full.__eq__, map(sum, map(map, code, paths)))
+
+    hit = next(itertools.compress(live.paths, colorful(live.paths)), None)
+    if hit is None and any(colorful(live.more())):
+        hit = live.paths[-1]
+    if hit is None:
+        return None
+    path = _least_colorful_from(g.adj, k, bit, hit[0])
+    return path if is_k_path(g, path, k) else None
+
+
+def find_k_path(
+    g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws=None, paths=None
+):
     """Find one k-path of g[alive] (all of g when alive is None); strategy
     is "exhaustive" or "color-coding".
 
@@ -363,16 +452,26 @@ def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws
     color-coding: random trials with derived seeds; trial t colors the
     alive vertices in ascending id order from Random(seed + t).randrange(k),
     which are the colors it gives the subgraph induced by alive, relabeled
-    in that order, so both return the same path. Any returned path is
-    verified, so only "None" can be wrong. With a draws dict (see
-    `_trial_colors`) kept across calls at one k and seed, each stream is
-    drawn once and later calls on fewer vertices reuse its prefix. Raises
-    LimitExceeded before the first trial when trials * 2^k * |alive|
-    exceeds COLOR_CODING_GUARD.
+    in that order, so both return the same path. Each trial returns the
+    path the colorful-path DP would (see `_color_coding_trial`): it scans
+    the k-paths of g[alive] in walker order, read lazily, for the first
+    colorful one. paths, a LivePaths of g at k that the caller keeps, is
+    that list, given in place of alive, which is then its alive set; without
+    it a LivePaths of g[alive] is made for this call. Any returned path is
+    verified, so only
+    "None" can be wrong. With a draws dict (see `_trial_colors`) kept
+    across calls at one k and seed, each stream is drawn once and later
+    calls on fewer vertices reuse its prefix. Raises LimitExceeded before
+    the first trial when trials * 2^k * |alive| exceeds COLOR_CODING_GUARD,
+    the budget of the DP, kept so that the same calls are refused.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if alive is None:
+    if paths is not None:
+        if paths.g is not g or paths.k != k or alive is not None:
+            raise ValueError("paths must be a LivePaths of g at k, given without alive")
+        alive = paths.alive
+    elif alive is None:
         alive = g.vertices()
     else:
         g._check_subset(alive)
@@ -390,8 +489,9 @@ def find_k_path(g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws
         raise LimitExceeded(
             f"color coding at k={k}, n={n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
+    live = LivePaths(g, k, alive) if paths is None else paths
     for t in range(trials):
-        got = _colorful_path_trial(g, k, order, _trial_colors(k, seed + t, n, draws))
+        got = _color_coding_trial(live, order, _trial_colors(k, seed + t, n, draws))
         if got is not None:
             return got
     return None

@@ -16,10 +16,10 @@ from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
 from .kpaths import (
     EXHAUSTIVE_N,
+    LivePaths,
     PathIndex,
     covers_all_k_paths,
     find_k_path,
-    first_k_path,
 )
 
 EXACT_SIZE_LIMIT = 24
@@ -182,12 +182,13 @@ def enumerate_optima(g: Graph, k):
 def greedy_approx(g: Graph, k, seed=0, alive=None):
     """Min-weight-vertex deletion loop; weight at most (n-k+1) times optimal.
 
-    Covers g[alive] (all of g when alive is None). Each round the walker
-    decides whether g[left] still has a k-path; the loop ends when it has
-    none, so that verdict is the feasible flag. While more than
-    EXHAUSTIVE_N vertices are left and k > 3, color coding (seeded by seed)
-    picks the path on g[left], without a copy; on a miss, and outside that
-    regime, the walker's lexicographically first path is used.
+    Covers g[alive] (all of g when alive is None). One LivePaths keeps the
+    k-paths of g[left] in walker order, read lazily and shrunk by each
+    deleted vertex; its head is the walker's first path of g[left], and the
+    loop ends when it has none, so that verdict is the feasible flag. While
+    more than EXHAUSTIVE_N vertices are left and k > 3, color coding
+    (seeded by seed) picks the path from that list; on a miss, and outside
+    that regime, the head is used.
 
     Every round reruns trials 0, 1, ... from the same seeds on one vertex
     fewer, so a round's coloring for trial t is a prefix of the stream an
@@ -198,19 +199,17 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
         raise ValueError("k must be at least 2")
     start = frozenset(g.vertices() if alive is None else alive)
     g._check_subset(start)
-    left = set(start)
+    live = LivePaths(g, k, start)
     cover = set()
     draws = {}
-    while (p := first_k_path(g, k, left)) is not None:
-        if len(left) > EXHAUSTIVE_N and k > 3:
-            found = find_k_path(
-                g, k, strategy="color-coding", seed=seed, alive=left, draws=draws
-            )
+    while (p := live.first()) is not None:
+        if len(live.alive) > EXHAUSTIVE_N and k > 3:
+            found = find_k_path(g, k, strategy="color-coding", seed=seed, draws=draws, paths=live)
             if found is not None:
                 p = found
         vm = min(p, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
-        left.remove(vm)
+        live.discard(vm)
     return _solution(g, k, cover, p is None)
 
 

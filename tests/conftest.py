@@ -76,6 +76,48 @@ def perm_k_paths(g: Graph, k):
     return sorted(found)
 
 
+def colorful_path_dp(g: Graph, k, order, colors):
+    """The colorful-path DP of one color-coding trial, the reference that
+    the scan of the walker's list in `kpaths._color_coding_trial` must match.
+
+    order lists the alive vertices ascending and colors[i] is the color of
+    order[i]; colors may run longer. A vertex off alive holds the full
+    mask, which every state's subset meets, so the DP walks g.adj and skips
+    it. States are (vertex, color-subset) pairs with a parent pointer; the
+    first parent found wins, so each state keeps its lexicographically
+    least colorful sequence. Returns the canonical path of the state
+    (v, all colors) with the least v, or None.
+    """
+    full = (1 << k) - 1
+    bit = [full] * (g.n + 1)
+    for v, c in zip(order, colors):
+        bit[v] = 1 << c
+    parent = {}
+    frontier = []
+    for v in order:
+        parent[(v, bit[v])] = None
+        frontier.append((v, bit[v]))
+    for _ in range(k - 1):
+        nxt = []
+        for v, mask in frontier:
+            for u in g.adj[v - 1]:
+                if mask & bit[u]:
+                    continue
+                key = (u, mask | bit[u])
+                if key not in parent:
+                    parent[key] = v
+                    nxt.append(key)
+        frontier = nxt
+    for v in order:
+        if (v, full) in parent:
+            path, key = [v], (v, full)
+            while parent[key] is not None:
+                key = (parent[key], key[1] & ~bit[key[0]])
+                path.append(key[0])
+            return tuple(path if path[0] < path[-1] else path[::-1])
+    return None
+
+
 def brute_covers(g: Graph, s, k):
     s = frozenset(s)
     return all(s.intersection(p) for p in perm_k_paths(g, k))

@@ -396,6 +396,36 @@ def test_bench_refuses_a_suite_that_is_not_a_directory(tmp_path, graph_file):
         assert err == f"error: suite {suite} is not a directory\n"
 
 
+def test_bench_turns_the_error_of_one_run_into_a_row(tmp_path):
+    # a.sol covers the 7-vertex path a at k = 4, not at k = 3; b is bare
+    g = Graph.build(7, [(v, v + 1) for v in range(1, 7)])
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("a", "b"):
+        (suite / f"{name}.graph").write_text(write_graph(g))
+    (suite / "a.patch").write_text(write_patch(gen_patch(g, 2, 0.3, 0.5, seed=5)))
+    (suite / "a.sol").write_text(write_solution(solve_exact(g, 4)))
+    for k, detail in (
+        ("4", "wtd_3path requires k = 3"),
+        ("3", "old solution is not feasible for the old graph"),
+    ):
+        code, out, err = run_cli(
+            ["bench", "-k", k, "--suite", str(suite), "--algs", "greedy,reopt-w3"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("instance=a status=ok alg=greedy")
+        assert lines[1] == "instance=a alg=reopt-w3 status=error"
+        assert lines[2].startswith("instance=b status=ok alg=greedy")
+        assert lines[3:] == ["instance=b alg=reopt-w3 status=skipped"]
+        assert f"instance=a alg=reopt-w3 error: {detail}\n" in err
+
+
+def test_bench_refuses_k_below_two_before_reading_the_suite(tmp_path):
+    code, out, err = run_cli(["bench", "-k", "1", "--suite", str(tmp_path / "missing")])
+    assert (code, out, err) == (1, "", "error: k must be at least 2\n")
+
+
 def test_solver_names_come_from_the_registry(graph_file):
     assert sorted(oracle_registry()) == ["exact", "greedy", "local-ratio"]
     for argv in (
@@ -418,23 +448,42 @@ _BENCH_ALGS = st.lists(
 ).map(",".join)
 
 
+_GEN_SIZES = st.sampled_from(["6", "2", "0", "1", "30", "-1"])
+_EDGE_TARGETS = st.tuples(st.just("-m"), st.sampled_from(["3", "0", "12", "1000", "-1"])) | st.tuples(
+    st.just("--density"), st.sampled_from(["0.3", "0", "1", "1.5", "nan", "-0.5"])
+)
+# accepted values come first and most often, so that most runs get past the checks
+_PROBS = st.sampled_from(["0.3", "0", "0.5", "1", "-1", "2", "nan"])
+_DEGREE_CAPS = st.sampled_from(
+    [[], [], ["--max-degree", "3"], ["--max-degree", "0"], ["--max-degree", "-1"]]
+)
+_WEIGHT_RANGES = st.sampled_from(
+    [[], [], ["--wmin", "2", "--wmax", "3"], ["--wmin", "0"], ["--wmin", "5", "--wmax", "2"]]
+)
+_SEEDS = st.integers(-3, 10**6)
+
+
 def _subset(items, bits):
     return [x for i, x in enumerate(items) if bits >> i & 1]
 
 
 @st.composite
 def pvc_runs(draw):
-    """argv for solve, verify, reopt, incremental or bench, with the texts
-    of its files; bench runs over the folder that holds them, where the
-    patch and solution share the graph's name.
+    """argv for solve, verify, reopt, incremental, bench, gen or gen-patch,
+    with the texts of its files; bench runs over the folder that holds
+    them, where the patch and solution share the graph's name.
 
     The files are well formed with small random content, except that a few
     draws give the patch another old vertex count than the graph, the
     solution another k or a wrong weight, or put random line-format text in
-    place of a file.
+    place of a file. gen and gen-patch draw sizes, probabilities, degree
+    caps and weight ranges both inside and outside what they accept.
     """
     command = draw(
-        st.sampled_from(["solve", "bench", "verify", "reopt", "incremental", "reopt", "reopt"])
+        st.sampled_from(
+            ["solve", "bench", "verify", "reopt", "incremental", "reopt", "reopt"]
+            + ["gen", "gen-patch"]
+        )
     )
     mode = draw(st.sampled_from(["ptas", "w3", "wk"]))
     usual_k = {"ptas": [2, 3], "w3": [3], "wk": [4, 5]}[mode] if command == "reopt" else [2, 3, 4]
@@ -466,6 +515,12 @@ def pvc_runs(draw):
         if draw(st.integers(0, 9)) == 0:
             files[name] = draw(line_format_texts())
 
+    if command in ("gen", "gen-patch"):
+        common = [*draw(_DEGREE_CAPS), *draw(_WEIGHT_RANGES), "--seed", str(draw(_SEEDS))]
+        if command == "gen":
+            return ["gen", "-n", draw(_GEN_SIZES), *draw(_EDGE_TARGETS), *common], files
+        probs = ["--attach-prob", draw(_PROBS), "--internal-prob", draw(_PROBS)]
+        return ["gen-patch", "-c", draw(_GEN_SIZES), *probs, *common, "g.graph"], files
     argv = [command, "-k", str(k)]
     if command == "solve":
         argv += ["--alg", draw(_SOLVERS), "g.graph"]
@@ -496,7 +551,7 @@ def pvc_runs(draw):
     return argv, files
 
 
-@settings(max_examples=210)
+@settings(max_examples=270)
 @given(run=pvc_runs())
 def test_cli_ends_in_an_exit_code_on_any_files(tmp_path_factory, run):
     """Whatever the files hold, `pvc` returns an exit code and raises nothing."""

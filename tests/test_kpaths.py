@@ -17,9 +17,15 @@ from pvcover import (
     k_paths_through,
 )
 from pvcover.errors import LimitExceeded, UnknownVertex
-from pvcover.kpaths import _walk_through, has_k_path_through
+from pvcover.kpaths import (
+    LivePaths,
+    _color_coding_trial,
+    _walk,
+    _walk_through,
+    has_k_path_through,
+)
 
-from conftest import brute_covers, perm_k_paths, random_graph
+from conftest import brute_covers, colorful_path_dp, perm_k_paths, random_graph
 
 
 def test_enumerate_path_graph(path4):
@@ -133,29 +139,14 @@ def alive_cases():
 
 def reference_color_coding(g, k, trials, seed):
     """The color-coding loop on a whole graph as first written: trial t
-    colors vertex v with the v-th draw of Random(seed + t).randrange(k)."""
-    full = (1 << k) - 1
+    colors vertex v with the v-th draw of Random(seed + t).randrange(k) and
+    runs the colorful-path DP."""
     for t in range(trials):
         rng = random.Random(seed + t)
         color = [rng.randrange(k) for _ in range(g.n)]
-        parent = {(v, 1 << color[v - 1]): None for v in g.vertices()}
-        frontier = list(parent)
-        for _ in range(k - 1):
-            nxt = []
-            for v, mask in frontier:
-                for u in g.adj[v - 1]:
-                    bit = 1 << color[u - 1]
-                    if not mask & bit and (u, mask | bit) not in parent:
-                        parent[(u, mask | bit)] = v
-                        nxt.append((u, mask | bit))
-            frontier = nxt
-        for v in g.vertices():
-            if (v, full) in parent:
-                path, key = [v], (v, full)
-                while parent[key] is not None:
-                    key = (parent[key], key[1] & ~(1 << color[key[0] - 1]))
-                    path.append(key[0])
-                return tuple(path if path[0] < path[-1] else path[::-1])
+        path = colorful_path_dp(g, k, list(g.vertices()), color)
+        if path is not None:
+            return path
     return None
 
 
@@ -325,3 +316,85 @@ def test_color_coding_budget_is_guarded():
     with pytest.raises(LimitExceeded, match="exceeds guard"):
         find_k_path(g, 20, strategy="color-coding", trials=500)
     assert find_k_path(g, 20, strategy="color-coding", trials=500, alive=range(1, 11)) is None
+
+
+@st.composite
+def color_coding_trials(draw):
+    """A graph on at most 12 vertices, k, an alive set, the LivePaths of
+    g[alive] in a state that reads and deletions can leave it in, and
+    colorings of the alive vertices.
+
+    The list starts on a superset of alive, reads some of its paths and
+    then loses the extra vertices one by one, so it holds a partly read
+    prefix and resumes its walk after a deleted path. A constant coloring,
+    which misses, is the simplest draw.
+    """
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    g = Graph.build(n, [e for e in pairs if rng.random() < density])
+    k = draw(st.integers(2, 6))
+    alive = draw(st.frozensets(st.integers(1, n)))
+    extra = draw(st.permutations(sorted(draw(st.frozensets(st.integers(1, n))) - alive)))
+    live = LivePaths(g, k, alive.union(extra))
+    for _ in zip(range(draw(st.integers(0, 40))), live.more()):
+        pass
+    for v in extra:
+        live.discard(v)
+        for _ in zip(range(draw(st.integers(0, 3))), live.more()):
+            pass
+    colorings = st.lists(st.integers(0, k - 1), min_size=len(alive), max_size=len(alive))
+    return g, k, alive, live, draw(st.lists(colorings, min_size=1, max_size=3))
+
+
+@settings(max_examples=300)
+@given(color_coding_trials())
+def test_color_coding_scan_matches_the_dp_trial_by_trial(trial):
+    g, k, alive, live, colorings = trial
+    order = sorted(alive)
+    fresh = list(_walk(g, k, alive))
+    for colors in colorings:
+        assert live.paths == fresh[: len(live.paths)]
+        assert _color_coding_trial(live, order, colors) == colorful_path_dp(g, k, order, colors)
+    for _ in live.more():
+        pass
+    assert live.paths == fresh
+
+
+def test_walk_resumes_after_a_path_on_fewer_vertices():
+    # every path of g[alive] as the resume point of a walk of a smaller set
+    for seed in range(12):
+        n = 7 + seed % 4
+        g = random_graph(seed, n, m=None if seed % 2 else 2 * n)
+        rng = random.Random(seed)
+        for k in (2, 3, 4, 5, 6):
+            for after in _walk(g, k, g.vertices()):
+                fewer = {v for v in g.vertices() if rng.random() < 0.8}
+                want = [p for p in _walk(g, k, fewer) if p > after]
+                assert list(_walk(g, k, fewer, after=after)) == want, (seed, k, after)
+
+
+def test_color_coding_scan_hits_and_misses_like_the_dp():
+    outcomes = set()
+    for g, alive, k, seed in alive_cases():
+        order = sorted(alive)
+        live = LivePaths(g, k, alive)
+        for t in range(3):
+            rng = random.Random(seed + t)
+            colors = [rng.randrange(k) for _ in order]
+            want = colorful_path_dp(g, k, order, colors)
+            assert _color_coding_trial(live, order, colors) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_find_k_path_takes_a_live_list_of_its_own_graph_and_k(path4):
+    live = LivePaths(path4, 3, {1, 2, 3})
+    # six trials at seed 0 miss the one 3-path of g[{1, 2, 3}], the seventh finds it
+    for trials, want in ((6, None), (7, (1, 2, 3))):
+        assert find_k_path(path4, 3, strategy="color-coding", trials=trials, paths=live) == want
+    assert find_k_path(path4, 3, strategy="exhaustive", paths=live) == (1, 2, 3)
+    for g, k, alive in ((path4, 4, None), (Graph.build(4, []), 3, None), (path4, 3, {1, 2, 3})):
+        with pytest.raises(ValueError, match="LivePaths of g at k"):
+            find_k_path(g, k, strategy="color-coding", alive=alive, paths=live)

@@ -19,6 +19,7 @@ from pvcover import (
     enumerate_k_paths,
     enumerate_optima,
     good_family_3pvcp,
+    greedy_approx,
     k_paths_through,
     make_solution,
     ptas_unweighted,
@@ -69,6 +70,14 @@ LIMITS = [
         # the cap counts only the paths through the focus set
         lambda: k_paths_through(STAR, 3, {4}) == [(2, 3, 4)],
         id="DEFAULT_PATH_CAP-k_paths_through",
+    ),
+    pytest.param(
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
+        # greedy's lazily read list counts each path it reads once: (1, 2, 3),
+        # then (2, 3, 4) once vertex 1 is gone
+        lambda: greedy_approx(PATH4, 3),
+        lambda: greedy_approx(PATH3, 3).vertices == {1},
+        id="DEFAULT_PATH_CAP-greedy_approx",
     ),
     pytest.param(
         pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,

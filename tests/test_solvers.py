@@ -134,8 +134,14 @@ def reference_greedy(g, k, seed=0, alive=None, find=find_k_path):
 
 
 def greedy_cases():
-    for seed in range(12):
-        g = random_graph(seed, 17 + 2 * seed, max_degree=4)
+    """Sparse graphs, then denser ones (max degree 6-8, thousands of k-paths)
+    whose long lists and searches from a hit's first vertex color coding
+    must get right."""
+    graphs = [(seed, random_graph(seed, 17 + 2 * seed, max_degree=4)) for seed in range(12)]
+    for seed in range(4):
+        n = 24 + 4 * seed
+        graphs.append((seed, random_graph(seed, n, m=5 * n // 2, max_degree=6 + seed % 3)))
+    for seed, g in graphs:
         alive = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
         for k in (4, 5):
             yield g, k, seed, None
