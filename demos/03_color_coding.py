@@ -5,7 +5,8 @@ returned path is verified, so a positive answer is always trustworthy. Each
 trial colors the vertices at random and returns the path the colorful-path
 DP would, found by scanning the walker's k-paths, read lazily, for the first
 whose colors are all distinct, so a trial that hits reads only a prefix of
-the list.
+the list. The scan is bounded; a trial whose scan ends without a hit
+before the list does runs the DP's forward pass instead.
 """
 
 import time

@@ -13,6 +13,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownOracle,
     UnknownVertex,
+    UnsupportedInstance,
     WeightMismatch,
 )
 from .graph import (

@@ -51,3 +51,8 @@ class WeightMismatch(ParseError):
 
 class InfeasibleConfig(PvcError):
     pass
+
+
+class UnsupportedInstance(PvcError, ValueError):
+    """A reoptimizer cannot take this instance: its old cover does not cover
+    the old graph at k, or k is outside the algorithm's range."""

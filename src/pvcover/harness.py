@@ -152,12 +152,13 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     optional companion <name>.patch and <name>.sol files (used by the
     reopt algorithms). Yields one RunReport per
     (instance, algorithm) in instance order; timeouts, parse errors and
-    the errors of one run (a `PvcError` or `ValueError`, such as a reopt
-    algorithm at a k it does not take or an old cover that does not cover
-    its graph at k) become report rows rather than failures, and every
-    other row is kept. A k below 2 is a ValueError before the suite is
-    read. A timeout_sec of None means no limit, one of 0 or less marks
-    every row a timeout, and NaN is a ValueError before the suite is read.
+    the errors of one run (a `PvcError`, such as `UnsupportedInstance` for
+    a reopt algorithm at a k it does not take or an old cover that does not
+    cover its graph at k) become report rows rather than failures, and
+    every other row is kept; any other exception is a failure. A k below 2
+    is a ValueError before the suite is read. A timeout_sec of None means
+    no limit, one of 0 or less marks every row a timeout, and NaN is a
+    ValueError before the suite is read.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -194,7 +195,7 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
             start = time.perf_counter()
             try:
                 sol = _run_algorithm(alg, g, k, seed, patch=patch, old_sol=old_sol)
-            except (PvcError, ValueError) as exc:
+            except PvcError as exc:
                 reports.append((name, alg, "error", str(exc), None))
                 continue
             elapsed = time.perf_counter() - start

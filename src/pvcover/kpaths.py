@@ -21,9 +21,11 @@ of a fresh walk's list. Color coding is a randomized path picker over it,
 with one-sided error: a path it returns is verified, but "None" may be a
 miss, so a caller that must know asks the walker and keeps its path as the
 fallback. A trial gives the path the colorful-path DP of Alon, Yuster and
-Zwick would, without running it: the first colorful path of the list marks
-the DP's end vertex, and a search from that vertex under the coloring
-gives the DP's sequence.
+Zwick would: the first colorful path of the list marks the DP's end
+vertex, and a search from that vertex under the coloring gives the DP's
+sequence. The scan reads a bounded prefix of the list; when that prefix
+holds no colorful path, the DP's forward pass finds the end vertex, so a
+trial's reads stay near the DP's cost however many k-paths there are.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -48,6 +50,7 @@ DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
 EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
+SCAN_HITS = 3  # a color-coding trial scans this many times k^k/k! paths before the DP
 
 
 def canonical(path):
@@ -343,10 +346,11 @@ class LivePaths:
     resumes a walk of the smaller g[alive] just after the last path read
     (`_walk(after=)`). A deletion creates no path, so `paths` is always a
     prefix of what a fresh walk of g[alive] yields. alive is not checked.
-    The paths read count against DEFAULT_PATH_CAP.
+    A read that would make `paths` longer than DEFAULT_PATH_CAP raises
+    LimitExceeded.
     """
 
-    __slots__ = ("g", "k", "alive", "paths", "_walker", "_last", "_read", "_done")
+    __slots__ = ("g", "k", "alive", "paths", "_walker", "_last", "_done")
 
     def __init__(self, g: Graph, k, alive):
         self.g = g
@@ -355,7 +359,6 @@ class LivePaths:
         self.paths = []
         self._walker = None
         self._last = None
-        self._read = 0
         self._done = False
 
     def more(self):
@@ -366,8 +369,7 @@ class LivePaths:
         if self._walker is None:
             self._walker = _walk(self.g, self.k, self.alive, after=self._last)
         for p in self._walker:
-            self._read += 1
-            if self._read > DEFAULT_PATH_CAP:
+            if len(self.paths) >= DEFAULT_PATH_CAP:
                 raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {self.k}-paths")
             self._last = p
             self.paths.append(p)
@@ -385,16 +387,15 @@ class LivePaths:
         self._walker = None
 
 
-def _least_colorful_from(adj, k, bit, v):
-    """The colorful k-path from v whose reversal is least, as a sequence from v.
+def _colorful_layers(adj, k, bit, starts):
+    """layers[i] holds each (x, colors) such that a colorful sequence of
+    i + 1 vertices runs from a vertex of starts to x with those colors.
 
     bit maps each alive vertex to its color bit; a vertex it lacks is dead.
-    layers[i] holds each (x, colors) such that a colorful sequence of i + 1
-    vertices runs from v to x with those colors. The far end is the least
-    x of the last layer, and each vertex before it the least neighbor whose
-    state, with the colors still free, is in the layer before.
+    From every alive vertex, the last layer is the forward pass of the
+    colorful-path DP of Alon, Yuster and Zwick, without parent pointers.
     """
-    layers = [{(v, bit[v])}]
+    layers = [{(v, bit[v]) for v in starts}]
     for _ in range(k - 1):
         step = set()
         for x, mask in layers[-1]:
@@ -403,6 +404,17 @@ def _least_colorful_from(adj, k, bit, v):
                 if b is not None and not mask & b:
                     step.add((u, mask | b))
         layers.append(step)
+    return layers
+
+
+def _least_colorful_from(adj, k, bit, v):
+    """The colorful k-path from v whose reversal is least, as a sequence from v.
+
+    The far end is the least x of the last of v's layers
+    (`_colorful_layers`), and each vertex before it the least neighbor
+    whose state, with the colors still free, is in the layer before.
+    """
+    layers = _colorful_layers(adj, k, bit, (v,))
     seq = [min(layers.pop())[0]]
     mask = (1 << k) - 1
     while layers:
@@ -412,7 +424,7 @@ def _least_colorful_from(adj, k, bit, v):
     return tuple(reversed(seq))
 
 
-def _color_coding_trial(live, order, colors):
+def _color_coding_trial(live, order, colors, limit):
     """One color-coding trial: the path the colorful-path DP would return.
 
     live is the LivePaths of g[alive] at k and order the alive vertices
@@ -420,25 +432,35 @@ def _color_coding_trial(live, order, colors):
     The DP keeps, for each (vertex, color set) state, its lexicographically
     least colorful sequence, and returns the one ending at the least vertex
     v* that ends any colorful k-sequence, made canonical. v* is the least
-    first vertex of a colorful canonical path, so the scan of live in
-    walker order stops at the first path whose color bits sum to 2^k - 1,
-    reading live no further; the rest is a search from v*
-    (`_least_colorful_from`). Returns a verified k-path or None.
+    first vertex of a colorful canonical path, so the first path of live,
+    in walker order, whose color bits sum to 2^k - 1 starts at v*.
+
+    The scan reads live only as far as that path, and at most limit paths.
+    A scan that ends at the last path of g[alive] is a miss; one that stops
+    at limit leaves v* to the DP's forward pass (`_colorful_layers`). The
+    rest is a search from v* (`_least_colorful_from`). Returns a verified
+    k-path or None.
     """
     g, k = live.g, live.k
     full = (1 << k) - 1
-    bit = dict(zip(order, map([1 << c for c in range(k)].__getitem__, colors)))
-    code = itertools.repeat(bit.__getitem__)
-
-    def colorful(paths):
-        return map(full.__eq__, map(sum, map(map, code, paths)))
-
-    hit = next(itertools.compress(live.paths, colorful(live.paths)), None)
-    if hit is None and any(colorful(live.more())):
-        hit = live.paths[-1]
-    if hit is None:
+    bit = {v: 1 << c for v, c in zip(order, colors)}
+    scanned = 0
+    hit = None
+    for p in itertools.islice(itertools.chain(live.paths, live.more()), limit):
+        scanned += 1
+        if sum(map(bit.__getitem__, p)) == full:
+            hit = p
+            break
+    if hit is not None:
+        end = hit[0]
+    elif scanned < limit:
         return None
-    path = _least_colorful_from(g.adj, k, bit, hit[0])
+    else:
+        ends = _colorful_layers(g.adj, k, bit, bit)[-1]
+        if not ends:
+            return None
+        end = min(ends)[0]
+    path = _least_colorful_from(g.adj, k, bit, end)
     return path if is_k_path(g, path, k) else None
 
 
@@ -455,21 +477,29 @@ def find_k_path(
     in that order, so both return the same path. Each trial returns the
     path the colorful-path DP would (see `_color_coding_trial`): it scans
     the k-paths of g[alive] in walker order, read lazily, for the first
-    colorful one. paths, a LivePaths of g at k that the caller keeps, is
-    that list, given in place of alive, which is then its alive set; without
-    it a LivePaths of g[alive] is made for this call. Any returned path is
-    verified, so only
-    "None" can be wrong. With a draws dict (see `_trial_colors`) kept
-    across calls at one k and seed, each stream is drawn once and later
-    calls on fewer vertices reuse its prefix. Raises LimitExceeded before
-    the first trial when trials * 2^k * |alive| exceeds COLOR_CODING_GUARD,
-    the budget of the DP, kept so that the same calls are refused.
+    colorful one, and runs the DP's forward pass only if the first
+    max(SCAN_HITS * k^k / k!, |alive|) paths hold none. A uniformly colored
+    k-path is colorful with probability k!/k^k, and the DP touches every
+    alive vertex, so neither a trial's work nor the list grows with the
+    number of k-paths. paths, a LivePaths of g at k that the caller keeps, is
+    that list, given to color coding in place of alive, which is then its
+    alive set; without it a LivePaths of g[alive] is made for this call.
+    Any returned path is verified, so only "None" can be wrong. With a
+    draws dict (see `_trial_colors`) kept across calls at one k and seed,
+    each stream is drawn once and later calls on fewer vertices reuse its
+    prefix. Raises LimitExceeded before the first trial when
+    trials * 2^k * |alive| exceeds COLOR_CODING_GUARD, the budget of the
+    DP, kept so that the same calls are refused.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if strategy not in ("exhaustive", "color-coding"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if paths is not None:
-        if paths.g is not g or paths.k != k or alive is not None:
-            raise ValueError("paths must be a LivePaths of g at k, given without alive")
+        if strategy != "color-coding" or paths.g is not g or paths.k != k or alive is not None:
+            raise ValueError(
+                "paths must be a LivePaths of g at k, given to color coding without alive"
+            )
         alive = paths.alive
     elif alive is None:
         alive = g.vertices()
@@ -477,8 +507,6 @@ def find_k_path(
         g._check_subset(alive)
     if strategy == "exhaustive":
         return first_k_path(g, k, alive)
-    if strategy != "color-coding":
-        raise ValueError(f"unknown strategy {strategy!r}")
     if trials is None:
         trials = default_trials(k)
     if trials < 1:
@@ -490,8 +518,9 @@ def find_k_path(
             f"color coding at k={k}, n={n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
     live = LivePaths(g, k, alive) if paths is None else paths
+    limit = max(-(-SCAN_HITS * k**k // math.factorial(k)), n)
     for t in range(trials):
-        got = _color_coding_trial(live, order, _trial_colors(k, seed + t, n, draws))
+        got = _color_coding_trial(live, order, _trial_colors(k, seed + t, n, draws), limit)
         if got is not None:
             return got
     return None

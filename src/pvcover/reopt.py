@@ -17,7 +17,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyFamily, FamilyPropertyViolated, LimitExceeded, SizeLimitExceeded
+from .errors import (
+    EmptyFamily,
+    FamilyPropertyViolated,
+    LimitExceeded,
+    SizeLimitExceeded,
+    UnsupportedInstance,
+)
 from .graph import (
     Graph,
     InsertionPatch,
@@ -47,8 +53,9 @@ class ReoptInstance:
     @classmethod
     def create(cls, g_old, patch, old_opt, k):
         """Apply the patch and check that old_opt, a solution of g_old, covers
-        it at k. A CoverSolution's feasible flag is a verdict at its own k,
-        so g_old is walked only when old_opt was checked at another k.
+        it at k, else UnsupportedInstance. A CoverSolution's feasible flag
+        is a verdict at its own k, so g_old is walked only when old_opt was
+        checked at another k.
         """
         g_new = apply_patch(g_old, patch)
         if old_opt.k == k:
@@ -56,7 +63,7 @@ class ReoptInstance:
         else:
             feasible = covers_all_k_paths(g_old, old_opt.vertices, k)
         if not feasible:
-            raise ValueError("old solution is not feasible for the old graph")
+            raise UnsupportedInstance("old solution is not feasible for the old graph")
         return cls(g_old=g_old, patch=patch, g_new=g_new, old_opt=old_opt, k=k)
 
     def added_ids(self):
@@ -235,7 +242,7 @@ def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):
 def wtd_3path(inst: ReoptInstance, oracle: ApproxOracle, mode="corrected", seed=0):
     """1.5-approximation (with a 2-ratio oracle) for k=3 reoptimization."""
     if inst.k != 3:
-        raise ValueError("wtd_3path requires k = 3")
+        raise UnsupportedInstance("wtd_3path requires k = 3")
     family = good_family_3pvcp(inst.g_new, inst.patch, mode=mode)
     return construct_sol(inst, family, oracle, seed=seed)
 
@@ -318,7 +325,7 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
 def wtd_kpath(inst: ReoptInstance, oracle: ApproxOracle, cap_mode="corrected", seed=0):
     """(2 - 1/rho)-approximation for k >= 4 reoptimization."""
     if inst.k < 4:
-        raise ValueError("wtd_kpath requires k >= 4")
+        raise UnsupportedInstance("wtd_kpath requires k >= 4")
     family = construct_f(inst.g_new, inst.added_ids(), inst.k, cap_mode=cap_mode)
     return construct_sol(inst, family, oracle, seed=seed)
 

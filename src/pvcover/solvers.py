@@ -187,8 +187,9 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     deleted vertex; its head is the walker's first path of g[left], and the
     loop ends when it has none, so that verdict is the feasible flag. While
     more than EXHAUSTIVE_N vertices are left and k > 3, color coding
-    (seeded by seed) picks the path from that list; on a miss, and outside
-    that regime, the head is used.
+    (seeded by seed) picks the path from that list, reading it no further
+    than each trial's scan limit (see `find_k_path`); on a miss, and
+    outside that regime, the head is used.
 
     Every round reruns trials 0, 1, ... from the same seeds on one vertex
     fewer, so a round's coloring for trial t is a prefix of the stream an

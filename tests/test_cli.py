@@ -449,9 +449,9 @@ _BENCH_ALGS = st.lists(
 
 
 _GEN_SIZES = st.sampled_from(["6", "2", "0", "1", "30", "-1"])
-_EDGE_TARGETS = st.tuples(st.just("-m"), st.sampled_from(["3", "0", "12", "1000", "-1"])) | st.tuples(
-    st.just("--density"), st.sampled_from(["0.3", "0", "1", "1.5", "nan", "-0.5"])
-)
+_EDGE_TARGETS = st.tuples(
+    st.just("-m"), st.sampled_from(["3", "0", "12", "1000", "-1"])
+) | st.tuples(st.just("--density"), st.sampled_from(["0.3", "0", "1", "1.5", "nan", "-0.5"]))
 # accepted values come first and most often, so that most runs get past the checks
 _PROBS = st.sampled_from(["0.3", "0", "0.5", "1", "-1", "2", "nan"])
 _DEGREE_CAPS = st.sampled_from(

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import pvcover.harness
 from pvcover import (
     Graph,
     incremental_build,
@@ -128,3 +129,15 @@ def test_bench_reopt_algorithms(tmp_path):
     rows = bench(tmp_path, 3, algorithms=("reopt-w3",))
     assert len(rows) == 1 and rows[0][2] == "ok"
     assert rows[0][4].feasible
+    rows = bench(tmp_path, 3, algorithms=("reopt-wk", "greedy"))
+    assert [row[2:4] for row in rows] == [("error", "wtd_kpath requires k >= 4"), ("ok", None)]
+
+
+def test_bench_fails_on_an_error_outside_the_package_errors(tmp_path, monkeypatch):
+    def broken(*args, **kw):
+        raise ValueError("min() arg is an empty sequence")
+
+    _write_suite(tmp_path, 1)
+    monkeypatch.setattr(pvcover.harness, "_run_algorithm", broken)
+    with pytest.raises(ValueError, match="empty sequence"):
+        bench(tmp_path, 3, algorithms=("greedy",))

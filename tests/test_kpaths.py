@@ -327,7 +327,8 @@ def color_coding_trials(draw):
     The list starts on a superset of alive, reads some of its paths and
     then loses the extra vertices one by one, so it holds a partly read
     prefix and resumes its walk after a deleted path. A constant coloring,
-    which misses, is the simplest draw.
+    which misses, is the simplest draw. Each coloring comes with the most
+    paths its trial may scan; 0 leaves every trial to the DP's forward pass.
     """
     n = draw(st.integers(1, 12))
     density = draw(st.sampled_from([0.2, 0.4, 0.7]))
@@ -345,7 +346,8 @@ def color_coding_trials(draw):
         for _ in zip(range(draw(st.integers(0, 3))), live.more()):
             pass
     colorings = st.lists(st.integers(0, k - 1), min_size=len(alive), max_size=len(alive))
-    return g, k, alive, live, draw(st.lists(colorings, min_size=1, max_size=3))
+    trials = st.tuples(colorings, st.integers(0, 60))
+    return g, k, alive, live, draw(st.lists(trials, min_size=1, max_size=3))
 
 
 @settings(max_examples=300)
@@ -354,9 +356,12 @@ def test_color_coding_scan_matches_the_dp_trial_by_trial(trial):
     g, k, alive, live, colorings = trial
     order = sorted(alive)
     fresh = list(_walk(g, k, alive))
-    for colors in colorings:
+    for colors, limit in colorings:
         assert live.paths == fresh[: len(live.paths)]
-        assert _color_coding_trial(live, order, colors) == colorful_path_dp(g, k, order, colors)
+        held = len(live.paths)
+        want = colorful_path_dp(g, k, order, colors)
+        assert _color_coding_trial(live, order, colors, limit) == want
+        assert len(live.paths) <= max(held, limit)
     for _ in live.more():
         pass
     assert live.paths == fresh
@@ -375,7 +380,8 @@ def test_walk_resumes_after_a_path_on_fewer_vertices():
                 assert list(_walk(g, k, fewer, after=after)) == want, (seed, k, after)
 
 
-def test_color_coding_scan_hits_and_misses_like_the_dp():
+@pytest.mark.parametrize("limit", [0, 5, 10**9], ids=["dp", "short-scan", "full-scan"])
+def test_color_coding_scan_hits_and_misses_like_the_dp(limit):
     outcomes = set()
     for g, alive, k, seed in alive_cases():
         order = sorted(alive)
@@ -384,7 +390,7 @@ def test_color_coding_scan_hits_and_misses_like_the_dp():
             rng = random.Random(seed + t)
             colors = [rng.randrange(k) for _ in order]
             want = colorful_path_dp(g, k, order, colors)
-            assert _color_coding_trial(live, order, colors) == want
+            assert _color_coding_trial(live, order, colors, limit) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}
 
@@ -394,7 +400,12 @@ def test_find_k_path_takes_a_live_list_of_its_own_graph_and_k(path4):
     # six trials at seed 0 miss the one 3-path of g[{1, 2, 3}], the seventh finds it
     for trials, want in ((6, None), (7, (1, 2, 3))):
         assert find_k_path(path4, 3, strategy="color-coding", trials=trials, paths=live) == want
-    assert find_k_path(path4, 3, strategy="exhaustive", paths=live) == (1, 2, 3)
-    for g, k, alive in ((path4, 4, None), (Graph.build(4, []), 3, None), (path4, 3, {1, 2, 3})):
+    cases = (
+        (path4, 4, None, "color-coding"),
+        (Graph.build(4, []), 3, None, "color-coding"),
+        (path4, 3, {1, 2, 3}, "color-coding"),
+        (path4, 3, None, "exhaustive"),
+    )
+    for g, k, alive, strategy in cases:
         with pytest.raises(ValueError, match="LivePaths of g at k"):
-            find_k_path(g, k, strategy="color-coding", alive=alive, paths=live)
+            find_k_path(g, k, strategy=strategy, alive=alive, paths=live)

@@ -26,6 +26,7 @@ from pvcover import (
     solve_exact,
 )
 from pvcover.errors import LimitExceeded, SizeLimitExceeded
+from pvcover.kpaths import LivePaths
 
 from conftest import random_graph
 
@@ -73,11 +74,11 @@ LIMITS = [
     ),
     pytest.param(
         pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
-        # greedy's lazily read list counts each path it reads once: (1, 2, 3),
+        lambda: list(LivePaths(PATH4, 3, {1, 2, 3, 4}).more()),
+        # the cap counts the paths a list holds: greedy's holds (1, 2, 3),
         # then (2, 3, 4) once vertex 1 is gone
-        lambda: greedy_approx(PATH4, 3),
-        lambda: greedy_approx(PATH3, 3).vertices == {1},
-        id="DEFAULT_PATH_CAP-greedy_approx",
+        lambda: greedy_approx(PATH4, 3).vertices == {1, 2},
+        id="DEFAULT_PATH_CAP-LivePaths",
     ),
     pytest.param(
         pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,

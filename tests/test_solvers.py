@@ -1,4 +1,5 @@
 import functools
+import random
 import sys
 
 import pytest
@@ -18,10 +19,11 @@ from pvcover import (
     oracle_registry,
     solve_exact,
 )
+import pvcover.kpaths
 from pvcover.errors import SizeLimitExceeded
-from pvcover.kpaths import EXHAUSTIVE_N
+from pvcover.kpaths import EXHAUSTIVE_N, default_trials
 
-from conftest import brute_optima, brute_opt_weight, random_graph
+from conftest import brute_optima, brute_opt_weight, colorful_path_dp, random_graph
 
 
 def test_exact_path_graph_canonical(path4):
@@ -112,7 +114,19 @@ def test_greedy_ratio_bound():
             assert sol.weight <= (g.n - k + 1) * max(brute_opt_weight(g, k), 0) or sol.weight == 0
 
 
-def reference_greedy(g, k, seed=0, alive=None, find=find_k_path):
+def dp_find_k_path(g, k, strategy, seed=0):
+    """find_k_path with each color-coding trial run by the colorful-path DP."""
+    if strategy == "exhaustive":
+        return find_k_path(g, k, strategy=strategy)
+    for t in range(default_trials(k)):
+        rng = random.Random(seed + t)
+        path = colorful_path_dp(g, k, g.vertices(), [rng.randrange(k) for _ in g.vertices()])
+        if path is not None:
+            return path
+    return None
+
+
+def reference_greedy(g, k, seed=0, alive=None, find=dp_find_k_path):
     """The earlier greedy loop: color coding first on every round, including
     the last, then an exhaustive search to confirm a "no path" answer."""
     start = frozenset(g.vertices() if alive is None else alive)
@@ -152,6 +166,21 @@ def test_greedy_matches_the_reference_loop():
     for g, k, seed, alive in greedy_cases():
         sol = greedy_approx(g, k, seed=seed, alive=alive)
         assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, seed, alive)
+
+
+def test_greedy_reads_a_bounded_list_when_a_trial_misses_among_many_k_paths(monkeypatch):
+    # a double star: centers 1 and 2 with 60 leaves each, so its 3,600
+    # 4-paths all run leaf, 1, 2, leaf; seed 0 colors 1 and 2 alike in
+    # trial 0, which has no colorful path. Its scan stops at the limit, so
+    # a path cap of 2n, far below the number of 4-paths, is never reached.
+    leaves = 60
+    edges = [(1, 2)] + [(1 + (v > leaves + 2), v) for v in range(3, 2 * leaves + 3)]
+    g = Graph.build(2 * leaves + 2, edges)
+    rng = random.Random(0)
+    assert rng.randrange(4) == rng.randrange(4)
+    monkeypatch.setattr(pvcover.kpaths, "DEFAULT_PATH_CAP", 2 * g.n)
+    sol = greedy_approx(g, 4, seed=0)
+    assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, 4, 0)
 
 
 def test_greedy_falls_back_to_the_walkers_path_on_a_color_coding_miss(monkeypatch):
