@@ -12,13 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    LimitExceeded,
-    MalformedPatch,
-    ParseError,
-    PvcError,
-    SizeLimitExceeded,
-)
+from .errors import LimitExceeded, ParseError, PvcError
 from .harness import bench, incremental_build, shuffled_order, verify
 from .instances import (
     GeneratorConfig,
@@ -232,10 +226,10 @@ def main(argv=None, stdout=None, stderr=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ParseError, MalformedPatch) as exc:
+    except ParseError as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (LimitExceeded, SizeLimitExceeded) as exc:
+    except LimitExceeded as exc:
         err.write(f"limit exceeded: {exc}\n")
         return EXIT_LIMIT
     except (PvcError, ValueError, OSError) as exc:

@@ -9,10 +9,6 @@ class UnknownVertex(PvcError):
     pass
 
 
-class MalformedPatch(PvcError):
-    pass
-
-
 class EmptyRootSet(PvcError):
     pass
 
@@ -21,7 +17,7 @@ class LimitExceeded(PvcError):
     """An enumeration guard (path count, family size, state count) was hit."""
 
 
-class SizeLimitExceeded(PvcError):
+class SizeLimitExceeded(LimitExceeded):
     """An exact/enumeration routine was asked to run beyond its size guard."""
 
 
@@ -47,6 +43,10 @@ class ParseError(PvcError):
 
 class WeightMismatch(ParseError):
     """A solution file's stated weight differs from the recomputed one."""
+
+
+class MalformedPatch(ParseError):
+    """A patch that does not fit the graph it is applied to."""
 
 
 class InfeasibleConfig(PvcError):

@@ -153,9 +153,6 @@ class BfsForest:
     levels: tuple  # tuple of tuples, ascending ids within each level
     level_of: dict = field(compare=False)  # vertex -> 1-based level, reached only
 
-    def reached(self):
-        return frozenset(self.level_of)
-
 
 def apply_patch(g_old: Graph, patch: InsertionPatch) -> Graph:
     """Insert the patch graph into g_old, returning the new graph."""

@@ -150,12 +150,14 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     unknown name, or a suite_dir that is not a directory, is a ValueError
     before the suite is read. The suite holds <name>.graph files with
     optional companion <name>.patch and <name>.sol files (used by the
-    reopt algorithms). Yields one RunReport per
-    (instance, algorithm) in instance order; timeouts, parse errors and
-    the errors of one run (a `PvcError`, such as `UnsupportedInstance` for
-    a reopt algorithm at a k it does not take or an old cover that does not
-    cover its graph at k) become report rows rather than failures, and
-    every other row is kept; any other exception is a failure. A k below 2
+    reopt algorithms). Returns a list of (name, algorithm, status, detail,
+    report) rows, one per (instance, algorithm) in instance order; report
+    is a RunReport on an `ok` row and None on every other. Timeouts, parse
+    errors and the errors of one run (a `PvcError`, such as
+    `UnsupportedInstance` for a reopt algorithm at a k it does not take or
+    an old cover that does not cover its graph at k) become rows rather
+    than failures, and every other row is kept; any other exception is a
+    failure. A k below 2
     is a ValueError before the suite is read. A timeout_sec of None means
     no limit, one of 0 or less marks every row a timeout, and NaN is a
     ValueError before the suite is read.

@@ -4,26 +4,27 @@ A k-path is stored as a tuple of k distinct vertex ids with consecutive pairs
 adjacent, in canonical orientation: first endpoint < last endpoint. One
 iterative depth-first walker answers every exhaustive question over a graph
 and an alive vertex set, the k-paths of g[alive], without building that
-subgraph: enumeration, detection (`has_k_path(g, k, alive)`), coverage (the
-alive set is the complement of the cover) and the first path
-(`first_k_path`). The walker is the deterministic oracle and decides
-whether a k-path exists. Its focus mode (`has_k_path_through`,
-`k_paths_through`) yields only the k-paths of g[alive] that meet a focus
-set: it grows two arms from each focus vertex and drops that vertex from
-the free set once it is done, so each such path comes out once and the work
-follows the paths near the focus, not the whole of g[alive]. The walker
-can also resume just after a given path (`_walk(after=)`).
+subgraph: enumeration, detection (`has_k_path(g, k, alive)`) and coverage
+(the alive set is the complement of the cover). The walker is the
+deterministic oracle and decides whether a k-path exists. Its focus mode
+(`has_k_path_through`, `k_paths_through`) yields only the k-paths of
+g[alive] that meet a focus set: it grows two arms from each focus vertex
+and drops that vertex from the free set once it is done, so each such path
+comes out once and the work follows the paths near the focus, not the
+whole of g[alive]. The walker can also resume just after a given path
+(`_walk(after=)`).
 
 A `LivePaths` is the walker's list of g[alive], read only as far as a
 caller asks and shrunk by each vertex it loses; its next read resumes the
 walk of the smaller g[alive] after the last path read, so it stays a prefix
-of a fresh walk's list. Color coding is a randomized path picker over it,
-with one-sided error: a path it returns is verified, but "None" may be a
-miss, so a caller that must know asks the walker and keeps its path as the
-fallback. A trial gives the path the colorful-path DP of Alon, Yuster and
-Zwick would: the first colorful path of the list marks the DP's end
-vertex, and a search from that vertex under the coloring gives the DP's
-sequence. The scan reads a bounded prefix of the list; when that prefix
+of a fresh walk's list. `find_k_path` reads one such list, given or made
+for the call: exhaustive search returns its first path, and color coding
+is a randomized path picker over it, with one-sided error: a path it
+returns is verified, but "None" may be a miss, so a caller that must know
+asks the walker and keeps its path as the fallback. A trial gives the
+path the colorful-path DP of Alon, Yuster and Zwick would: the first
+colorful path of the list marks the DP's end vertex, and a search from
+that vertex under the coloring gives the DP's sequence. The scan reads a bounded prefix of the list; when that prefix
 holds no colorful path, the DP's forward pass finds the end vertex, so a
 trial's reads stay near the DP's cost however many k-paths there are.
 
@@ -48,7 +49,6 @@ from .graph import Graph
 
 DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
-EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
 SCAN_HITS = 3  # a color-coding trial scans this many times k^k/k! paths before the DP
 
@@ -127,16 +127,6 @@ def _walk(g: Graph, k, alive, after=None):
                 for w in adj[u - 1]:
                     if w > start and w in free:
                         yield (*path, u, w)
-
-
-def first_k_path(g: Graph, k, alive):
-    """The lexicographically first k-path of g[alive], or None.
-
-    alive is a set of vertex ids of g and is not checked. The first sequence
-    the walker yields is canonical: its reverse is also a valid sequence and
-    compares larger.
-    """
-    return next(_walk(g, k, alive), None)
 
 
 def _arms(adj, free, root, lo, hi):
@@ -300,7 +290,7 @@ def has_k_path(g: Graph, k, alive=None) -> bool:
         g._check_subset(alive)
     if k <= 3:
         return any(len(alive.intersection(g.adj[v - 1])) >= k - 1 for v in alive)
-    return first_k_path(g, k, alive) is not None
+    return next(_walk(g, k, alive), None) is not None
 
 
 def covers_all_k_paths(g: Graph, s, k) -> bool:
@@ -322,19 +312,17 @@ def default_trials(k):
         raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
 
-def _trial_colors(k, s, n, draws):
-    """The first n values of the stream Random(s).randrange(k).
+def _trial_colors(live, s, n):
+    """The first n or more values of the stream Random(s).randrange(live.k).
 
-    draws, a dict the caller may keep across calls or None, maps (k, s) to
-    the longest prefix of that stream drawn so far, so a later call that
-    needs no more values draws none.
+    live.streams maps s to the prefix drawn by the first call on the list.
+    A list's alive set only shrinks, so that call asked for the most
+    values, and later calls draw none.
     """
-    drawn = None if draws is None else draws.get((k, s))
-    if drawn is None or len(drawn) < n:
+    drawn = live.streams.get(s)
+    if drawn is None:
         rng = random.Random(s)
-        drawn = [rng.randrange(k) for _ in range(n)]
-        if draws is not None:
-            draws[(k, s)] = drawn
+        drawn = live.streams[s] = [rng.randrange(live.k) for _ in range(n)]
     return drawn
 
 
@@ -347,16 +335,18 @@ class LivePaths:
     (`_walk(after=)`). A deletion creates no path, so `paths` is always a
     prefix of what a fresh walk of g[alive] yields. alive is not checked.
     A read that would make `paths` longer than DEFAULT_PATH_CAP raises
-    LimitExceeded.
+    LimitExceeded. `streams` keeps the color streams that color coding has
+    drawn on this list, keyed by stream seed (`_trial_colors`).
     """
 
-    __slots__ = ("g", "k", "alive", "paths", "_walker", "_last", "_done")
+    __slots__ = ("g", "k", "alive", "paths", "streams", "_walker", "_last", "_done")
 
     def __init__(self, g: Graph, k, alive):
         self.g = g
         self.k = k
         self.alive = set(alive)
         self.paths = []
+        self.streams = {}
         self._walker = None
         self._last = None
         self._done = False
@@ -464,30 +454,31 @@ def _color_coding_trial(live, order, colors, limit):
     return path if is_k_path(g, path, k) else None
 
 
-def find_k_path(
-    g: Graph, k, *, strategy, trials=None, seed=0, alive=None, draws=None, paths=None
-):
-    """Find one k-path of g[alive] (all of g when alive is None); strategy
-    is "exhaustive" or "color-coding".
+def find_k_path(g: Graph, k, *, strategy, seed=0, paths=None):
+    """Find one k-path of g[alive]; strategy is "exhaustive" or
+    "color-coding".
 
-    exhaustive: lexicographically first k-path or None, never errs.
-    color-coding: random trials with derived seeds; trial t colors the
-    alive vertices in ascending id order from Random(seed + t).randrange(k),
-    which are the colors it gives the subgraph induced by alive, relabeled
-    in that order, so both return the same path. Each trial returns the
-    path the colorful-path DP would (see `_color_coding_trial`): it scans
-    the k-paths of g[alive] in walker order, read lazily, for the first
-    colorful one, and runs the DP's forward pass only if the first
+    paths, a LivePaths of g at k that the caller keeps, names g[alive] and
+    is the list both strategies read; without it a LivePaths of all of g
+    is made for this call.
+
+    exhaustive: the list's first path, the lexicographically first k-path
+    of g[alive], or None; never errs.
+
+    color-coding: default_trials(k) random trials with derived seeds; trial
+    t colors the alive vertices in ascending id order from
+    Random(seed + t).randrange(k), which are the colors it gives the
+    subgraph induced by alive, relabeled in that order, so both return the
+    same path. Each trial returns the path the colorful-path DP would (see
+    `_color_coding_trial`): it scans the list for the first colorful path,
+    and runs the DP's forward pass only if the first
     max(SCAN_HITS * k^k / k!, |alive|) paths hold none. A uniformly colored
     k-path is colorful with probability k!/k^k, and the DP touches every
     alive vertex, so neither a trial's work nor the list grows with the
-    number of k-paths. paths, a LivePaths of g at k that the caller keeps, is
-    that list, given to color coding in place of alive, which is then its
-    alive set; without it a LivePaths of g[alive] is made for this call.
-    Any returned path is verified, so only "None" can be wrong. With a
-    draws dict (see `_trial_colors`) kept across calls at one k and seed,
-    each stream is drawn once and later calls on fewer vertices reuse its
-    prefix. Raises LimitExceeded before the first trial when
+    number of k-paths. The list keeps each stream it is colored from, so
+    later calls on it, at one seed, draw none twice and reuse its prefix
+    once it has lost vertices. Any returned path is verified, so only
+    "None" can be wrong. Raises LimitExceeded before the first trial when
     trials * 2^k * |alive| exceeds COLOR_CODING_GUARD, the budget of the
     DP, kept so that the same calls are refused.
     """
@@ -495,32 +486,22 @@ def find_k_path(
         raise ValueError("k must be at least 2")
     if strategy not in ("exhaustive", "color-coding"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if paths is not None:
-        if strategy != "color-coding" or paths.g is not g or paths.k != k or alive is not None:
-            raise ValueError(
-                "paths must be a LivePaths of g at k, given to color coding without alive"
-            )
-        alive = paths.alive
-    elif alive is None:
-        alive = g.vertices()
-    else:
-        g._check_subset(alive)
+    if paths is None:
+        paths = LivePaths(g, k, g.vertices())
+    elif paths.g is not g or paths.k != k:
+        raise ValueError("paths must be a LivePaths of g at k")
     if strategy == "exhaustive":
-        return first_k_path(g, k, alive)
-    if trials is None:
-        trials = default_trials(k)
-    if trials < 1:
-        raise ValueError("color coding needs at least one trial")
-    order = sorted(alive)
+        return paths.first()
+    trials = default_trials(k)
+    order = sorted(paths.alive)
     n = len(order)
     if trials * (1 << k) * n > COLOR_CODING_GUARD:
         raise LimitExceeded(
             f"color coding at k={k}, n={n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
-    live = LivePaths(g, k, alive) if paths is None else paths
     limit = max(-(-SCAN_HITS * k**k // math.factorial(k)), n)
     for t in range(trials):
-        got = _color_coding_trial(live, order, _trial_colors(k, seed + t, n, draws), limit)
+        got = _color_coding_trial(paths, order, _trial_colors(paths, seed + t, n), limit)
         if got is not None:
             return got
     return None

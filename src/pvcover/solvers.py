@@ -14,16 +14,11 @@ from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
-from .kpaths import (
-    EXHAUSTIVE_N,
-    LivePaths,
-    PathIndex,
-    covers_all_k_paths,
-    find_k_path,
-)
+from .kpaths import LivePaths, PathIndex, covers_all_k_paths, find_k_path
 
 EXACT_SIZE_LIMIT = 24
 ENUMERATE_SIZE_LIMIT = 14
+EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,6 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         if weight >= best[0][0]:
             return
         for v in paths[i]:
-            if v in chosen:
-                continue
             chosen.add(v)
             branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1], i + 1)
             chosen.remove(v)
@@ -193,7 +186,7 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
 
     Every round reruns trials 0, 1, ... from the same seeds on one vertex
     fewer, so a round's coloring for trial t is a prefix of the stream an
-    earlier round drew. One draws dict, owned by this call, keeps each
+    earlier round drew. The LivePaths, owned by this call, keeps each
     stream, and each is drawn once per call.
     """
     if k < 2:
@@ -202,10 +195,9 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     g._check_subset(start)
     live = LivePaths(g, k, start)
     cover = set()
-    draws = {}
     while (p := live.first()) is not None:
         if len(live.alive) > EXHAUSTIVE_N and k > 3:
-            found = find_k_path(g, k, strategy="color-coding", seed=seed, draws=draws, paths=live)
+            found = find_k_path(g, k, strategy="color-coding", seed=seed, paths=live)
             if found is not None:
                 p = found
         vm = min(p, key=lambda v: (g.weights[v - 1], v))

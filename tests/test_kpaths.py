@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvcover.kpaths
 from pvcover import (
     Graph,
     PathIndex,
@@ -26,6 +27,16 @@ from pvcover.kpaths import (
 )
 
 from conftest import brute_covers, colorful_path_dp, perm_k_paths, random_graph
+
+
+@pytest.fixture
+def few_trials(monkeypatch):
+    """Set color coding's trial budget, which no caller sets, for a test."""
+
+    def set_trials(trials):
+        monkeypatch.setattr(pvcover.kpaths, "default_trials", lambda k: trials)
+
+    return set_trials
 
 
 def test_enumerate_path_graph(path4):
@@ -73,15 +84,17 @@ def test_k3_shortcut_is_dissociation_characterization():
         assert covers_all_k_paths(g, s, 3) == brute_covers(g, s, 3)
 
 
-def test_find_exhaustive_unique_path(path4):
+def test_find_exhaustive_unique_path(path4, few_trials):
     assert find_k_path(path4, 4, strategy="exhaustive") == (1, 2, 3, 4)
-    assert find_k_path(path4, 4, strategy="color-coding", trials=50, seed=1) == (1, 2, 3, 4)
+    few_trials(50)
+    assert find_k_path(path4, 4, strategy="color-coding", seed=1) == (1, 2, 3, 4)
 
 
-def test_find_none_in_star():
+def test_find_none_in_star(few_trials):
     star = Graph.build(4, [(1, 2), (2, 3), (2, 4)])
     assert find_k_path(star, 4, strategy="exhaustive") is None
-    assert find_k_path(star, 4, strategy="color-coding", trials=30, seed=0) is None
+    few_trials(30)
+    assert find_k_path(star, 4, strategy="color-coding", seed=0) is None
 
 
 def test_five_cycle_has_five_5paths():
@@ -103,13 +116,14 @@ def test_exhaustive_agrees_with_enumeration():
                 assert p is None
 
 
-def test_color_coding_one_sided():
+def test_color_coding_one_sided(few_trials):
     # never returns a path when none exists; returned paths are genuine
+    few_trials(20)
     hits = 0
     for seed in range(60):
         g = random_graph(seed, 10)
         paths = enumerate_k_paths(g, 4)
-        got = find_k_path(g, 4, strategy="color-coding", trials=20, seed=seed)
+        got = find_k_path(g, 4, strategy="color-coding", seed=seed)
         if got is not None:
             assert got in paths
             hits += 1
@@ -121,8 +135,8 @@ def test_color_coding_one_sided():
 
 def test_color_coding_deterministic_per_seed():
     g = random_graph(3, 12, m=16)
-    a = find_k_path(g, 4, strategy="color-coding", trials=30, seed=42)
-    b = find_k_path(g, 4, strategy="color-coding", trials=30, seed=42)
+    a = find_k_path(g, 4, strategy="color-coding", seed=42)
+    b = find_k_path(g, 4, strategy="color-coding", seed=42)
     assert a == b
 
 
@@ -150,46 +164,55 @@ def reference_color_coding(g, k, trials, seed):
     return None
 
 
-def test_color_coding_matches_the_reference_loop():
+def test_color_coding_matches_the_reference_loop(few_trials):
+    few_trials(3)
     for g, alive, k, seed in alive_cases():
         sub, _ = induced_subgraph(g, alive)
         want = reference_color_coding(sub, k, 3, seed)
-        assert find_k_path(sub, k, strategy="color-coding", trials=3, seed=seed) == want
+        assert find_k_path(sub, k, strategy="color-coding", seed=seed) == want
 
 
-def test_color_coding_on_alive_matches_the_relabeled_subgraph():
+def test_color_coding_on_alive_matches_the_relabeled_subgraph(few_trials):
     # coloring alive in ascending id order is the coloring of the copy
+    few_trials(3)
     outcomes = set()
     for g, alive, k, seed in alive_cases():
         sub, orig = induced_subgraph(g, alive)
-        want = find_k_path(sub, k, strategy="color-coding", trials=3, seed=seed)
-        got = find_k_path(g, k, strategy="color-coding", trials=3, seed=seed, alive=alive)
+        want = find_k_path(sub, k, strategy="color-coding", seed=seed)
+        live = LivePaths(g, k, alive)
+        got = find_k_path(g, k, strategy="color-coding", seed=seed, paths=live)
         assert got == (None if want is None else tuple(orig[v - 1] for v in want))
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
 
-def test_reused_draws_give_the_fresh_answer():
-    # a shared draws dict, asked for shorter and then longer prefixes
-    draws = {}
+def test_a_reused_list_gives_the_fresh_answer(few_trials):
+    # one list per case, asked again after losing its least and then its
+    # largest alive vertex, so its kept streams serve shorter prefixes
+    few_trials(4)
+    lists = []
     for g, alive, k, seed in alive_cases():
-        for part in (alive, frozenset(sorted(alive)[1:]), frozenset(g.vertices())):
-            fresh = find_k_path(g, k, strategy="color-coding", trials=4, seed=seed, alive=part)
-            reused = find_k_path(
-                g, k, strategy="color-coding", trials=4, seed=seed, alive=part, draws=draws
-            )
-            assert reused == fresh
-    assert draws
-    for (k, s), drawn in draws.items():
-        rng = random.Random(s)
-        assert drawn == [rng.randrange(k) for _ in drawn]
+        live = LivePaths(g, k, alive)
+        for lost in (None, min(alive, default=None), max(alive, default=None)):
+            if lost is not None and lost in live.alive:
+                live.discard(lost)
+            fresh = LivePaths(g, k, live.alive)
+            want = find_k_path(g, k, strategy="color-coding", seed=seed, paths=fresh)
+            assert find_k_path(g, k, strategy="color-coding", seed=seed, paths=live) == want
+        lists.append(live)
+    assert any(live.streams for live in lists)
+    for live in lists:
+        for s, drawn in live.streams.items():
+            rng = random.Random(s)
+            assert drawn == [rng.randrange(live.k) for _ in drawn]
 
 
-def test_exhaustive_find_on_alive_is_the_first_path():
+def test_exhaustive_find_on_a_list_is_its_first_path():
     for g, alive, k, _ in alive_cases():
         paths = enumerate_k_paths(g, k, alive=alive)
-        got = find_k_path(g, k, strategy="exhaustive", alive=alive)
-        assert got == (paths[0] if paths else None)
+        live = LivePaths(g, k, alive)
+        got = find_k_path(g, k, strategy="exhaustive", paths=live)
+        assert got == (paths[0] if paths else None) == live.first()
 
 
 def test_default_trials_formula():
@@ -310,12 +333,8 @@ def test_color_coding_budget_is_guarded():
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
     with pytest.raises(LimitExceeded, match="exceeds guard"):
         find_k_path(g, 25, strategy="color-coding")
-    # an explicit small budget stays under the guard
-    assert find_k_path(g, 4, strategy="color-coding", trials=5, seed=0) is not None
-    # the guard counts alive vertices: 500 * 2^20 * 30 is over it, * 10 is not
-    with pytest.raises(LimitExceeded, match="exceeds guard"):
-        find_k_path(g, 20, strategy="color-coding", trials=500)
-    assert find_k_path(g, 20, strategy="color-coding", trials=500, alive=range(1, 11)) is None
+    # the default budget at k = 4 stays under the guard
+    assert find_k_path(g, 4, strategy="color-coding", seed=0) is not None
 
 
 @st.composite
@@ -395,17 +414,13 @@ def test_color_coding_scan_hits_and_misses_like_the_dp(limit):
     assert outcomes == {True, False}
 
 
-def test_find_k_path_takes_a_live_list_of_its_own_graph_and_k(path4):
+def test_find_k_path_takes_a_live_list_of_its_own_graph_and_k(path4, few_trials):
     live = LivePaths(path4, 3, {1, 2, 3})
     # six trials at seed 0 miss the one 3-path of g[{1, 2, 3}], the seventh finds it
     for trials, want in ((6, None), (7, (1, 2, 3))):
-        assert find_k_path(path4, 3, strategy="color-coding", trials=trials, paths=live) == want
-    cases = (
-        (path4, 4, None, "color-coding"),
-        (Graph.build(4, []), 3, None, "color-coding"),
-        (path4, 3, {1, 2, 3}, "color-coding"),
-        (path4, 3, None, "exhaustive"),
-    )
-    for g, k, alive, strategy in cases:
-        with pytest.raises(ValueError, match="LivePaths of g at k"):
-            find_k_path(g, k, strategy=strategy, alive=alive, paths=live)
+        few_trials(trials)
+        assert find_k_path(path4, 3, strategy="color-coding", paths=live) == want
+    for g, k in ((path4, 4), (Graph.build(4, []), 3)):
+        for strategy in ("exhaustive", "color-coding"):
+            with pytest.raises(ValueError, match="LivePaths of g at k"):
+                find_k_path(g, k, strategy=strategy, paths=live)

@@ -6,6 +6,7 @@ lowered limit raises and that a call within it still gives its answer.
 
 import pytest
 
+import pvcover.instances
 import pvcover.kpaths
 import pvcover.reopt
 import pvcover.solvers
@@ -18,6 +19,8 @@ from pvcover import (
     construct_f,
     enumerate_k_paths,
     enumerate_optima,
+    find_k_path,
+    gen_patch,
     good_family_3pvcp,
     greedy_approx,
     k_paths_through,
@@ -32,6 +35,7 @@ from conftest import random_graph
 
 PATH3 = Graph.build(3, [(1, 2), (2, 3)])
 PATH4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
+PATH30 = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
 # its 3-paths (1,2,3), (1,2,5), (2,3,4), (3,2,5) all meet 2; only (2,3,4) meets 4
 STAR = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
 
@@ -81,6 +85,15 @@ LIMITS = [
         id="DEFAULT_PATH_CAP-LivePaths",
     ),
     pytest.param(
+        # 252 trials at k = 4: 252 * 2^4 * 30 alive vertices is over 10^5, * 10 is not
+        pvcover.kpaths, "COLOR_CODING_GUARD", 10**5, LimitExceeded,
+        lambda: find_k_path(PATH30, 4, strategy="color-coding"),
+        lambda: find_k_path(
+            PATH30, 4, strategy="color-coding", paths=LivePaths(PATH30, 4, range(1, 11))
+        ) == (2, 3, 4, 5),
+        id="COLOR_CODING_GUARD-find_k_path",
+    ),
+    pytest.param(
         pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,
         lambda: solve_exact(random_graph(0, 10), 3),
         lambda: solve_exact(random_graph(0, 9), 3).feasible,
@@ -115,6 +128,13 @@ LIMITS = [
         lambda: construct_f(Graph.build(4, [(1, 2), (2, 3)]), {4}, 4),
         lambda: construct_f(Graph.build(3, [(1, 2)]), set(), 4).members == (frozenset(),),
         id="FAMILY_CAP-construct_f",
+    ),
+    pytest.param(
+        # c(c-1)/2 + c*n coins on PATH3: 7 for c = 2, 3 for c = 1
+        pvcover.instances, "PATCH_COIN_GUARD", 5, LimitExceeded,
+        lambda: gen_patch(PATH3, 2, 1.0, 1.0),
+        lambda: gen_patch(PATH3, 1, 1.0, 1.0).attachment_edges == ((1, 4), (2, 4), (3, 4)),
+        id="PATCH_COIN_GUARD-gen_patch",
     ),
 ]
 

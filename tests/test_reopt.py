@@ -476,6 +476,15 @@ def test_validate_whole_vertex_set(path4):
     assert report.property1_ok is False  # V is not an optimum here
 
 
+def test_validate_reports_a_property2_counterexample(path4):
+    # {4} meets the one 4-path, which touches va = {4}; the empty member misses it
+    fam = GoodFamily(members=(frozenset({4}), frozenset()), provenance=("", ""))
+    report = validate_good_family(path4, {4}, fam, 4)
+    assert report.property2_ok is False
+    assert report.property2_counterexample == (frozenset(), (1, 2, 3, 4))
+    assert report.property1_ok  # {4} is an optimum of the unit-weight path
+
+
 def test_family_members_pass_p2_both_modes():
     for seed in range(20):
         inst = random_reopt_instance(seed, n_new=9, k=3, c=2)

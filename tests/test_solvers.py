@@ -21,7 +21,8 @@ from pvcover import (
 )
 import pvcover.kpaths
 from pvcover.errors import SizeLimitExceeded
-from pvcover.kpaths import EXHAUSTIVE_N, default_trials
+from pvcover.kpaths import default_trials
+from pvcover.solvers import EXHAUSTIVE_N
 
 from conftest import brute_optima, brute_opt_weight, colorful_path_dp, random_graph
 
