@@ -23,10 +23,13 @@ is a randomized path picker over it, with one-sided error: a path it
 returns is verified, but "None" may be a miss, so a caller that must know
 asks the walker and keeps its path as the fallback. A trial gives the
 path the colorful-path DP of Alon, Yuster and Zwick would: the first
-colorful path of the list marks the DP's end vertex, and a search from
-that vertex under the coloring gives the DP's sequence. The scan reads a bounded prefix of the list; when that prefix
-holds no colorful path, the DP's forward pass finds the end vertex, so a
-trial's reads stay near the DP's cost however many k-paths there are.
+colorful path of the list marks the DP's end vertex, every colorful path
+from that vertex lies in the block of the list that starts there, and the
+one whose reversal is least is the DP's sequence. The scan reads a
+bounded prefix of the list; when that prefix cuts the block, a search
+from the end vertex under the coloring finishes it, and when it holds no
+colorful path, the DP's forward pass finds the end vertex, so a trial's
+reads stay near the DP's cost however many k-paths there are.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when a mask test first
@@ -335,8 +338,9 @@ class LivePaths:
     (`_walk(after=)`). A deletion creates no path, so `paths` is always a
     prefix of what a fresh walk of g[alive] yields. alive is not checked.
     A read that would make `paths` longer than DEFAULT_PATH_CAP raises
-    LimitExceeded. `streams` keeps the color streams that color coding has
-    drawn on this list, keyed by stream seed (`_trial_colors`).
+    LimitExceeded. `complete` tells whether `paths` is the whole list.
+    `streams` keeps the color streams that color coding has drawn on this
+    list, keyed by stream seed (`_trial_colors`).
     """
 
     __slots__ = ("g", "k", "alive", "paths", "streams", "_walker", "_last", "_done")
@@ -365,6 +369,13 @@ class LivePaths:
             self.paths.append(p)
             yield p
         self._done = True
+
+    @property
+    def complete(self):
+        """True once a read has reached the end of the walk, so that paths
+        holds every k-path of g[alive]. A complete list stays complete
+        after `discard`, because a deletion creates no path."""
+        return self._done
 
     def first(self):
         """The lexicographically first k-path of g[alive], or None."""
@@ -421,36 +432,49 @@ def _color_coding_trial(live, order, colors, limit):
     ascending; order[i] has color colors[i], and colors may run longer.
     The DP keeps, for each (vertex, color set) state, its lexicographically
     least colorful sequence, and returns the one ending at the least vertex
-    v* that ends any colorful k-sequence, made canonical. v* is the least
-    first vertex of a colorful canonical path, so the first path of live,
-    in walker order, whose color bits sum to 2^k - 1 starts at v*.
+    v* that ends any colorful k-sequence, made canonical: of the colorful
+    k-paths from v*, the one whose reversal is least. v* is the least first
+    vertex of a colorful canonical path, so the first path of live, in
+    walker order, whose color bits sum to 2^k - 1 starts at v*. A colorful
+    sequence from v* ends above v*, so each one is a canonical path that
+    starts at v*, and the walker lists those paths in one block.
 
-    The scan reads live only as far as that path, and at most limit paths.
-    A scan that ends at the last path of g[alive] is a miss; one that stops
-    at limit leaves v* to the DP's forward pass (`_colorful_layers`). The
-    rest is a search from v* (`_least_colorful_from`). Returns a verified
-    k-path or None.
+    One reader takes at most limit paths of live. It scans to the first
+    colorful path, then reads on through its block and returns the
+    block's colorful path whose reversal is least. A scan that ends at the
+    last path of g[alive] is a miss. When the reader stops at limit, the
+    search from v* (`_least_colorful_from`) finishes the block, and a scan
+    with no colorful path leaves v* to the DP's forward pass
+    (`_colorful_layers`). Returns a verified k-path or None.
     """
     g, k = live.g, live.k
     full = (1 << k) - 1
     bit = {v: 1 << c for v, c in zip(order, colors)}
+    color_bit = bit.__getitem__
+    reader = enumerate(itertools.islice(itertools.chain(live.paths, live.more()), limit), 1)
     scanned = 0
     hit = None
-    for p in itertools.islice(itertools.chain(live.paths, live.more()), limit):
-        scanned += 1
-        if sum(map(bit.__getitem__, p)) == full:
+    for scanned, p in reader:
+        if sum(map(color_bit, p)) == full:
             hit = p
             break
     if hit is not None:
-        end = hit[0]
+        path = hit
+        for scanned, p in reader:
+            if p[0] != hit[0]:
+                break
+            if sum(map(color_bit, p)) == full and p[::-1] < path[::-1]:
+                path = p
+        else:
+            if scanned == limit:  # the block may go on past the reader
+                path = _least_colorful_from(g.adj, k, bit, hit[0])
     elif scanned < limit:
         return None
     else:
         ends = _colorful_layers(g.adj, k, bit, bit)[-1]
         if not ends:
             return None
-        end = min(ends)[0]
-    path = _least_colorful_from(g.adj, k, bit, end)
+        path = _least_colorful_from(g.adj, k, bit, min(ends)[0])
     return path if is_k_path(g, path, k) else None
 
 
@@ -470,9 +494,11 @@ def find_k_path(g: Graph, k, *, strategy, seed=0, paths=None):
     Random(seed + t).randrange(k), which are the colors it gives the
     subgraph induced by alive, relabeled in that order, so both return the
     same path. Each trial returns the path the colorful-path DP would (see
-    `_color_coding_trial`): it scans the list for the first colorful path,
-    and runs the DP's forward pass only if the first
-    max(SCAN_HITS * k^k / k!, |alive|) paths hold none. A uniformly colored
+    `_color_coding_trial`): it scans the list for the first colorful path
+    and reads on through the paths that share its first vertex, reading
+    at most max(SCAN_HITS * k^k / k!, |alive|) paths. It runs the search
+    from that vertex only if the limit cuts those paths, and the DP's
+    forward pass only if the paths read hold no colorful one. A uniformly colored
     k-path is colorful with probability k!/k^k, and the DP touches every
     alive vertex, so neither a trial's work nor the list grows with the
     number of k-paths. The list keeps each stream it is colored from, so

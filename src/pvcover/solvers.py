@@ -182,7 +182,12 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     more than EXHAUSTIVE_N vertices are left and k > 3, color coding
     (seeded by seed) picks the path from that list, reading it no further
     than each trial's scan limit (see `find_k_path`); on a miss, and
-    outside that regime, the head is used.
+    outside that regime, the head is used. A round whose list is complete
+    and whose paths all have the head's lightest vertex, by (weight, id),
+    skips color coding: it could return only one of those paths, or None
+    and so the head, and each deletes that vertex. The first round's list
+    is never complete, as its walk stops at the head, so a call that color
+    coding's budget guard refuses is still refused.
 
     Every round reruns trials 0, 1, ... from the same seeds on one vertex
     fewer, so a round's coloring for trial t is a prefix of the stream an
@@ -195,12 +200,20 @@ def greedy_approx(g: Graph, k, seed=0, alive=None):
     g._check_subset(start)
     live = LivePaths(g, k, start)
     cover = set()
+
+    def lightest(path):
+        return min(path, key=lambda v: (g.weights[v - 1], v))
+
     while (p := live.first()) is not None:
-        if len(live.alive) > EXHAUSTIVE_N and k > 3:
+        vm = lightest(p)
+        if (
+            len(live.alive) > EXHAUSTIVE_N
+            and k > 3
+            and not (live.complete and all(lightest(q) == vm for q in live.paths))
+        ):
             found = find_k_path(g, k, strategy="color-coding", seed=seed, paths=live)
             if found is not None:
-                p = found
-        vm = min(p, key=lambda v: (g.weights[v - 1], v))
+                vm = lightest(found)
         cover.add(vm)
         live.discard(vm)
     return _solution(g, k, cover, p is None)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import shutil
@@ -47,6 +48,30 @@ def test_solve_algorithms_agree_on_feasibility(graph_file):
         code, out, _ = run_cli(["solve", "-k", "3", "--alg", alg, graph_file])
         assert code == 0
         assert out.startswith("s pvc 3 ")
+
+
+# SHA-256 of `pvc solve --alg greedy` stdout on gen_graph instances drawn
+# like the solve_greedy benchmark's (max degree 3, 1.3 n edges, k 5-6), one
+# per (n, k, seed), recorded before greedy skipped any color-coding round.
+GREEDY_STDOUT_SHA256 = {
+    (30, 5, 1): "908516d34457d049c46d8f5aed1d60280a76226756b76d07da71e198fc136d5a",
+    (36, 6, 2): "1c87fdbf66951686643175bc026f9193feb48cec48e3f04d6e8342fe68119e8d",
+    (42, 5, 3): "8b7c58e461d00134d0f8559b63301891e1336ac3364df3f6cabc6a3293ad0f97",
+    (48, 6, 4): "2a325dc43e35326dc057d92cf6f8776fdb8b95d38016e547018740a171603b7f",
+    (54, 5, 5): "d7a78737ee51ef28d04338143b79696e93e22dea2b9c3528c3287ffbcb6609fc",
+    (60, 6, 6): "9a8f4f1ce25a3b10806c75dd8e5e99ee5bb94710a1a56281f72a48d9245bc528",
+}
+
+
+@pytest.mark.parametrize("n, k, seed", sorted(GREEDY_STDOUT_SHA256))
+def test_greedy_stdout_is_unchanged(tmp_path, n, k, seed):
+    g = gen_graph(GeneratorConfig(n, edge_target=int(1.3 * n), max_degree=3, seed=seed))
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(g))
+    argv = ["solve", "-k", str(k), "--alg", "greedy", "--seed", str(seed), str(path)]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_STDOUT_SHA256[(n, k, seed)]
 
 
 def test_verify_feasible_and_ratio(graph_file, tmp_path):

@@ -207,6 +207,24 @@ def test_a_reused_list_gives_the_fresh_answer(few_trials):
             assert drawn == [rng.randrange(live.k) for _ in drawn]
 
 
+def test_a_list_is_complete_once_read_to_the_end_and_stays_so():
+    checked = 0
+    for g, alive, k, _ in alive_cases():
+        live = LivePaths(g, k, alive)
+        if live.first() is None:
+            continue
+        assert not live.complete  # a read of the head stops short of the end
+        for _ in live.more():
+            pass
+        assert live.complete
+        for v in sorted(alive)[::3]:
+            live.discard(v)
+            assert live.complete
+            assert live.paths == list(_walk(g, k, live.alive))
+        checked += 1
+    assert checked
+
+
 def test_exhaustive_find_on_a_list_is_its_first_path():
     for g, alive, k, _ in alive_cases():
         paths = enumerate_k_paths(g, k, alive=alive)
@@ -384,6 +402,32 @@ def test_color_coding_scan_matches_the_dp_trial_by_trial(trial):
     for _ in live.more():
         pass
     assert live.paths == fresh
+
+
+@pytest.mark.parametrize("limit, searched", [(10, False), (2, True)], ids=["block", "cut"])
+def test_color_coding_trial_takes_the_least_reversal_of_the_hits_block(monkeypatch, limit, searched):
+    # every 3-path from v* = 1 is colorful: (1, 2, 5), (1, 3, 4), (1, 3, 6)
+    # and (1, 6, 3) in walker order. The DP returns the last, whose
+    # reversal is least, not the hit. At limit 10 the reader takes the whole
+    # block; at limit 2 it stops inside it, after (1, 3, 4), and the search
+    # from v* finds the rest.
+    g = Graph.build(6, [(1, 2), (2, 5), (1, 3), (3, 4), (1, 6), (3, 6)])
+    order = list(g.vertices())
+    colors = [0, 1, 1, 2, 2, 2]
+    want = colorful_path_dp(g, 3, order, colors)
+    assert want == (1, 6, 3)
+    searches = []
+    search = pvcover.kpaths._least_colorful_from
+
+    def recording(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(pvcover.kpaths, "_least_colorful_from", recording)
+    live = LivePaths(g, 3, order)
+    assert _color_coding_trial(live, order, colors, limit) == want
+    assert live.paths[0] == (1, 2, 5) and len(live.paths) <= limit
+    assert searches == ([want] if searched else [])
 
 
 def test_walk_resumes_after_a_path_on_fewer_vertices():

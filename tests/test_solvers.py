@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvcover.solvers
 from pvcover import (
@@ -211,6 +213,57 @@ def test_greedy_runs_color_coding_only_when_a_path_exists(monkeypatch):
         assert not has_k_path(g, k, alive=set(alive or g.vertices()) - sol.vertices)
     assert results
     assert None not in results
+
+
+def test_greedy_skips_color_coding_on_a_settled_list(monkeypatch):
+    # two 6-vertex paths, 1..6 and 7..12, and six isolated vertices, at
+    # k = 5: vertex 3 is the lightest of both 5-paths of the first and 9 of
+    # both of the second. Round one deletes one of them; its list then
+    # holds the other path's two 5-paths, which share their lightest vertex,
+    # and 17 > EXHAUSTIVE_N vertices. The wrapper reads the whole list
+    # before color coding runs, so round two's list is complete, and greedy
+    # must delete 9 or 3 without a call.
+    edges = [(v, v + 1) for v in (*range(1, 6), *range(7, 12))]
+    weights = [5] * 18
+    weights[3 - 1] = weights[9 - 1] = 1
+    g = Graph.build(18, edges, weights=weights)
+    calls = []
+
+    def complete_first(g, k, *, strategy, seed=0, paths=None):
+        for _ in paths.more():
+            pass
+        calls.append(len(paths.alive))
+        return find_k_path(g, k, strategy=strategy, seed=seed, paths=paths)
+
+    monkeypatch.setattr(pvcover.solvers, "find_k_path", complete_first)
+    for seed in range(4):
+        calls.clear()
+        sol = greedy_approx(g, 5, seed=seed)
+        assert sol.vertices == {3, 9}
+        assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, 5, seed)
+        assert calls == [18]
+
+
+@st.composite
+def greedy_instances(draw):
+    """A max-degree-4 graph on 17-28 vertices with weights 1-4, so that
+    lightest vertices tie on weight, k 4-6, a seed and an alive set."""
+    n = draw(st.integers(EXHAUSTIVE_N + 1, 28))
+    shape = random_graph(draw(st.integers(0, 10**6)), n, max_degree=4)
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    g = Graph.build(n, shape.edges(), weights=weights)
+    lost = draw(st.frozensets(st.integers(1, n), max_size=n // 4))
+    alive = draw(st.sampled_from([None, frozenset(g.vertices()) - lost]))
+    return g, draw(st.integers(4, 6)), draw(st.integers(0, 1000)), alive
+
+
+@settings(max_examples=300)
+@given(greedy_instances())
+def test_greedy_matches_the_reference_loop_on_drawn_graphs(instance):
+    # the reference runs color coding, by the DP, on every round it can
+    g, k, seed, alive = instance
+    sol = greedy_approx(g, k, seed=seed, alive=alive)
+    assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, seed, alive)
 
 
 def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
