@@ -65,7 +65,6 @@ from .reopt import (
 from .solvers import (
     ApproxOracle,
     CoverSolution,
-    enumerate_optima,
     greedy_approx,
     local_ratio_approx,
     make_solution,

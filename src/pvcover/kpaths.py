@@ -32,8 +32,8 @@ colorful path, the DP's forward pass finds the end vertex, so a trial's
 reads stay near the DP's cost however many k-paths there are.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
-bitmask per path (bit v-1 for vertex v) built when a mask test first
-asks. Asked many questions about one graph, it enumerates once: "does s
+bitmask per path (bit v-1 for vertex v) built when branch and bound
+first asks. Asked many questions about one graph, it enumerates once: "does s
 meet every path?" is one scan, and the index of g[alive - s] is a part
 that keeps the enumerated list and the removed set, and filters on first
 read of its paths. The filter keeps the walker's order, so a part equals a
@@ -215,7 +215,7 @@ class PathIndex:
 
     Built by one `enumerate_k_paths` call, so the path cap applies. Vertex
     set questions (`covers`, `avoiding`) are answered from the paths; the
-    bitmasks, for `covers_mask` and branch and bound, are built on first use.
+    bitmasks, which only branch and bound reads, are built on first use.
     `avoiding(s)` returns the index of g[alive - s] without a new walk or a
     filter: the part shares the enumerated list (`base`) and records the
     vertices it drops (`removed`), and `paths`, the paths of `base` that
@@ -258,10 +258,6 @@ class PathIndex:
     def covers(self, s):
         """True iff the vertex set s meets every path."""
         return not any(map(self._vertex_set(s).isdisjoint, self.paths))
-
-    def covers_mask(self, mask):
-        """True iff every path has a vertex in the set with this bitmask."""
-        return all(mask & pm for pm in self.masks)
 
     def avoiding(self, s):
         """The index of g[alive - s]; its paths are filtered on first read."""

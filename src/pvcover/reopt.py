@@ -17,13 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    EmptyFamily,
-    FamilyPropertyViolated,
-    LimitExceeded,
-    SizeLimitExceeded,
-    UnsupportedInstance,
-)
+from .errors import EmptyFamily, FamilyPropertyViolated, LimitExceeded, UnsupportedInstance
 from .graph import (
     Graph,
     InsertionPatch,
@@ -33,9 +27,8 @@ from .graph import (
     neighbors_of_set,
 )
 from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
-from .solvers import ApproxOracle, CoverSolution, _solution, enumerate_optima
+from .solvers import ApproxOracle, CoverSolution, _solution, solve_exact
 
-PTAS_ENUM_GUARD = 10**8
 FAMILY_CAP = 10**6
 PATCH_SIZE_GUARD = 12
 
@@ -100,28 +93,24 @@ def _emit(family, member, label):
 def ptas_unweighted(inst: ReoptInstance, epsilon):
     """(1+epsilon)-approximation for the unweighted problem.
 
-    Enumerates all covers of size at most m = min(ceil(c/epsilon), n) and
-    falls back to old_opt plus the inserted vertices when the enumeration
-    finds nothing smaller. More than PTAS_ENUM_GUARD candidate sets raise
-    SizeLimitExceeded before the first.
+    The least cover of at most m = min(ceil(c/epsilon), n) vertices, or all
+    of V when there is none, against old_opt plus the inserted vertices.
+    The cover is one bounded exact search, solve_exact(below=m + 1): on
+    unit weights its canonical optimum, least cardinality then least
+    sorted ids, is the first cover that trying every set of size at most
+    m, by size then lexicographically, would find, and it returns None
+    exactly when no such set covers. Its search guard, EXACT_SIZE_LIMIT,
+    is the only one.
     """
     if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     g = inst.g_new
     if any(w != 1 for w in g.weights):
         raise ValueError("the PTAS requires unit weights")
-    c = inst.patch.size
-    n = g.n
-    m = min(math.ceil(c / epsilon), n)
-    count = sum(math.comb(n, i) for i in range(m + 1))
-    if count > PTAS_ENUM_GUARD:
-        raise SizeLimitExceeded(f"{count} candidate sets exceed guard {PTAS_ENUM_GUARD}")
+    m = min(math.ceil(inst.patch.size / epsilon), g.n)
     index = PathIndex(g, inst.k)
-    s1 = frozenset(g.vertices())
-    for cand in _subsets_by_size(g.vertices(), m):
-        if index.covers(cand):
-            s1 = frozenset(cand)
-            break
+    found = solve_exact(g, inst.k, index=index, below=m + 1)
+    s1 = frozenset(g.vertices()) if found is None else found.vertices
     s2 = inst.old_opt.vertices | inst.added_ids()
     chosen = s1 if len(s1) <= len(s2) else s2
     return _solution(g, inst.k, chosen, index.covers(chosen))
@@ -336,17 +325,22 @@ class FamilyReport:
 
     property2_ok: bool
     property2_counterexample: tuple | None  # (member, uncovered path)
-    property1_checked: bool
-    property1_ok: bool | None
+    property1_ok: bool
     property1_witness: tuple | None  # (member, containing optimum)
 
 
-def validate_good_family(g_new: Graph, va, family: GoodFamily, k, check_p1=True):
+def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     """Exact checks of both family properties.
 
     Property 2: every member covers every k-path touching va. Property 1:
-    some member is a subset of some optimum (full enumeration; only within
-    the enumeration size guard).
+    some member F lies inside some optimum, that is, w(F) + OPT(g_new - F)
+    = OPT(g_new): F plus any cover of g_new - F covers g_new, and an
+    optimum holding F loses F to a cover of g_new - F. Each member is one
+    solve_exact call on the index of g_new - F under below = OPT - w(F) + 1,
+    and the witness is F with that call's optimum. The solves keep
+    solve_exact's guard: the unbounded one for OPT needs n <= 24
+    (EXACT_SIZE_LIMIT), and each member's bounded one runs within the
+    search budget.
     """
     va = frozenset(va)
     paths = k_paths_through(g_new, k, va)
@@ -360,23 +354,19 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k, check_p1=True)
                 break
         if not p2_ok:
             break
-    p1_ok = None
+    index = PathIndex(g_new, k)
+    opt = solve_exact(g_new, k, index=index).weight
     p1_witness = None
-    if check_p1:
-        optima = enumerate_optima(g_new, k)
-        p1_ok = False
-        for member in family.members:
-            for opt in optima:
-                if member <= opt:
-                    p1_ok = True
-                    p1_witness = (member, opt)
-                    break
-            if p1_ok:
-                break
+    for member in family.members:
+        rest = solve_exact(
+            g_new, k, index=index.avoiding(member), below=opt - g_new.weight_of(member) + 1
+        )
+        if rest is not None:
+            p1_witness = (member, member | rest.vertices)
+            break
     return FamilyReport(
         property2_ok=p2_ok,
         property2_counterexample=p2_cex,
-        property1_checked=check_p1,
-        property1_ok=p1_ok,
+        property1_ok=p1_witness is not None,
         property1_witness=p1_witness,
     )

@@ -8,6 +8,8 @@ bound (ratio k).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,7 +19,6 @@ from .graph import Graph
 from .kpaths import LivePaths, PathIndex, covers_all_k_paths, find_k_path
 
 EXACT_SIZE_LIMIT = 24
-ENUMERATE_SIZE_LIMIT = 14
 EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 
 
@@ -89,19 +90,37 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     Branches on the k vertices of the first uncovered path in lexicographic
     order; ties resolve to smaller cardinality then lexicographically
     smallest vertex list, so the returned optimum is canonical. With an
-    index of g[alive], covers g[alive]; EXACT_SIZE_LIMIT applies to |alive|.
+    index of g[alive], covers g[alive].
 
     Returns None iff no cover weighs less than below, and otherwise the
     same optimum. The local-ratio pass runs first: its Σδ, a lower bound on
     the optimum, settles most bounded calls before any branching, as the
     pass stops once Σδ reaches below, and its cover is the incumbent when
     it weighs less than below.
+
+    EXACT_SIZE_LIMIT bounds the memory of the search: its visited masks and
+    its path masks. A call on at most that many alive vertices runs as it
+    is, with at most 2^EXACT_SIZE_LIMIT masks of one word. A larger call
+    runs only if its worst case fits that budget of words. Let d be the
+    most alive vertices, lightest first, that weigh less than below. A node
+    branches only while it weighs less than below, so no node holds more
+    than d + 1 vertices, and the search enters at most Σ_{j <= d+1} k^j
+    nodes. Each node and each path keeps a mask of
+    ceil(g.n / EXACT_SIZE_LIMIT) words; past 2^EXACT_SIZE_LIMIT words the
+    call raises SizeLimitExceeded before any mask is built. When d is every
+    alive vertex it raises before the index is built; otherwise the
+    local-ratio pass, which needs no masks, runs first and may settle the
+    call.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    n = g.n if index is None else len(index.alive)
+    alive = g.vertices() if index is None else index.alive
+    n = len(alive)
     if n > EXACT_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
+        lightest_first = itertools.accumulate(sorted(g.weights[v - 1] for v in alive))
+        d = bisect.bisect_left(list(lightest_first), below)
+        if d == n:
+            raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
     ix = _index_of(g, k, index)
 
     def key(vertices, weight):
@@ -116,9 +135,17 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     w_cover = g.weight_of(cover)
     if w_cover < below:
         best = [key(cover, w_cover), frozenset(cover)]
-    masks = ix.masks
     paths = ix.paths
-    n_paths = len(masks)
+    n_paths = len(paths)
+    if n > EXACT_SIZE_LIMIT:
+        nodes = (k ** (d + 2) - 1) // (k - 1)
+        words = -(-g.n // EXACT_SIZE_LIMIT)
+        if (nodes + n_paths) * words > 1 << EXACT_SIZE_LIMIT:
+            raise SizeLimitExceeded(
+                f"exact search at n={n}: {nodes} nodes and {n_paths} path masks"
+                f" of {words} words exceed guard 2^{EXACT_SIZE_LIMIT}"
+            )
+    masks = ix.masks
     visited = set()
 
     def branch(chosen, mask, weight, i):
@@ -146,30 +173,6 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     if best[1] is None:
         return None
     return _solution(g, k, best[1], ix.covers(best[1]))
-
-
-def enumerate_optima(g: Graph, k):
-    """All minimum-weight covers by full subset enumeration, sorted canonically."""
-    if g.n > ENUMERATE_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"n={g.n} exceeds enumeration guard {ENUMERATE_SIZE_LIMIT}")
-    index = PathIndex(g, k)
-    if not index.paths:
-        return [frozenset()]
-    verts = list(g.vertices())
-    best_val = None
-    optima = []
-    for mask in range(1 << g.n):
-        if not index.covers_mask(mask):
-            continue
-        s = frozenset(v for v in verts if mask & (1 << (v - 1)))
-        val = g.weight_of(s)
-        if best_val is None or val < best_val:
-            best_val = val
-            optima = [s]
-        elif val == best_val:
-            optima.append(s)
-    optima.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return optima
 
 
 def greedy_approx(g: Graph, k, seed=0, alive=None):

@@ -8,6 +8,7 @@ scans. They are slow and only meant for desk-scale cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from pvcover import (
     Graph,
     GeneratorConfig,
+    PathIndex,
     ReoptInstance,
     gen_graph,
     gen_patch,
@@ -143,6 +145,24 @@ def brute_optima(g: Graph, k, objective="weight"):
             elif val == best:
                 optima.append(s)
     return best, optima
+
+
+def reference_ptas(inst, epsilon):
+    """The PTAS as an enumeration, the reference for `ptas_unweighted`: the
+    first cover among the vertex sets of size at most m = min(ceil(c /
+    epsilon), n), by size then lexicographically, or all of V, against
+    old_opt plus the inserted vertices. Returns the chosen vertex set."""
+    g = inst.g_new
+    m = min(math.ceil(inst.patch.size / epsilon), g.n)
+    index = PathIndex(g, inst.k)
+    s1 = frozenset(g.vertices())
+    candidates = (c for r in range(m + 1) for c in itertools.combinations(g.vertices(), r))
+    for cand in candidates:
+        if index.covers(cand):
+            s1 = frozenset(cand)
+            break
+    s2 = inst.old_opt.vertices | inst.added_ids()
+    return s1 if len(s1) <= len(s2) else s2
 
 
 def brute_opt_weight(g: Graph, k):

@@ -12,6 +12,7 @@ from pvcover.cli import main
 from pvcover import (
     Graph,
     GeneratorConfig,
+    PathIndex,
     gen_graph,
     gen_patch,
     oracle_registry,
@@ -193,6 +194,93 @@ def test_reopt_ptas(tmp_path, graph_file):
     )
     assert code == 0
     assert out.startswith("s pvc 3 ")
+
+
+def _write_ptas_files(tmp_path, n_old, edges, added, internal, attach, old_cover, k):
+    """Unit-weight graph, patch and old-solution files, written directly:
+    gen_graph draws from all n(n-1)/2 pairs, which is slow at n = 10^4."""
+    g = tmp_path / "g.graph"
+    g.write_text(
+        "\n".join(
+            [f"p pvc {n_old} {len(edges)}"]
+            + [f"v {v} 1" for v in range(1, n_old + 1)]
+            + [f"e {u} {v}" for u, v in edges]
+        )
+        + "\n"
+    )
+    p = tmp_path / "p.patch"
+    p.write_text(
+        "\n".join(
+            [f"p patch {n_old} {len(added)} {len(internal)} {len(attach)}"]
+            + [f"v {v} 1" for v in added]
+            + [f"e {u} {v}" for u, v in internal]
+            + [f"a {u} {v}" for u, v in attach]
+        )
+        + "\n"
+    )
+    sol = tmp_path / "s.sol"
+    sol.write_text(_solution_text(k, old_cover))
+    return [str(g), str(p), str(sol)]
+
+
+def _solution_text(k, cover):
+    return "".join([f"s pvc {k} {len(cover)} {len(cover)}\n"] + [f"x {v}\n" for v in sorted(cover)])
+
+
+def test_reopt_ptas_at_ten_thousand_vertices_settled_by_the_dual(tmp_path, monkeypatch):
+    # a ladder of 4,999 columns, max degree 3; the old cover takes both rows
+    # of every even column, which leaves single rungs
+    h = 4999
+    edges = [(i, i + 1) for i in range(1, h)] + [(h + i, h + i + 1) for i in range(1, h)]
+    edges += [(i, h + i) for i in range(1, h + 1)]
+    old = [v for i in range(2, h + 1, 2) for v in (i, h + i)]
+    files = _write_ptas_files(
+        tmp_path, 2 * h, edges, [9999, 10000], [], [(1, 9999), (h, 10000)], old, 5
+    )
+
+    def forbidden(self):
+        raise AssertionError("the search built its path masks")
+
+    # Σδ reaches m + 1 = 3 on the first paths, so the search never branches
+    monkeypatch.setattr(PathIndex, "masks", property(forbidden))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["reopt", "-k", "5", "--mode", "ptas", "--epsilon", "1.0", *files])
+    assert time.perf_counter() - t0 < 10.0
+    assert (code, err) == (0, "")
+    assert out == _solution_text(5, [*old, 9999, 10000])
+
+
+def test_reopt_ptas_at_ten_thousand_vertices_finds_the_canonical_cover(tmp_path):
+    # three 4-path components, the rest disjoint edges; the patch makes a
+    # fourth 4-path, 17-18-9999-10000, so the least cover has 4 vertices,
+    # each component's least id, and m = ceil(2 / 0.5) = 4 allows it
+    comps = [(5002, 5000, 5003, 5001), (9000, 8998, 8997, 8999), (40, 43, 41, 42)]
+    in_comps = {v for c in comps for v in c}
+    edges = [e for c in comps for e in zip(c, c[1:])]
+    rest = [v for v in range(1, 9999) if v not in in_comps]
+    edges += list(zip(rest[::2], rest[1::2]))
+    assert (17, 18) in edges
+    files = _write_ptas_files(
+        tmp_path, 9998, edges, [9999, 10000], [(9999, 10000)], [(18, 9999)],
+        [min(c) for c in comps], 4,
+    )
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["reopt", "-k", "4", "--mode", "ptas", "--epsilon", "0.5", *files])
+    assert time.perf_counter() - t0 < 10.0
+    assert (code, err) == (0, "")
+    assert out == "s pvc 4 4 4\nx 17\nx 40\nx 5000\nx 8997\n"
+
+
+def test_reopt_ptas_refuses_a_hub_whose_path_masks_pass_the_budget(tmp_path):
+    # a star with 3,000 leaves, and a new vertex on leaf 2; at m = 1 the
+    # search has 13 nodes, but its 4.5 M path masks of 126 words pass 2^24
+    edges = [(1, v) for v in range(2, 3002)]
+    files = _write_ptas_files(tmp_path, 3001, edges, [3002], [], [(2, 3002)], [1], 3)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["reopt", "-k", "3", "--mode", "ptas", "--epsilon", "1.0", *files])
+    assert time.perf_counter() - t0 < 10.0
+    assert (code, out) == (3, "")
+    assert err.startswith("limit exceeded:")
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "0", "-1"])

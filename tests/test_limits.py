@@ -4,6 +4,9 @@ Every case lowers one constant, then checks that the guarded call past the
 lowered limit raises and that a call within it still gives its answer.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 import pvcover.instances
@@ -18,7 +21,6 @@ from pvcover import (
     apply_patch,
     construct_f,
     enumerate_k_paths,
-    enumerate_optima,
     find_k_path,
     gen_patch,
     good_family_3pvcp,
@@ -51,7 +53,7 @@ def _family3(c):
 
 
 def _ptas(c):
-    """The PTAS at epsilon 1 enumerates 1 + n candidate sets when c >= 1."""
+    """The PTAS at epsilon 1: one search for a cover of at most c vertices."""
     inst = ReoptInstance.create(PATH3, _patch(c), make_solution(PATH3, {2}, 3), 3)
     return ptas_unweighted(inst, 1.0)
 
@@ -100,16 +102,12 @@ LIMITS = [
         id="EXACT_SIZE_LIMIT-solve_exact",
     ),
     pytest.param(
-        pvcover.solvers, "ENUMERATE_SIZE_LIMIT", 3, SizeLimitExceeded,
-        lambda: enumerate_optima(PATH4, 3),
-        lambda: enumerate_optima(PATH3, 3) == [{1}, {2}, {3}],
-        id="ENUMERATE_SIZE_LIMIT-enumerate_optima",
-    ),
-    pytest.param(
-        pvcover.reopt, "PTAS_ENUM_GUARD", 4, SizeLimitExceeded,
+        # c = 1 asks for a cover of 1 vertex on n = 4 > 3: 13 nodes and 1
+        # path, each with a mask of 2 words, pass 2^3 words; c = 0 has n = 3
+        pvcover.solvers, "EXACT_SIZE_LIMIT", 3, SizeLimitExceeded,
         lambda: _ptas(1),
         lambda: _ptas(0).vertices == {2},
-        id="PTAS_ENUM_GUARD-ptas_unweighted",
+        id="EXACT_SIZE_LIMIT-ptas_unweighted",
     ),
     pytest.param(
         pvcover.reopt, "PATCH_SIZE_GUARD", 1, LimitExceeded,
@@ -145,3 +143,13 @@ def test_limit_constant_guards_its_call(monkeypatch, module, name, value, error,
     with pytest.raises(error):
         past()
     assert within()
+
+
+def test_readme_limits_table_names_each_lowered_constant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+)` \| [^|]+ \| `(\w+)` \|", table, re.M))
+    lowered = {(p.values[1], p.values[0].__name__.rpartition(".")[2]) for p in LIMITS}
+    assert rows == lowered
+    for name, module in rows:
+        assert hasattr(getattr(pvcover, module), name), (module, name)

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pvcover.reopt
 from pvcover import (
@@ -36,7 +38,7 @@ from pvcover import (
     wtd_kpath,
 )
 
-from conftest import random_graph, random_reopt_instance
+from conftest import brute_optima, random_graph, random_reopt_instance, reference_ptas
 
 EXACT = oracle_registry()["exact"]
 LOCAL_RATIO = oracle_registry()["local-ratio"]
@@ -116,6 +118,21 @@ def test_ptas_bound_random():
             assert sol.feasible
             assert sol.cardinality <= (1 + eps) * opt
             assert sol.cardinality <= inst.old_opt.cardinality + inst.patch.size
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 10**6),
+    st.integers(6, 16),
+    st.integers(3, 5),
+    st.integers(1, 3),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_ptas_returns_the_enumerations_cover(seed, n_new, k, c, epsilon):
+    inst = random_reopt_instance(seed, n_new=n_new, k=k, c=c, weighted=False)
+    sol = ptas_unweighted(inst, epsilon)
+    assert sol.vertices == reference_ptas(inst, epsilon)
+    assert sol.feasible
 
 
 # ---------------------------------------------------------------- construct_sol
@@ -491,8 +508,34 @@ def test_family_members_pass_p2_both_modes():
         va = inst.added_ids()
         for mode in ("corrected", "paper-literal"):
             fam = good_family_3pvcp(inst.g_new, inst.patch, mode=mode)
-            report = validate_good_family(inst.g_new, va, fam, 3, check_p1=False)
+            report = validate_good_family(inst.g_new, va, fam, 3)
             assert report.property2_ok, (seed, mode)
+
+
+@settings(max_examples=120)
+@given(
+    st.integers(0, 10**6),
+    st.integers(7, 12),
+    st.sampled_from([3, 4]),
+    st.integers(1, 2),
+    st.booleans(),
+    st.sampled_from(["corrected", "paper-literal"]),
+)
+def test_property1_matches_the_optima_by_subset_scan(seed, n_new, k, c, weighted, mode):
+    inst = random_reopt_instance(seed, n_new=n_new, k=k, c=c, weighted=weighted, max_degree=4)
+    va = inst.added_ids()
+    if k == 3:
+        fam = good_family_3pvcp(inst.g_new, inst.patch, mode=mode)
+    else:
+        fam = construct_f(inst.g_new, va, k, cap_mode=mode)
+    report = validate_good_family(inst.g_new, va, fam, k)
+    _, optima = brute_optima(inst.g_new, k)
+    assert report.property1_ok == any(f <= opt for f in fam.members for opt in optima)
+    if report.property1_ok:
+        member, opt = report.property1_witness
+        assert member in fam.members and member <= opt and opt in optima
+    else:
+        assert report.property1_witness is None
 
 
 def test_corrected_families_pass_p1():

@@ -12,7 +12,6 @@ from pvcover import (
     PathIndex,
     UnknownOracle,
     covers_all_k_paths,
-    enumerate_optima,
     find_k_path,
     greedy_approx,
     has_k_path,
@@ -68,27 +67,6 @@ def test_exact_canonical_tiebreak():
         _, optima = brute_optima(g, 3)
         expected = min(optima, key=lambda s: (len(s), tuple(sorted(s))))
         assert sol.vertices == expected
-
-
-def test_enumerate_optima_path_graph(path4):
-    assert enumerate_optima(path4, 3) == [frozenset({2}), frozenset({3})]
-
-
-def test_enumerate_optima_kpath_free():
-    assert enumerate_optima(Graph.build(3, []), 3) == [frozenset()]
-
-
-def test_enumerate_optima_weighted():
-    g = Graph.build(3, [(1, 2), (2, 3)], weights=[1, 5, 1])
-    assert enumerate_optima(g, 3) == [frozenset({1}), frozenset({3})]
-
-
-def test_enumerate_optima_matches_brute():
-    for seed in range(25):
-        g = random_graph(seed, 8)
-        _, expected = brute_optima(g, 3)
-        got = enumerate_optima(g, 3)
-        assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
 
 
 def test_greedy_trace_small():
@@ -275,7 +253,7 @@ def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
             module, "induced_subgraph"
         ):
             monkeypatch.setattr(module, "induced_subgraph", forbidden)
-    monkeypatch.setattr(PathIndex, "covers_mask", forbidden)
+    monkeypatch.setattr(PathIndex, "masks", property(forbidden))
     for g, k, seed, alive in greedy_cases():
         assert greedy_approx(g, k, seed=seed, alive=alive).feasible
         assert local_ratio_approx(g, k).feasible
@@ -315,7 +293,7 @@ def reference_prune(g, k, cover, index):
     mask = sum(1 << (v - 1) for v in in_cover)
     for v in reversed(cover):
         trial = mask & ~(1 << (v - 1))
-        if index.covers_mask(trial):
+        if all(trial & pm for pm in index.masks):
             mask = trial
             in_cover.remove(v)
     return frozenset(in_cover)
@@ -464,7 +442,17 @@ def test_local_ratio_below_returns_none_iff_the_cover_is_not_lighter():
 
 def test_solve_exact_below_keeps_the_guards():
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
+    # 25 alive vertices weigh less than below=100, so the depth is not bounded
     with pytest.raises(SizeLimitExceeded):
         solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)), below=100)
+    # below=0: a tree of 1 + k nodes, which Σδ = 0 settles at the root
+    assert solve_exact(g, 3, below=0) is None
+    # below=11: nodes of at most 11 vertices, (3^12 - 1) / 2 of them, fit
+    assert solve_exact(g, 3, below=11).vertices == set(range(1, 30, 3))
+    # k=2, below=22 on unit weights: 21 vertices weigh less, so the tree has
+    # 2^23 - 1 nodes, which fit 2^24 words of two-word masks; with the 29
+    # path masks they do not. Σδ = 15 settles nothing, and no mask is built.
+    index = PathIndex(g, 2)
     with pytest.raises(SizeLimitExceeded):
-        solve_exact(g, 3, below=0)
+        solve_exact(g, 2, index=index, below=22)
+    assert index._masks is None
