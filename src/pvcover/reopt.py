@@ -27,7 +27,7 @@ from .graph import (
     neighbors_of_set,
 )
 from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
-from .solvers import ApproxOracle, CoverSolution, _solution, solve_exact
+from .solvers import ApproxOracle, CoverSolution, _solution, make_solution, solve_exact
 
 FAMILY_CAP = 10**6
 PATCH_SIZE_GUARD = 12
@@ -94,13 +94,13 @@ def ptas_unweighted(inst: ReoptInstance, epsilon):
     """(1+epsilon)-approximation for the unweighted problem.
 
     The least cover of at most m = min(ceil(c/epsilon), n) vertices, or all
-    of V when there is none, against old_opt plus the inserted vertices.
-    The cover is one bounded exact search, solve_exact(below=m + 1): on
-    unit weights its canonical optimum, least cardinality then least
-    sorted ids, is the first cover that trying every set of size at most
-    m, by size then lexicographically, would find, and it returns None
-    exactly when no such set covers. Its search guard, EXACT_SIZE_LIMIT,
-    is the only one.
+    of V when there is none, against s2 = old_opt plus the inserted
+    vertices; the first wins ties. The cover is one solve_exact call: on
+    unit weights its canonical optimum, least cardinality then least sorted
+    ids, is the first cover that trying every set of at most b vertices, by
+    size then lexicographically, would find. b is m cut to |s2|, as a larger
+    cover loses to s2, and to n - 1, as any n - 1 vertices cover; the answer
+    is the same, and the search is never unbounded.
     """
     if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
@@ -108,12 +108,9 @@ def ptas_unweighted(inst: ReoptInstance, epsilon):
     if any(w != 1 for w in g.weights):
         raise ValueError("the PTAS requires unit weights")
     m = min(math.ceil(inst.patch.size / epsilon), g.n)
-    index = PathIndex(g, inst.k)
-    found = solve_exact(g, inst.k, index=index, below=m + 1)
-    s1 = frozenset(g.vertices()) if found is None else found.vertices
     s2 = inst.old_opt.vertices | inst.added_ids()
-    chosen = s1 if len(s1) <= len(s2) else s2
-    return _solution(g, inst.k, chosen, index.covers(chosen))
+    found = solve_exact(g, inst.k, below=min(m, len(s2), g.n - 1) + 1)
+    return make_solution(g, s2, inst.k) if found is None else found
 
 
 def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle, seed=0):
@@ -337,11 +334,11 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     = OPT(g_new): F plus any cover of g_new - F covers g_new, and an
     optimum holding F loses F to a cover of g_new - F. Each member is one
     solve_exact call on the index of g_new - F under below = OPT - w(F) + 1,
-    and the witness is F with that call's optimum. The solves keep
-    solve_exact's guard: the unbounded one for OPT needs n <= 24
-    (EXACT_SIZE_LIMIT), and each member's bounded one runs within the
-    search budget.
+    and the witness is F with that call's optimum. The OPT solve is
+    unbounded, so the whole report needs n <= EXACT_SIZE_LIMIT (24): a
+    larger g_new raises SizeLimitExceeded before any k-path is enumerated.
     """
+    opt = solve_exact(g_new, k).weight
     va = frozenset(va)
     paths = k_paths_through(g_new, k, va)
     p2_ok = True
@@ -355,7 +352,6 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
         if not p2_ok:
             break
     index = PathIndex(g_new, k)
-    opt = solve_exact(g_new, k, index=index).weight
     p1_witness = None
     for member in family.members:
         rest = solve_exact(

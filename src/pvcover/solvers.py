@@ -8,8 +8,6 @@ bound (ratio k).
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -84,6 +82,19 @@ def _index_of(g: Graph, k, index):
     return index
 
 
+class _Visited(set):
+    """A set of masks that raises SizeLimitExceeded(message) past room members."""
+
+    def __init__(self, room, message):
+        super().__init__()
+        self.room, self.message = room, message
+
+    def add(self, mask):
+        if len(self) == self.room:
+            raise SizeLimitExceeded(self.message)
+        super().add(mask)
+
+
 def solve_exact(g: Graph, k, index=None, below=math.inf):
     """Minimum-weight cover by branch and bound.
 
@@ -98,29 +109,25 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     pass stops once Σδ reaches below, and its cover is the incumbent when
     it weighs less than below.
 
-    EXACT_SIZE_LIMIT bounds the memory of the search: its visited masks and
-    its path masks. A call on at most that many alive vertices runs as it
-    is, with at most 2^EXACT_SIZE_LIMIT masks of one word. A larger call
-    runs only if its worst case fits that budget of words. Let d be the
-    most alive vertices, lightest first, that weigh less than below. A node
-    branches only while it weighs less than below, so no node holds more
-    than d + 1 vertices, and the search enters at most Σ_{j <= d+1} k^j
-    nodes. Each node and each path keeps a mask of
-    ceil(g.n / EXACT_SIZE_LIMIT) words; past 2^EXACT_SIZE_LIMIT words the
-    call raises SizeLimitExceeded before any mask is built. When d is every
-    alive vertex it raises before the index is built; otherwise the
-    local-ratio pass, which needs no masks, runs first and may settle the
-    call.
+    EXACT_SIZE_LIMIT bounds the search's memory: one mask per path and one
+    per visited node. Up to that many alive vertices that is at most
+    2^EXACT_SIZE_LIMIT one-word masks. A larger call gets the same budget
+    of words, each mask taking ceil(g.n / EXACT_SIZE_LIMIT): it raises
+    SizeLimitExceeded before any mask is built if the path masks alone
+    pass it, else once one more visited node would. Each node enters at
+    most k others, so this bounds the time too. Nodes are counted as
+    visited, not by the worst case, Σ_{j <= d+1} k^j with d the most alive
+    vertices lighter together than below and the incumbent, which passes
+    the budget on calls that visit a few hundred. A call whose alive
+    vertices together weigh less than below, and a search deeper than the
+    recursion limit, raise too; the first before the index is built.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     alive = g.vertices() if index is None else index.alive
     n = len(alive)
-    if n > EXACT_SIZE_LIMIT:
-        lightest_first = itertools.accumulate(sorted(g.weights[v - 1] for v in alive))
-        d = bisect.bisect_left(list(lightest_first), below)
-        if d == n:
-            raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
+    if n > EXACT_SIZE_LIMIT and g.weight_of(alive) < below:
+        raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
     ix = _index_of(g, k, index)
 
     def key(vertices, weight):
@@ -137,16 +144,16 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         best = [key(cover, w_cover), frozenset(cover)]
     paths = ix.paths
     n_paths = len(paths)
-    if n > EXACT_SIZE_LIMIT:
-        nodes = (k ** (d + 2) - 1) // (k - 1)
-        words = -(-g.n // EXACT_SIZE_LIMIT)
-        if (nodes + n_paths) * words > 1 << EXACT_SIZE_LIMIT:
-            raise SizeLimitExceeded(
-                f"exact search at n={n}: {nodes} nodes and {n_paths} path masks"
-                f" of {words} words exceed guard 2^{EXACT_SIZE_LIMIT}"
-            )
-    masks = ix.masks
     visited = set()
+    if n > EXACT_SIZE_LIMIT:
+        words = -(-g.n // EXACT_SIZE_LIMIT)
+        room = (1 << EXACT_SIZE_LIMIT) // words - n_paths
+        masks_of = f"exact search at n={n}: {n_paths} path masks"
+        guard = f"of {words} words exceed guard 2^{EXACT_SIZE_LIMIT} words"
+        if room < 1:
+            raise SizeLimitExceeded(f"{masks_of} {guard}")
+        visited = _Visited(room, f"{masks_of} and {room + 1} visited nodes {guard}")
+    masks = ix.masks
 
     def branch(chosen, mask, weight, i):
         if mask in visited:
@@ -169,7 +176,10 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
             branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1], i + 1)
             chosen.remove(v)
 
-    branch(set(), 0, 0, 0)
+    try:
+        branch(set(), 0, 0, 0)
+    except RecursionError:
+        raise SizeLimitExceeded(f"exact search at n={n} passes the recursion limit") from None
     if best[1] is None:
         return None
     return _solution(g, k, best[1], ix.covers(best[1]))

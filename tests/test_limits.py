@@ -102,8 +102,9 @@ LIMITS = [
         id="EXACT_SIZE_LIMIT-solve_exact",
     ),
     pytest.param(
-        # c = 1 asks for a cover of 1 vertex on n = 4 > 3: 13 nodes and 1
-        # path, each with a mask of 2 words, pass 2^3 words; c = 0 has n = 3
+        # c = 1 asks for a cover of 1 vertex on n = 4 > 3: the search visits
+        # 4 nodes, which with the 1 path, each a mask of 2 words, pass 2^3
+        # words; c = 0 has n = 3
         pvcover.solvers, "EXACT_SIZE_LIMIT", 3, SizeLimitExceeded,
         lambda: _ptas(1),
         lambda: _ptas(0).vertices == {2},

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvcover.reopt
+import pvcover.solvers
 from pvcover import (
     ApproxOracle,
     EmptyFamily,
@@ -37,6 +38,8 @@ from pvcover import (
     wtd_3path,
     wtd_kpath,
 )
+
+from pvcover.errors import SizeLimitExceeded
 
 from conftest import brute_optima, random_graph, random_reopt_instance, reference_ptas
 
@@ -133,6 +136,33 @@ def test_ptas_returns_the_enumerations_cover(seed, n_new, k, c, epsilon):
     sol = ptas_unweighted(inst, epsilon)
     assert sol.vertices == reference_ptas(inst, epsilon)
     assert sol.feasible
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.integers(6, 14),
+    st.integers(3, 5),
+    st.integers(1, 3),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_ptas_with_the_whole_old_graph_as_old_cover(seed, n_new, k, c, epsilon):
+    # s2 is all of V, so only the cut to n - 1 bounds the search below m
+    inst = random_reopt_instance(seed, n_new=n_new, k=k, c=c, weighted=False)
+    whole = make_solution(inst.g_old, inst.g_old.vertices(), k)
+    inst = ReoptInstance.create(inst.g_old, inst.patch, whole, k)
+    assert ptas_unweighted(inst, epsilon).vertices == reference_ptas(inst, epsilon)
+
+
+def test_ptas_past_the_exact_limit_with_m_and_s2_at_n():
+    # n = 26 with m = n and s2 = V: the old enumeration tried 2^26 sets at
+    # most and found the least 8-cover; the search is cut to 25 vertices
+    g_old = Graph.build(25, [(v, v + 1) for v in range(1, 25)])
+    patch = InsertionPatch(25, added=((26, 1),), attachment_edges=((25, 26),))
+    whole = make_solution(g_old, g_old.vertices(), 3)
+    inst = ReoptInstance.create(g_old, patch, whole, 3)
+    sol = ptas_unweighted(inst, 0.01)
+    assert sol.vertices == set(range(3, 25, 3)) and sol.feasible
 
 
 # ---------------------------------------------------------------- construct_sol
@@ -549,6 +579,20 @@ def test_corrected_families_pass_p1():
             fam = construct_f(inst.g_new, va, k)
         report = validate_good_family(inst.g_new, va, fam, k)
         assert report.property2_ok and report.property1_ok, (seed, k)
+
+
+def test_validate_family_past_the_exact_limit_enumerates_nothing(monkeypatch):
+    g = Graph.build(25, [(v, v + 1) for v in range(1, 25)])
+    fam = GoodFamily(members=(frozenset({25}),), provenance=("",))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("k-paths enumerated")
+
+    monkeypatch.setattr(pvcover.reopt, "PathIndex", no_walk)
+    monkeypatch.setattr(pvcover.reopt, "k_paths_through", no_walk)
+    monkeypatch.setattr(pvcover.solvers, "PathIndex", no_walk)
+    with pytest.raises(SizeLimitExceeded):
+        validate_good_family(g, {25}, fam, 3)
 
 
 def test_construct_sol_exact_oracle_settles_members_by_the_bound():

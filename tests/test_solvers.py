@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 
@@ -440,19 +441,42 @@ def test_local_ratio_below_returns_none_iff_the_cover_is_not_lighter():
             assert local_ratio_approx(g, k, below=below) == local_ratio_approx(g, k)
 
 
-def test_solve_exact_below_keeps_the_guards():
+def test_solve_exact_below_keeps_the_guards(monkeypatch):
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
     # 25 alive vertices weigh less than below=100, so the depth is not bounded
     with pytest.raises(SizeLimitExceeded):
         solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)), below=100)
-    # below=0: a tree of 1 + k nodes, which Σδ = 0 settles at the root
+    # below=0: Σδ = 0 settles it at the root
     assert solve_exact(g, 3, below=0) is None
-    # below=11: nodes of at most 11 vertices, (3^12 - 1) / 2 of them, fit
     assert solve_exact(g, 3, below=11).vertices == set(range(1, 30, 3))
-    # k=2, below=22 on unit weights: 21 vertices weigh less, so the tree has
-    # 2^23 - 1 nodes, which fit 2^24 words of two-word masks; with the 29
-    # path masks they do not. Σδ = 15 settles nothing, and no mask is built.
+    # k=2, below=22 on unit weights: its worst case, 2^23 - 1 nodes beside 29
+    # path masks of two words, passes 2^24 words, but it visits ~1.3 * 10^5
+    assert solve_exact(g, 2, below=22).vertices == set(range(1, 30, 2))
+    # a 2000-vertex path at k=2 under below=1501: Σδ = 1000 settles nothing,
+    # and the first dive passes the recursion limit long before the budget
+    long = Graph.build(2000, [(v, v + 1) for v in range(1, 2000)])
+    with pytest.raises(SizeLimitExceeded, match="recursion limit"):
+        solve_exact(long, 2, below=1501)
+    # at 2^9 words the 29 path masks of 4 words fit, and the search runs
+    # until one more visited node would pass the budget
+    monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 9)
+    with pytest.raises(SizeLimitExceeded, match="29 path masks and 100 visited nodes of 4 words"):
+        solve_exact(g, 2, below=22)
+    # at 2^4 words the path masks of 8 words alone pass it: none is built
+    monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 4)
     index = PathIndex(g, 2)
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded, match="29 path masks of 8 words"):
         solve_exact(g, 2, index=index, below=22)
     assert index._masks is None
+
+
+def test_unbounded_exact_past_the_limit_builds_no_index(monkeypatch):
+    g = Graph.build(25, [(v, v + 1) for v in range(1, 25)])
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("PathIndex built")
+
+    monkeypatch.setattr(pvcover.solvers, "PathIndex", no_index)
+    for below in (math.inf, 26):
+        with pytest.raises(SizeLimitExceeded, match="exceeds exact-solver guard 24"):
+            solve_exact(g, 3, below=below)
