@@ -256,8 +256,10 @@ class PathIndex:
         return s
 
     def covers(self, s):
-        """True iff the vertex set s meets every path."""
-        return not any(map(self._vertex_set(s).isdisjoint, self.paths))
+        """True iff the vertex set s meets every path: no path of base
+        avoids both removed and s. One read of base, so a part builds no
+        path list for it."""
+        return not any(map((self.removed | self._vertex_set(s)).isdisjoint, self.base))
 
     def avoiding(self, s):
         """The index of g[alive - s]; its paths are filtered on first read."""

@@ -107,7 +107,8 @@ def ptas_unweighted(inst: ReoptInstance, epsilon):
     g = inst.g_new
     if any(w != 1 for w in g.weights):
         raise ValueError("the PTAS requires unit weights")
-    m = min(math.ceil(inst.patch.size / epsilon), g.n)
+    ratio = inst.patch.size / epsilon  # inf for a tiny epsilon, which ceil refuses
+    m = g.n if ratio >= g.n else math.ceil(ratio)
     s2 = inst.old_opt.vertices | inst.added_ids()
     found = solve_exact(g, inst.k, below=min(m, len(s2), g.n - 1) + 1)
     return make_solution(g, s2, inst.k) if found is None else found
@@ -139,14 +140,15 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
     va = inst.added_ids()
     index = PathIndex(g, k)
     va_paths = [p for p in index.paths if not va.isdisjoint(p)]
+    old = inst.old_opt.vertices
+    w_old = g.weight_of(old)
     best = None  # (weight, index, frozenset)
     for i, f in enumerate(family.members):
         if any(map(f.isdisjoint, va_paths)):
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
             )
-        s1 = inst.old_opt.vertices | f
-        cand = (g.weight_of(s1), i, s1)
+        cand = (w_old + g.weight_of(f - old), i, old | f)
         w_f = g.weight_of(f)
         part = index.avoiding(va | f)
         below = min(cand, best or cand)[0] - w_f

@@ -243,27 +243,35 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     cover, which is ix.paths without building that list. The cover and Σδ
     only grow, so the pass returns None once the cover weighs below or
     more, or once Σδ reaches dual_below.
+
+    Weights are positive, so a vertex reaches residual 0 only on the path
+    that joins it to the cover. A path that meets neither the cover nor
+    ix.removed thus holds no zero-residual vertex, and the vertices it
+    brings to 0 join the cover in ascending order.
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
-    residual = list(g.weights)
+    residual = [0, *g.weights]  # residual[v] for vertex v
     cover = []
     skip = set(ix.removed)  # the removed vertices, then the cover
     weight = total = 0
-    for p in ix.base:
-        if not skip.isdisjoint(p):
-            continue
-        delta = min(residual[v - 1] for v in p)
+    # filter calls skip.isdisjoint on each path as the loop reaches it, so
+    # it sees the vertices that earlier paths added to skip
+    for p in filter(skip.isdisjoint, ix.base):
+        delta = min(map(residual.__getitem__, p))
         total += delta
         if total >= dual_below:
             return None
+        zeros = []
         for v in p:
-            residual[v - 1] -= delta
-        for v in sorted(p):
-            if residual[v - 1] == 0 and v not in skip:
-                skip.add(v)
-                cover.append(v)
-                weight += g.weights[v - 1]
+            residual[v] -= delta
+            if not residual[v]:
+                zeros.append(v)
+        zeros.sort()
+        for v in zeros:
+            skip.add(v)
+            cover.append(v)
+            weight += g.weights[v - 1]
         if weight >= below:
             return None
     return cover, total

@@ -165,6 +165,37 @@ def reference_ptas(inst, epsilon):
     return s1 if len(s1) <= len(s2) else s2
 
 
+def reference_local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
+    """The earlier local-ratio loop, the reference for `solvers._local_ratio`:
+    (cover in join order, Σδ), or None once the cover weighs below or Σδ
+    reaches dual_below. It tests each path for the skip set in Python,
+    keeps residuals by vertex index and joins the zero-residual vertices of
+    sorted(p) that are not yet skipped."""
+    if below <= 0 or dual_below <= 0:
+        return None
+    residual = list(g.weights)
+    cover = []
+    skip = set(ix.removed)
+    weight = total = 0
+    for p in ix.base:
+        if not skip.isdisjoint(p):
+            continue
+        delta = min(residual[v - 1] for v in p)
+        total += delta
+        if total >= dual_below:
+            return None
+        for v in p:
+            residual[v - 1] -= delta
+        for v in sorted(p):
+            if residual[v - 1] == 0 and v not in skip:
+                skip.add(v)
+                cover.append(v)
+                weight += g.weights[v - 1]
+        if weight >= below:
+            return None
+    return cover, total
+
+
 def brute_opt_weight(g: Graph, k):
     return brute_optima(g, k)[0]
 

@@ -15,6 +15,7 @@ from pvcover import (
     PathIndex,
     gen_graph,
     gen_patch,
+    local_ratio_approx,
     oracle_registry,
     solve_exact,
     write_graph,
@@ -51,6 +52,14 @@ def test_solve_algorithms_agree_on_feasibility(graph_file):
         assert out.startswith("s pvc 3 ")
 
 
+def _bench_graph_file(tmp_path, n, seed):
+    """A graph drawn like the benchmark's (max degree 3, 1.3 n edges), and its file."""
+    g = gen_graph(GeneratorConfig(n, edge_target=int(1.3 * n), max_degree=3, seed=seed))
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(g))
+    return g, str(path)
+
+
 # SHA-256 of `pvc solve --alg greedy` stdout on gen_graph instances drawn
 # like the solve_greedy benchmark's (max degree 3, 1.3 n edges, k 5-6), one
 # per (n, k, seed), recorded before greedy skipped any color-coding round.
@@ -66,13 +75,65 @@ GREEDY_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("n, k, seed", sorted(GREEDY_STDOUT_SHA256))
 def test_greedy_stdout_is_unchanged(tmp_path, n, k, seed):
-    g = gen_graph(GeneratorConfig(n, edge_target=int(1.3 * n), max_degree=3, seed=seed))
-    path = tmp_path / "g.graph"
-    path.write_text(write_graph(g))
-    argv = ["solve", "-k", str(k), "--alg", "greedy", "--seed", str(seed), str(path)]
+    _, path = _bench_graph_file(tmp_path, n, seed)
+    argv = ["solve", "-k", str(k), "--alg", "greedy", "--seed", str(seed), path]
     code, out, _ = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GREEDY_STDOUT_SHA256[(n, k, seed)]
+
+
+# SHA-256 of `pvc solve --alg local-ratio` stdout at reopt_mid's sizes (n
+# 60-140, k 4-5), one per (n, k, seed).
+# Reverse delete drops cover vertices latest first, so the local-ratio
+# pass's join order shows in the output; recorded before that pass indexed
+# its residuals by vertex id.
+LOCAL_RATIO_STDOUT_SHA256 = {
+    (60, 4, 1): "98adf513e11c377e6b794898323b6b6c602c9023f4e365512831d13232278520",
+    (80, 5, 2): "625973004acf482c3988d36afb2f5d21c90bd6cc7acc69e5a05318c6a4199a82",
+    (100, 4, 3): "ad372ee84aa7f758cd370d7dd04eced467d8e67191d8e93276b34145059eb165",
+    (120, 5, 4): "2d39ae7a0e4f52cfe1786ed7e8fc9542f4017c777a03eac5c6eb14c3e46239eb",
+    (140, 4, 5): "532724016ff34daf86ca3f9306b8f806e684360f59558e0bf966e1617ccc9bf7",
+    (140, 5, 6): "932ea5b2f9c2528ad59e53dbb1dceeae9cea9b0a548943a0473005b61d6820e8",
+}
+
+
+@pytest.mark.parametrize("n, k, seed", sorted(LOCAL_RATIO_STDOUT_SHA256))
+def test_local_ratio_stdout_is_unchanged(tmp_path, n, k, seed):
+    _, path = _bench_graph_file(tmp_path, n, seed)
+    code, out, _ = run_cli(["solve", "-k", str(k), "--alg", "local-ratio", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_RATIO_STDOUT_SHA256[(n, k, seed)]
+
+
+# SHA-256 of `pvc reopt --mode wk --oracle local-ratio` stdout on reopt_mid-like
+# instances (c inserted vertices, each with two expected old neighbours, and
+# the pruned local-ratio cover as the old solution), one per (n_old, k, c,
+# seed), recorded with the local-ratio digests above.
+WK_LOCAL_RATIO_STDOUT_SHA256 = {
+    (60, 4, 1, 10): "4b7369251b05f2f3f3ee3a9935b35f948ac4bccf4afbe65be7f23ac6f29975b5",
+    (80, 5, 2, 1): "0511581ad9d5067948ad03b2b95f2d6198d134d530ea07bc2113af158fe1936d",
+    (100, 4, 3, 11): "813f4271d048396c408a04be845b5a2093d57d50ede8406340699764b6049117",
+    (120, 5, 1, 1): "8b7b4a45e64afd59c05e6c9181ca17003380eca177dba8ea9374ac862780d31e",
+    (140, 4, 2, 13): "7895636ca1ba02c8fb7334099b695d0860a6aeccee1afba515df77449234a56b",
+    (140, 5, 3, 5): "aaf278a769d1b4d12049ad433f8df35eca8a61cbea42f6ce14604e4bf3a610e6",
+}
+
+
+@pytest.mark.parametrize("n, k, c, seed", sorted(WK_LOCAL_RATIO_STDOUT_SHA256))
+def test_wk_local_ratio_stdout_is_unchanged(tmp_path, n, k, c, seed):
+    g, path = _bench_graph_file(tmp_path, n, seed)
+    patch = gen_patch(g, c, attach_prob=2.0 / n, internal_prob=0.5, seed=seed, max_degree=3)
+    ppath = tmp_path / "p.patch"
+    ppath.write_text(write_patch(patch))
+    spath = tmp_path / "s.sol"
+    spath.write_text(write_solution(local_ratio_approx(g, k)))
+    argv = ["reopt", "-k", str(k), "--mode", "wk", "--oracle", "local-ratio",
+            path, str(ppath), str(spath)]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WK_LOCAL_RATIO_STDOUT_SHA256[
+        (n, k, c, seed)
+    ]
 
 
 def test_verify_feasible_and_ratio(graph_file, tmp_path):
@@ -295,6 +356,22 @@ def test_ptas_refuses_an_epsilon_that_is_not_positive(tmp_path, graph_file, epsi
         ["incremental", "-k", "3", "--reopt", "ptas", "--epsilon", epsilon, graph_file],
     ):
         assert run_cli(argv) == (1, "", "error: epsilon must be positive\n")
+
+
+def test_ptas_takes_all_of_v_for_an_epsilon_whose_ratio_overflows(tmp_path, graph_file):
+    # c / 1e-320 is inf, whose ceil is an OverflowError; m = n instead, so the
+    # output is that of any epsilon with c / epsilon >= n
+    ppath = tmp_path / "p.patch"
+    ppath.write_text("p patch 4 1 0 1\nv 5 1\na 4 5\n")
+    sol = tmp_path / "s.sol"
+    sol.write_text("s pvc 3 1 1\nx 2\n")
+    for head, tail in (
+        (["reopt", "-k", "3", "--mode", "ptas", "--epsilon"], [graph_file, str(ppath), str(sol)]),
+        (["incremental", "-k", "3", "--reopt", "ptas", "--epsilon"], [graph_file]),
+    ):
+        code, out, err = run_cli([*head, "1e-320", *tail])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli([*head, "0.2", *tail])
 
 
 def test_reopt_w3_exact_oracle(tmp_path):

@@ -26,7 +26,13 @@ from pvcover.errors import SizeLimitExceeded
 from pvcover.kpaths import default_trials
 from pvcover.solvers import EXHAUSTIVE_N
 
-from conftest import brute_optima, brute_opt_weight, colorful_path_dp, random_graph
+from conftest import (
+    brute_opt_weight,
+    brute_optima,
+    colorful_path_dp,
+    random_graph,
+    reference_local_ratio,
+)
 
 
 def test_exact_path_graph_canonical(path4):
@@ -310,6 +316,33 @@ def test_hit_count_prune_matches_the_mask_loop():
                 got = local_ratio_approx(g, k, index=index)
                 assert got.vertices == reference_prune(g, k, cover, index)
                 assert got.feasible
+
+
+def test_local_ratio_pass_matches_the_reference_loop():
+    # same cover in join order, same Σδ and same None, on whole and part
+    # indexes, unbounded and under bounds that stop the pass partway
+    stopped = {"below": 0, "dual_below": 0}
+    for seed in range(30):
+        n = 14 + seed % 25
+        g = random_graph(seed, n, m=n + n // 4, max_degree=3 + seed % 2)
+        part = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
+        for k in (3, 4, 5, 6):
+            whole = PathIndex(g, k)
+            for ix in (whole, PathIndex(g, k, alive=part), whole.avoiding(set(g.vertices()) - part)):
+                full = reference_local_ratio(g, ix)
+                assert pvcover.solvers._local_ratio(g, ix) == full
+                cover, total = full
+                weight = g.weight_of(cover)
+                for b in (1, weight // 3, weight // 2, weight, weight + 1):
+                    want = reference_local_ratio(g, ix, below=b)
+                    assert pvcover.solvers._local_ratio(g, ix, below=b) == want
+                    stopped["below"] += want is None and 0 < b
+                for b in (1, total // 3, total // 2, total, total + 1):
+                    want = reference_local_ratio(g, ix, dual_below=b)
+                    assert pvcover.solvers._local_ratio(g, ix, dual_below=b) == want
+                    stopped["dual_below"] += want is None and 0 < b
+    # the bounds cut many passes after they began
+    assert min(stopped.values()) > 100
 
 
 def test_optimum_subset_removal_monotonicity():
