@@ -2,11 +2,8 @@
 
 The color-coding detector finds a k-path with high probability; every
 returned path is verified, so a positive answer is always trustworthy. Each
-trial colors the vertices at random and returns the path the colorful-path
-DP would, found by scanning the walker's k-paths, read lazily, for the first
-whose colors are all distinct, so a trial that hits reads only a prefix of
-the list. The scan is bounded; a trial whose scan ends without a hit
-before the list does runs the DP's forward pass instead.
+trial colors the vertices at random and runs the colorful-path DP, which
+finds a k-path whose colors are all distinct if the coloring gave one.
 """
 
 import time

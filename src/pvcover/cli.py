@@ -35,6 +35,7 @@ EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
 _MODE_NAMES = {"corrected": "corrected", "paper": "paper-literal"}
+_UNUSED_SEED = "accepted and ignored: no solver draws random numbers"
 
 
 def _read_solution(path, g, k, err):
@@ -53,7 +54,7 @@ def build_parser():
     p = sub.add_parser("solve", help="solve a k-path vertex cover instance")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--alg", choices=solvers, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
     p.add_argument("graph")
 
     p = sub.add_parser("reopt", help="reoptimize after a graph insertion")
@@ -63,7 +64,7 @@ def build_parser():
     p.add_argument("--oracle", choices=solvers, default="local-ratio")
     p.add_argument("--family-mode", choices=["corrected", "paper"], default="corrected")
     p.add_argument("--cap-mode", choices=["corrected", "paper"], default="corrected")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
     p.add_argument("old_graph")
     p.add_argument("patch")
     p.add_argument("old_sol")
@@ -107,13 +108,15 @@ def build_parser():
     p.add_argument("--suite", required=True)
     p.add_argument("--timeout-sec", type=float)
     p.add_argument("--algs", default="greedy,local-ratio")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="printed in each row; no solver draws random numbers"
+    )
     return parser
 
 
 def _cmd_solve(args, out, err):
     g = parse_graph(read_text(args.graph))
-    sol = oracle_registry()[args.alg].solve(g, args.k, args.seed)
+    sol = oracle_registry()[args.alg].solve(g, args.k)
     out.write(write_solution(sol))
     return EXIT_OK
 
@@ -130,13 +133,9 @@ def _cmd_reopt(args, out, err):
     else:
         oracle = oracle_registry()[args.oracle]
         if args.mode == "w3":
-            sol = wtd_3path(
-                inst, oracle, mode=_MODE_NAMES[args.family_mode], seed=args.seed
-            )
+            sol = wtd_3path(inst, oracle, mode=_MODE_NAMES[args.family_mode])
         else:
-            sol = wtd_kpath(
-                inst, oracle, cap_mode=_MODE_NAMES[args.cap_mode], seed=args.seed
-            )
+            sol = wtd_kpath(inst, oracle, cap_mode=_MODE_NAMES[args.cap_mode])
     out.write(write_solution(sol))
     return EXIT_OK
 

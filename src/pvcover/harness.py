@@ -131,16 +131,16 @@ def verify(g: Graph, k, sol: CoverSolution, check_optimal=False) -> RunReport:
     )
 
 
-def _run_algorithm(name, g, k, seed, patch=None, old_sol=None):
+def _run_algorithm(name, g, k, patch=None, old_sol=None):
     if name not in REOPT_ALGORITHMS:
-        return oracle_registry()[name].solve(g, k, seed)
+        return oracle_registry()[name].solve(g, k)
     if patch is None or old_sol is None:
         return None
     inst = ReoptInstance.create(g, patch, old_sol, k)
     oracle = oracle_registry()["local-ratio"]
     if name == "reopt-w3":
-        return wtd_3path(inst, oracle, seed=seed)
-    return wtd_kpath(inst, oracle, seed=seed)
+        return wtd_3path(inst, oracle)
+    return wtd_kpath(inst, oracle)
 
 
 def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, seed=0):
@@ -160,7 +160,8 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
     failure. A k below 2
     is a ValueError before the suite is read. A timeout_sec of None means
     no limit, one of 0 or less marks every row a timeout, and NaN is a
-    ValueError before the suite is read.
+    ValueError before the suite is read. seed is only echoed in each ok
+    row's report; no algorithm draws random numbers.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -196,7 +197,7 @@ def bench(suite_dir, k, algorithms=("greedy", "local-ratio"), timeout_sec=None, 
                 continue
             start = time.perf_counter()
             try:
-                sol = _run_algorithm(alg, g, k, seed, patch=patch, old_sol=old_sol)
+                sol = _run_algorithm(alg, g, k, patch=patch, old_sol=old_sol)
             except PvcError as exc:
                 reports.append((name, alg, "error", str(exc), None))
                 continue

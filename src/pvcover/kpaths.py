@@ -14,22 +14,10 @@ comes out once and the work follows the paths near the focus, not the
 whole of g[alive]. The walker can also resume just after a given path
 (`_walk(after=)`).
 
-A `LivePaths` is the walker's list of g[alive], read only as far as a
-caller asks and shrunk by each vertex it loses; its next read resumes the
-walk of the smaller g[alive] after the last path read, so it stays a prefix
-of a fresh walk's list. `find_k_path` reads one such list, given or made
-for the call: exhaustive search returns its first path, and color coding
-is a randomized path picker over it, with one-sided error: a path it
-returns is verified, but "None" may be a miss, so a caller that must know
-asks the walker and keeps its path as the fallback. A trial gives the
-path the colorful-path DP of Alon, Yuster and Zwick would: the first
-colorful path of the list marks the DP's end vertex, every colorful path
-from that vertex lies in the block of the list that starts there, and the
-one whose reversal is least is the DP's sequence. The scan reads a
-bounded prefix of the list; when that prefix cuts the block, a search
-from the end vertex under the coloring finishes it, and when it holds no
-colorful path, the DP's forward pass finds the end vertex, so a trial's
-reads stay near the DP's cost however many k-paths there are.
+`find_k_path` finds one k-path of g, by the walker (its first path) or by
+color coding, a randomized detector with one-sided error: a path it
+returns is verified, but "None" may be a miss. Each color-coding trial
+is the colorful-path DP of Alon, Yuster and Zwick over all of g.
 
 A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
 bitmask per path (bit v-1 for vertex v) built when branch and bound
@@ -53,7 +41,6 @@ from .graph import Graph
 DEFAULT_PATH_CAP = 10**7
 DEFAULT_DELTA = 0.01
 COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
-SCAN_HITS = 3  # a color-coding trial scans this many times k^k/k! paths before the DP
 
 
 def canonical(path):
@@ -313,95 +300,21 @@ def default_trials(k):
         raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
 
 
-def _trial_colors(live, s, n):
-    """The first n or more values of the stream Random(s).randrange(live.k).
-
-    live.streams maps s to the prefix drawn by the first call on the list.
-    A list's alive set only shrinks, so that call asked for the most
-    values, and later calls draw none.
-    """
-    drawn = live.streams.get(s)
-    if drawn is None:
-        rng = random.Random(s)
-        drawn = live.streams[s] = [rng.randrange(live.k) for _ in range(n)]
-    return drawn
-
-
-class LivePaths:
-    """The k-paths of g[alive] in the walker's order, read only as far as asked.
-
-    `paths` holds the paths read so far, and `more()` reads on. `discard(v)`
-    takes v out of `alive` and its paths out of `paths`; the next read
-    resumes a walk of the smaller g[alive] just after the last path read
-    (`_walk(after=)`). A deletion creates no path, so `paths` is always a
-    prefix of what a fresh walk of g[alive] yields. alive is not checked.
-    A read that would make `paths` longer than DEFAULT_PATH_CAP raises
-    LimitExceeded. `complete` tells whether `paths` is the whole list.
-    `streams` keeps the color streams that color coding has drawn on this
-    list, keyed by stream seed (`_trial_colors`).
-    """
-
-    __slots__ = ("g", "k", "alive", "paths", "streams", "_walker", "_last", "_done")
-
-    def __init__(self, g: Graph, k, alive):
-        self.g = g
-        self.k = k
-        self.alive = set(alive)
-        self.paths = []
-        self.streams = {}
-        self._walker = None
-        self._last = None
-        self._done = False
-
-    def more(self):
-        """Yield the paths of g[alive] that follow paths, each appended to
-        paths before it is yielded."""
-        if self._done:
-            return
-        if self._walker is None:
-            self._walker = _walk(self.g, self.k, self.alive, after=self._last)
-        for p in self._walker:
-            if len(self.paths) >= DEFAULT_PATH_CAP:
-                raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {self.k}-paths")
-            self._last = p
-            self.paths.append(p)
-            yield p
-        self._done = True
-
-    @property
-    def complete(self):
-        """True once a read has reached the end of the walk, so that paths
-        holds every k-path of g[alive]. A complete list stays complete
-        after `discard`, because a deletion creates no path."""
-        return self._done
-
-    def first(self):
-        """The lexicographically first k-path of g[alive], or None."""
-        return self.paths[0] if self.paths else next(self.more(), None)
-
-    def discard(self, v):
-        """Take the alive vertex v out of alive and its paths out of paths."""
-        self.alive.remove(v)
-        self.paths = [p for p in self.paths if v not in p]
-        self._walker = None
-
-
 def _colorful_layers(adj, k, bit, starts):
     """layers[i] holds each (x, colors) such that a colorful sequence of
     i + 1 vertices runs from a vertex of starts to x with those colors.
 
-    bit maps each alive vertex to its color bit; a vertex it lacks is dead.
-    From every alive vertex, the last layer is the forward pass of the
-    colorful-path DP of Alon, Yuster and Zwick, without parent pointers.
+    bit[v] is vertex v's color bit. From every vertex, the last layer is the
+    forward pass of the colorful-path DP of Alon, Yuster and Zwick, without
+    parent pointers.
     """
     layers = [{(v, bit[v]) for v in starts}]
     for _ in range(k - 1):
         step = set()
         for x, mask in layers[-1]:
             for u in adj[x - 1]:
-                b = bit.get(u)
-                if b is not None and not mask & b:
-                    step.add((u, mask | b))
+                if not mask & bit[u]:
+                    step.add((u, mask | bit[u]))
         layers.append(step)
     return layers
 
@@ -423,111 +336,42 @@ def _least_colorful_from(adj, k, bit, v):
     return tuple(reversed(seq))
 
 
-def _color_coding_trial(live, order, colors, limit):
-    """One color-coding trial: the path the colorful-path DP would return.
+def find_k_path(g: Graph, k, *, strategy, seed=0):
+    """Find one k-path of g; strategy is "exhaustive" or "color-coding".
 
-    live is the LivePaths of g[alive] at k and order the alive vertices
-    ascending; order[i] has color colors[i], and colors may run longer.
-    The DP keeps, for each (vertex, color set) state, its lexicographically
-    least colorful sequence, and returns the one ending at the least vertex
-    v* that ends any colorful k-sequence, made canonical: of the colorful
-    k-paths from v*, the one whose reversal is least. v* is the least first
-    vertex of a colorful canonical path, so the first path of live, in
-    walker order, whose color bits sum to 2^k - 1 starts at v*. A colorful
-    sequence from v* ends above v*, so each one is a canonical path that
-    starts at v*, and the walker lists those paths in one block.
-
-    One reader takes at most limit paths of live. It scans to the first
-    colorful path, then reads on through its block and returns the
-    block's colorful path whose reversal is least. A scan that ends at the
-    last path of g[alive] is a miss. When the reader stops at limit, the
-    search from v* (`_least_colorful_from`) finishes the block, and a scan
-    with no colorful path leaves v* to the DP's forward pass
-    (`_colorful_layers`). Returns a verified k-path or None.
-    """
-    g, k = live.g, live.k
-    full = (1 << k) - 1
-    bit = {v: 1 << c for v, c in zip(order, colors)}
-    color_bit = bit.__getitem__
-    reader = enumerate(itertools.islice(itertools.chain(live.paths, live.more()), limit), 1)
-    scanned = 0
-    hit = None
-    for scanned, p in reader:
-        if sum(map(color_bit, p)) == full:
-            hit = p
-            break
-    if hit is not None:
-        path = hit
-        for scanned, p in reader:
-            if p[0] != hit[0]:
-                break
-            if sum(map(color_bit, p)) == full and p[::-1] < path[::-1]:
-                path = p
-        else:
-            if scanned == limit:  # the block may go on past the reader
-                path = _least_colorful_from(g.adj, k, bit, hit[0])
-    elif scanned < limit:
-        return None
-    else:
-        ends = _colorful_layers(g.adj, k, bit, bit)[-1]
-        if not ends:
-            return None
-        path = _least_colorful_from(g.adj, k, bit, min(ends)[0])
-    return path if is_k_path(g, path, k) else None
-
-
-def find_k_path(g: Graph, k, *, strategy, seed=0, paths=None):
-    """Find one k-path of g[alive]; strategy is "exhaustive" or
-    "color-coding".
-
-    paths, a LivePaths of g at k that the caller keeps, names g[alive] and
-    is the list both strategies read; without it a LivePaths of all of g
-    is made for this call.
-
-    exhaustive: the list's first path, the lexicographically first k-path
-    of g[alive], or None; never errs.
+    exhaustive: the walker's first path, the lexicographically first k-path
+    of g, or None; never errs.
 
     color-coding: default_trials(k) random trials with derived seeds; trial
-    t colors the alive vertices in ascending id order from
-    Random(seed + t).randrange(k), which are the colors it gives the
-    subgraph induced by alive, relabeled in that order, so both return the
-    same path. Each trial returns the path the colorful-path DP would (see
-    `_color_coding_trial`): it scans the list for the first colorful path
-    and reads on through the paths that share its first vertex, reading
-    at most max(SCAN_HITS * k^k / k!, |alive|) paths. It runs the search
-    from that vertex only if the limit cuts those paths, and the DP's
-    forward pass only if the paths read hold no colorful one. A uniformly colored
-    k-path is colorful with probability k!/k^k, and the DP touches every
-    alive vertex, so neither a trial's work nor the list grows with the
-    number of k-paths. The list keeps each stream it is colored from, so
-    later calls on it, at one seed, draw none twice and reuse its prefix
-    once it has lost vertices. Any returned path is verified, so only
-    "None" can be wrong. Raises LimitExceeded before the first trial when
-    trials * 2^k * |alive| exceeds COLOR_CODING_GUARD, the budget of the
-    DP, kept so that the same calls are refused.
+    t colors vertex v with the v-th value of Random(seed + t).randrange(k)
+    and runs the colorful-path DP. Its forward pass (`_colorful_layers`)
+    finds the least vertex v* that ends a colorful k-sequence, and the
+    search from v* (`_least_colorful_from`) returns the colorful k-path from
+    v* whose reversal is least: the path a DP that keeps each state's
+    lexicographically least sequence returns. Any returned path is
+    verified, so only "None" can be wrong. Raises LimitExceeded before the
+    first trial when trials * 2^k * n exceeds COLOR_CODING_GUARD, the
+    budget of the DP.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if strategy not in ("exhaustive", "color-coding"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if paths is None:
-        paths = LivePaths(g, k, g.vertices())
-    elif paths.g is not g or paths.k != k:
-        raise ValueError("paths must be a LivePaths of g at k")
     if strategy == "exhaustive":
-        return paths.first()
+        return next(_walk(g, k, g.vertices()), None)
     trials = default_trials(k)
-    order = sorted(paths.alive)
-    n = len(order)
-    if trials * (1 << k) * n > COLOR_CODING_GUARD:
+    if trials * (1 << k) * g.n > COLOR_CODING_GUARD:
         raise LimitExceeded(
-            f"color coding at k={k}, n={n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
+            f"color coding at k={k}, n={g.n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
         )
-    limit = max(-(-SCAN_HITS * k**k // math.factorial(k)), n)
     for t in range(trials):
-        got = _color_coding_trial(paths, order, _trial_colors(paths, seed + t, n), limit)
-        if got is not None:
-            return got
+        rng = random.Random(seed + t)
+        bit = [0, *(1 << rng.randrange(k) for _ in range(g.n))]
+        ends = _colorful_layers(g.adj, k, bit, g.vertices())[-1]
+        if ends:
+            path = _least_colorful_from(g.adj, k, bit, min(ends)[0])
+            if is_k_path(g, path, k):
+                return path
     return None
 
 

@@ -114,7 +114,7 @@ def ptas_unweighted(inst: ReoptInstance, epsilon):
     return make_solution(g, s2, inst.k) if found is None else found
 
 
-def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle, seed=0):
+def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle):
     """Best of old_opt+F_i and oracle-on-remainder+F_i over the family.
 
     With a rho-ratio oracle and a family whose members cover every k-path
@@ -152,7 +152,7 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle,
         w_f = g.weight_of(f)
         part = index.avoiding(va | f)
         below = min(cand, best or cand)[0] - w_f
-        sub_sol = oracle.solve(g, k, seed, index=part, below=below)
+        sub_sol = oracle.solve(g, k, index=part, below=below)
         if sub_sol is not None:
             if not sub_sol.vertices <= part.alive:
                 raise ValueError(
@@ -227,12 +227,12 @@ def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):
     return GoodFamily(members=tuple(members), provenance=tuple(family[m] for m in members))
 
 
-def wtd_3path(inst: ReoptInstance, oracle: ApproxOracle, mode="corrected", seed=0):
+def wtd_3path(inst: ReoptInstance, oracle: ApproxOracle, mode="corrected"):
     """1.5-approximation (with a 2-ratio oracle) for k=3 reoptimization."""
     if inst.k != 3:
         raise UnsupportedInstance("wtd_3path requires k = 3")
     family = good_family_3pvcp(inst.g_new, inst.patch, mode=mode)
-    return construct_sol(inst, family, oracle, seed=seed)
+    return construct_sol(inst, family, oracle)
 
 
 def level_bound(c, delta, k):
@@ -310,12 +310,12 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
     return GoodFamily(members=tuple(family), provenance=tuple(family.values()))
 
 
-def wtd_kpath(inst: ReoptInstance, oracle: ApproxOracle, cap_mode="corrected", seed=0):
+def wtd_kpath(inst: ReoptInstance, oracle: ApproxOracle, cap_mode="corrected"):
     """(2 - 1/rho)-approximation for k >= 4 reoptimization."""
     if inst.k < 4:
         raise UnsupportedInstance("wtd_kpath requires k >= 4")
     family = construct_f(inst.g_new, inst.added_ids(), inst.k, cap_mode=cap_mode)
-    return construct_sol(inst, family, oracle, seed=seed)
+    return construct_sol(inst, family, oracle)
 
 
 @dataclass(frozen=True)

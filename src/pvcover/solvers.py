@@ -14,17 +14,16 @@ from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
-from .kpaths import LivePaths, PathIndex, covers_all_k_paths, find_k_path
+from .kpaths import PathIndex, _walk, covers_all_k_paths
 
 EXACT_SIZE_LIMIT = 24
-EXHAUSTIVE_N = 16  # greedy uses color coding above this many vertices
 
 
 @dataclass(frozen=True)
 class CoverSolution:
     """A vertex set of a graph, with its weight and whether it covers every
     k-path at this k. Built only through _solution, so feasible is always
-    a verdict at k: a walk, an index scan or greedy's last walker call."""
+    a verdict at k: a walk, an index scan or the walk that ends greedy."""
 
     vertices: frozenset
     k: int
@@ -58,17 +57,17 @@ def _solution(g: Graph, k, vertices, feasible):
 class ApproxOracle:
     """A pluggable cover algorithm with a declared (untrusted) ratio.
 
-    solve(g, k, seed) covers g. solve(g, k, seed, index=part), with part a
-    PathIndex of g[alive] at k, covers only part's paths: the cover is drawn
-    from part.alive, in g's vertex ids. With below=b the oracle may return
-    None instead, but only when the cover it would return weighs at least b;
-    the exact oracle returns None iff no cover of part weighs less than b,
-    and the local-ratio oracle on a part returns None as soon as its growing
-    cover weighs b. Greedy ignores b.
+    solve(g, k) covers g. solve(g, k, index=part), with part a PathIndex of
+    g[alive] at k, covers only part's paths: the cover is drawn from
+    part.alive, in g's vertex ids. With below=b the oracle may return None
+    instead, but only when the cover it would return weighs at least b; the
+    exact oracle returns None iff no cover of part weighs less than b, and
+    the local-ratio oracle on a part returns None as soon as its growing
+    cover weighs b. Greedy ignores b. No oracle draws random numbers.
     """
 
     name: str
-    # (Graph, k, seed, index=None, below=math.inf) -> CoverSolution | None
+    # (Graph, k, index=None, below=math.inf) -> CoverSolution | None
     solve: Callable = field(compare=False)
     declared_ratio: str = "unknown"
 
@@ -185,50 +184,26 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     return _solution(g, k, best[1], ix.covers(best[1]))
 
 
-def greedy_approx(g: Graph, k, seed=0, alive=None):
+def greedy_approx(g: Graph, k, alive=None):
     """Min-weight-vertex deletion loop; weight at most (n-k+1) times optimal.
 
-    Covers g[alive] (all of g when alive is None). One LivePaths keeps the
-    k-paths of g[left] in walker order, read lazily and shrunk by each
-    deleted vertex; its head is the walker's first path of g[left], and the
-    loop ends when it has none, so that verdict is the feasible flag. While
-    more than EXHAUSTIVE_N vertices are left and k > 3, color coding
-    (seeded by seed) picks the path from that list, reading it no further
-    than each trial's scan limit (see `find_k_path`); on a miss, and
-    outside that regime, the head is used. A round whose list is complete
-    and whose paths all have the head's lightest vertex, by (weight, id),
-    skips color coding: it could return only one of those paths, or None
-    and so the head, and each deletes that vertex. The first round's list
-    is never complete, as its walk stops at the head, so a call that color
-    coding's budget guard refuses is still refused.
-
-    Every round reruns trials 0, 1, ... from the same seeds on one vertex
-    fewer, so a round's coloring for trial t is a prefix of the stream an
-    earlier round drew. The LivePaths, owned by this call, keeps each
-    stream, and each is drawn once per call.
+    Covers g[alive] (all of g when alive is None). Each round deletes the
+    lightest vertex, by (weight, id), of the walker's first k-path of
+    g[left]; the ratio holds whichever k-path a round deletes from. A
+    deletion creates no path, so the next round's first path follows this
+    one, and its walk resumes just after it (`_walk(after=)`). The loop ends
+    when the walk finds no path, so that verdict is the feasible flag.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    start = frozenset(g.vertices() if alive is None else alive)
-    g._check_subset(start)
-    live = LivePaths(g, k, start)
+    left = set(g.vertices() if alive is None else alive)
+    g._check_subset(left)
     cover = set()
-
-    def lightest(path):
-        return min(path, key=lambda v: (g.weights[v - 1], v))
-
-    while (p := live.first()) is not None:
-        vm = lightest(p)
-        if (
-            len(live.alive) > EXHAUSTIVE_N
-            and k > 3
-            and not (live.complete and all(lightest(q) == vm for q in live.paths))
-        ):
-            found = find_k_path(g, k, strategy="color-coding", seed=seed, paths=live)
-            if found is not None:
-                vm = lightest(found)
+    p = None
+    while (p := next(_walk(g, k, left, after=p), None)) is not None:
+        vm = min(p, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
-        live.discard(vm)
+        left.remove(vm)
     return _solution(g, k, cover, p is None)
 
 
@@ -327,11 +302,11 @@ class _Registry(dict):
 def oracle_registry():
     """The named solvers behind `pvc solve`, `pvc bench` and the reoptimizers.
 
-    solve(g, k, seed) covers all of g; solve(g, k, seed, index=part) covers a
-    part index from construct_sol. Each takes below=math.inf: exact returns
-    None iff no cover of the part is lighter, local-ratio on a part stops
-    its pass and returns None once its cover weighs below, and greedy
-    ignores it. local-ratio prunes (reverse delete) on a whole-graph solve
+    solve(g, k) covers all of g; solve(g, k, index=part) covers a part
+    index from construct_sol. Each takes below=math.inf: exact returns None
+    iff no cover of the part is lighter, local-ratio on a part stops its
+    pass and returns None once its cover weighs below, and greedy ignores
+    it. local-ratio prunes (reverse delete) on a whole-graph solve
     and runs the bare ratio-k scheme on a part index, which it reads
     without building the part's path list. The entries call the solvers
     by module-global name, so a wrapper bound over that name sees every
@@ -341,21 +316,21 @@ def oracle_registry():
         {
             "exact": ApproxOracle(
                 name="exact",
-                solve=lambda g, k, seed, index=None, below=math.inf: solve_exact(
+                solve=lambda g, k, index=None, below=math.inf: solve_exact(
                     g, k, index=index, below=below
                 ),
                 declared_ratio="1",
             ),
             "greedy": ApproxOracle(
                 name="greedy",
-                solve=lambda g, k, seed, index=None, below=math.inf: greedy_approx(
-                    g, k, seed=seed, alive=None if index is None else index.alive
+                solve=lambda g, k, index=None, below=math.inf: greedy_approx(
+                    g, k, alive=None if index is None else index.alive
                 ),
                 declared_ratio="n-k+1",
             ),
             "local-ratio": ApproxOracle(
                 name="local-ratio",
-                solve=lambda g, k, seed, index=None, below=math.inf: local_ratio_approx(
+                solve=lambda g, k, index=None, below=math.inf: local_ratio_approx(
                     g, k, prune=index is None, index=index, below=below
                 ),
                 declared_ratio="k",

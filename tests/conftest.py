@@ -78,25 +78,21 @@ def perm_k_paths(g: Graph, k):
     return sorted(found)
 
 
-def colorful_path_dp(g: Graph, k, order, colors):
-    """The colorful-path DP of one color-coding trial, the reference that
-    the scan of the walker's list in `kpaths._color_coding_trial` must match.
+def colorful_path_dp(g: Graph, k, colors):
+    """The colorful-path DP of one color-coding trial, the reference for
+    each trial of `find_k_path`'s color coding; colors[v - 1] is the color
+    of vertex v.
 
-    order lists the alive vertices ascending and colors[i] is the color of
-    order[i]; colors may run longer. A vertex off alive holds the full
-    mask, which every state's subset meets, so the DP walks g.adj and skips
-    it. States are (vertex, color-subset) pairs with a parent pointer; the
+    States are (vertex, color-subset) pairs with a parent pointer; the
     first parent found wins, so each state keeps its lexicographically
     least colorful sequence. Returns the canonical path of the state
     (v, all colors) with the least v, or None.
     """
     full = (1 << k) - 1
-    bit = [full] * (g.n + 1)
-    for v, c in zip(order, colors):
-        bit[v] = 1 << c
+    bit = [0, *(1 << c for c in colors)]
     parent = {}
     frontier = []
-    for v in order:
+    for v in g.vertices():
         parent[(v, bit[v])] = None
         frontier.append((v, bit[v]))
     for _ in range(k - 1):
@@ -110,7 +106,7 @@ def colorful_path_dp(g: Graph, k, order, colors):
                     parent[key] = v
                     nxt.append(key)
         frontier = nxt
-    for v in order:
+    for v in g.vertices():
         if (v, full) in parent:
             path, key = [v], (v, full)
             while parent[key] is not None:

@@ -18,13 +18,7 @@ from pvcover import (
     k_paths_through,
 )
 from pvcover.errors import LimitExceeded, UnknownVertex
-from pvcover.kpaths import (
-    LivePaths,
-    _color_coding_trial,
-    _walk,
-    _walk_through,
-    has_k_path_through,
-)
+from pvcover.kpaths import _walk, _walk_through, has_k_path_through
 
 from conftest import brute_covers, colorful_path_dp, perm_k_paths, random_graph
 
@@ -158,7 +152,7 @@ def reference_color_coding(g, k, trials, seed):
     for t in range(trials):
         rng = random.Random(seed + t)
         color = [rng.randrange(k) for _ in range(g.n)]
-        path = colorful_path_dp(g, k, list(g.vertices()), color)
+        path = colorful_path_dp(g, k, color)
         if path is not None:
             return path
     return None
@@ -170,67 +164,6 @@ def test_color_coding_matches_the_reference_loop(few_trials):
         sub, _ = induced_subgraph(g, alive)
         want = reference_color_coding(sub, k, 3, seed)
         assert find_k_path(sub, k, strategy="color-coding", seed=seed) == want
-
-
-def test_color_coding_on_alive_matches_the_relabeled_subgraph(few_trials):
-    # coloring alive in ascending id order is the coloring of the copy
-    few_trials(3)
-    outcomes = set()
-    for g, alive, k, seed in alive_cases():
-        sub, orig = induced_subgraph(g, alive)
-        want = find_k_path(sub, k, strategy="color-coding", seed=seed)
-        live = LivePaths(g, k, alive)
-        got = find_k_path(g, k, strategy="color-coding", seed=seed, paths=live)
-        assert got == (None if want is None else tuple(orig[v - 1] for v in want))
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
-
-
-def test_a_reused_list_gives_the_fresh_answer(few_trials):
-    # one list per case, asked again after losing its least and then its
-    # largest alive vertex, so its kept streams serve shorter prefixes
-    few_trials(4)
-    lists = []
-    for g, alive, k, seed in alive_cases():
-        live = LivePaths(g, k, alive)
-        for lost in (None, min(alive, default=None), max(alive, default=None)):
-            if lost is not None and lost in live.alive:
-                live.discard(lost)
-            fresh = LivePaths(g, k, live.alive)
-            want = find_k_path(g, k, strategy="color-coding", seed=seed, paths=fresh)
-            assert find_k_path(g, k, strategy="color-coding", seed=seed, paths=live) == want
-        lists.append(live)
-    assert any(live.streams for live in lists)
-    for live in lists:
-        for s, drawn in live.streams.items():
-            rng = random.Random(s)
-            assert drawn == [rng.randrange(live.k) for _ in drawn]
-
-
-def test_a_list_is_complete_once_read_to_the_end_and_stays_so():
-    checked = 0
-    for g, alive, k, _ in alive_cases():
-        live = LivePaths(g, k, alive)
-        if live.first() is None:
-            continue
-        assert not live.complete  # a read of the head stops short of the end
-        for _ in live.more():
-            pass
-        assert live.complete
-        for v in sorted(alive)[::3]:
-            live.discard(v)
-            assert live.complete
-            assert live.paths == list(_walk(g, k, live.alive))
-        checked += 1
-    assert checked
-
-
-def test_exhaustive_find_on_a_list_is_its_first_path():
-    for g, alive, k, _ in alive_cases():
-        paths = enumerate_k_paths(g, k, alive=alive)
-        live = LivePaths(g, k, alive)
-        got = find_k_path(g, k, strategy="exhaustive", paths=live)
-        assert got == (paths[0] if paths else None) == live.first()
 
 
 def test_default_trials_formula():
@@ -355,81 +288,6 @@ def test_color_coding_budget_is_guarded():
     assert find_k_path(g, 4, strategy="color-coding", seed=0) is not None
 
 
-@st.composite
-def color_coding_trials(draw):
-    """A graph on at most 12 vertices, k, an alive set, the LivePaths of
-    g[alive] in a state that reads and deletions can leave it in, and
-    colorings of the alive vertices.
-
-    The list starts on a superset of alive, reads some of its paths and
-    then loses the extra vertices one by one, so it holds a partly read
-    prefix and resumes its walk after a deleted path. A constant coloring,
-    which misses, is the simplest draw. Each coloring comes with the most
-    paths its trial may scan; 0 leaves every trial to the DP's forward pass.
-    """
-    n = draw(st.integers(1, 12))
-    density = draw(st.sampled_from([0.2, 0.4, 0.7]))
-    rng = draw(st.randoms(use_true_random=False))
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    g = Graph.build(n, [e for e in pairs if rng.random() < density])
-    k = draw(st.integers(2, 6))
-    alive = draw(st.frozensets(st.integers(1, n)))
-    extra = draw(st.permutations(sorted(draw(st.frozensets(st.integers(1, n))) - alive)))
-    live = LivePaths(g, k, alive.union(extra))
-    for _ in zip(range(draw(st.integers(0, 40))), live.more()):
-        pass
-    for v in extra:
-        live.discard(v)
-        for _ in zip(range(draw(st.integers(0, 3))), live.more()):
-            pass
-    colorings = st.lists(st.integers(0, k - 1), min_size=len(alive), max_size=len(alive))
-    trials = st.tuples(colorings, st.integers(0, 60))
-    return g, k, alive, live, draw(st.lists(trials, min_size=1, max_size=3))
-
-
-@settings(max_examples=300)
-@given(color_coding_trials())
-def test_color_coding_scan_matches_the_dp_trial_by_trial(trial):
-    g, k, alive, live, colorings = trial
-    order = sorted(alive)
-    fresh = list(_walk(g, k, alive))
-    for colors, limit in colorings:
-        assert live.paths == fresh[: len(live.paths)]
-        held = len(live.paths)
-        want = colorful_path_dp(g, k, order, colors)
-        assert _color_coding_trial(live, order, colors, limit) == want
-        assert len(live.paths) <= max(held, limit)
-    for _ in live.more():
-        pass
-    assert live.paths == fresh
-
-
-@pytest.mark.parametrize("limit, searched", [(10, False), (2, True)], ids=["block", "cut"])
-def test_color_coding_trial_takes_the_least_reversal_of_the_hits_block(monkeypatch, limit, searched):
-    # every 3-path from v* = 1 is colorful: (1, 2, 5), (1, 3, 4), (1, 3, 6)
-    # and (1, 6, 3) in walker order. The DP returns the last, whose
-    # reversal is least, not the hit. At limit 10 the reader takes the whole
-    # block; at limit 2 it stops inside it, after (1, 3, 4), and the search
-    # from v* finds the rest.
-    g = Graph.build(6, [(1, 2), (2, 5), (1, 3), (3, 4), (1, 6), (3, 6)])
-    order = list(g.vertices())
-    colors = [0, 1, 1, 2, 2, 2]
-    want = colorful_path_dp(g, 3, order, colors)
-    assert want == (1, 6, 3)
-    searches = []
-    search = pvcover.kpaths._least_colorful_from
-
-    def recording(*args):
-        searches.append(search(*args))
-        return searches[-1]
-
-    monkeypatch.setattr(pvcover.kpaths, "_least_colorful_from", recording)
-    live = LivePaths(g, 3, order)
-    assert _color_coding_trial(live, order, colors, limit) == want
-    assert live.paths[0] == (1, 2, 5) and len(live.paths) <= limit
-    assert searches == ([want] if searched else [])
-
-
 def test_walk_resumes_after_a_path_on_fewer_vertices():
     # every path of g[alive] as the resume point of a walk of a smaller set
     for seed in range(12):
@@ -441,30 +299,3 @@ def test_walk_resumes_after_a_path_on_fewer_vertices():
                 fewer = {v for v in g.vertices() if rng.random() < 0.8}
                 want = [p for p in _walk(g, k, fewer) if p > after]
                 assert list(_walk(g, k, fewer, after=after)) == want, (seed, k, after)
-
-
-@pytest.mark.parametrize("limit", [0, 5, 10**9], ids=["dp", "short-scan", "full-scan"])
-def test_color_coding_scan_hits_and_misses_like_the_dp(limit):
-    outcomes = set()
-    for g, alive, k, seed in alive_cases():
-        order = sorted(alive)
-        live = LivePaths(g, k, alive)
-        for t in range(3):
-            rng = random.Random(seed + t)
-            colors = [rng.randrange(k) for _ in order]
-            want = colorful_path_dp(g, k, order, colors)
-            assert _color_coding_trial(live, order, colors, limit) == want
-            outcomes.add(want is None)
-    assert outcomes == {True, False}
-
-
-def test_find_k_path_takes_a_live_list_of_its_own_graph_and_k(path4, few_trials):
-    live = LivePaths(path4, 3, {1, 2, 3})
-    # six trials at seed 0 miss the one 3-path of g[{1, 2, 3}], the seventh finds it
-    for trials, want in ((6, None), (7, (1, 2, 3))):
-        few_trials(trials)
-        assert find_k_path(path4, 3, strategy="color-coding", paths=live) == want
-    for g, k in ((path4, 4), (Graph.build(4, []), 3)):
-        for strategy in ("exhaustive", "color-coding"):
-            with pytest.raises(ValueError, match="LivePaths of g at k"):
-                find_k_path(g, k, strategy=strategy, paths=live)

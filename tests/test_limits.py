@@ -24,19 +24,18 @@ from pvcover import (
     find_k_path,
     gen_patch,
     good_family_3pvcp,
-    greedy_approx,
     k_paths_through,
     make_solution,
     ptas_unweighted,
     solve_exact,
 )
 from pvcover.errors import LimitExceeded, SizeLimitExceeded
-from pvcover.kpaths import LivePaths
 
 from conftest import random_graph
 
 PATH3 = Graph.build(3, [(1, 2), (2, 3)])
 PATH4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
+PATH10 = Graph.build(10, [(v, v + 1) for v in range(1, 10)])
 PATH30 = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
 # its 3-paths (1,2,3), (1,2,5), (2,3,4), (3,2,5) all meet 2; only (2,3,4) meets 4
 STAR = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
@@ -79,20 +78,10 @@ LIMITS = [
         id="DEFAULT_PATH_CAP-k_paths_through",
     ),
     pytest.param(
-        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
-        lambda: list(LivePaths(PATH4, 3, {1, 2, 3, 4}).more()),
-        # the cap counts the paths a list holds: greedy's holds (1, 2, 3),
-        # then (2, 3, 4) once vertex 1 is gone
-        lambda: greedy_approx(PATH4, 3).vertices == {1, 2},
-        id="DEFAULT_PATH_CAP-LivePaths",
-    ),
-    pytest.param(
-        # 252 trials at k = 4: 252 * 2^4 * 30 alive vertices is over 10^5, * 10 is not
+        # 252 trials at k = 4: 252 * 2^4 * 30 vertices is over 10^5, * 10 is not
         pvcover.kpaths, "COLOR_CODING_GUARD", 10**5, LimitExceeded,
         lambda: find_k_path(PATH30, 4, strategy="color-coding"),
-        lambda: find_k_path(
-            PATH30, 4, strategy="color-coding", paths=LivePaths(PATH30, 4, range(1, 11))
-        ) == (2, 3, 4, 5),
+        lambda: find_k_path(PATH10, 4, strategy="color-coding") == (2, 3, 4, 5),
         id="COLOR_CODING_GUARD-find_k_path",
     ),
     pytest.param(

@@ -217,7 +217,7 @@ def test_construct_sol_exact_oracle_reaches_optimum():
         assert sol.weight == solve_exact(inst.g_new, k).weight
 
 
-def subgraph_construct_sol(inst, family, oracle, seed=0):
+def subgraph_construct_sol(inst, family, oracle):
     """construct_sol as it was written over induced subgraphs: a reference."""
     g, k = inst.g_new, inst.k
     old_verts = frozenset(g.vertices()) - inst.added_ids()
@@ -227,7 +227,7 @@ def subgraph_construct_sol(inst, family, oracle, seed=0):
         assert covers_all_k_paths(g, s1, k)
         sub, orig = induced_subgraph(g, old_verts - f)
         # an index of all of sub: the oracle runs as it does on a part index
-        sub_sol = oracle.solve(sub, k, seed, index=PathIndex(sub, k))
+        sub_sol = oracle.solve(sub, k, index=PathIndex(sub, k))
         s2 = frozenset(orig[v - 1] for v in sub_sol.vertices) | f
         assert covers_all_k_paths(g, s2, k)
         w1, w2 = g.weight_of(s1), g.weight_of(s2)
@@ -241,8 +241,8 @@ def test_construct_sol_matches_subgraph_reference():
     registry = oracle_registry()
     for seed in range(24):
         k = 3 if seed % 2 else 4
-        # n_new 20 leaves remainders above the exhaustive threshold, so the
-        # greedy oracle also runs color coding on its relabeled subgraphs
+        # n_new 20 leaves remainders of up to 18 vertices, on which greedy
+        # runs several rounds, each resuming its walk after the last path
         n_new = 20 if seed % 4 == 0 else 11
         inst = random_reopt_instance(seed, n_new=n_new, k=k, c=2, max_degree=4)
         if k == 3:
@@ -250,8 +250,8 @@ def test_construct_sol_matches_subgraph_reference():
         else:
             family = construct_f(inst.g_new, inst.added_ids(), k)
         for name in ("exact", "local-ratio", "greedy"):
-            sol = construct_sol(inst, family, registry[name], seed=seed)
-            want = subgraph_construct_sol(inst, family, registry[name], seed=seed)
+            sol = construct_sol(inst, family, registry[name])
+            want = subgraph_construct_sol(inst, family, registry[name])
             assert sol.vertices == want, (seed, name)
             assert sol.feasible
 
@@ -261,7 +261,7 @@ def test_construct_sol_rejects_an_infeasible_oracle_cover(weighted_path_fixture)
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
     empty = ApproxOracle(
         name="empty",
-        solve=lambda g, k, seed, index=None, below=None: make_solution(g, frozenset(), k),
+        solve=lambda g, k, index=None, below=None: make_solution(g, frozenset(), k),
     )
     # old_opt + {4} is feasible, but g_new[{1, 2, 3}] keeps the path 1-2-3
     family = GoodFamily(members=(frozenset({4}),), provenance=("",))
@@ -287,7 +287,7 @@ def test_construct_sol_rejects_oracle_vertices_outside_the_remainder(weighted_pa
     inst = ReoptInstance.create(g_old, patch, make_solution(g_old, {1}, 3), 3)
     everything = ApproxOracle(
         name="everything",
-        solve=lambda g, k, seed, index=None, below=None: make_solution(
+        solve=lambda g, k, index=None, below=None: make_solution(
             g, frozenset(g.vertices()), k
         ),
     )
@@ -351,7 +351,7 @@ def test_wtd_3path_ratio_random():
     for seed in range(30):
         inst = random_reopt_instance(seed, n_new=10, k=3, c=2)
         opt = solve_exact(inst.g_new, 3).weight
-        sol = wtd_3path(inst, LOCAL_RATIO, seed=seed)
+        sol = wtd_3path(inst, LOCAL_RATIO)
         assert sol.feasible
         assert 3 * sol.weight <= 5 * opt  # (2 - 1/3) bound, exact rationals
 
@@ -490,7 +490,7 @@ def test_wtd_kpath_ratio_random():
     for seed in range(25):
         inst = random_reopt_instance(seed, n_new=10, k=4, c=2, max_degree=4)
         opt = solve_exact(inst.g_new, 4).weight
-        sol = wtd_kpath(inst, LOCAL_RATIO, seed=seed)
+        sol = wtd_kpath(inst, LOCAL_RATIO)
         assert sol.feasible
         assert 4 * sol.weight <= 7 * opt  # (2 - 1/4) bound, exact rationals
 
@@ -600,8 +600,8 @@ def test_construct_sol_exact_oracle_settles_members_by_the_bound():
     family = construct_f(inst.g_new, inst.added_ids(), 4)
     answers = []
 
-    def counting(g, k, seed, index=None, below=None):
-        sol = EXACT.solve(g, k, seed, index=index, below=below)
+    def counting(g, k, index=None, below=None):
+        sol = EXACT.solve(g, k, index=index, below=below)
         answers.append(sol)
         return sol
 
@@ -626,13 +626,13 @@ def mid_reopt_instance(seed, n_new, k, c):
 def test_construct_sol_local_ratio_cutoff_keeps_the_result():
     answers = []
 
-    def counting(g, k, seed, index=None, below=None):
-        sol = LOCAL_RATIO.solve(g, k, seed, index=index, below=below)
+    def counting(g, k, index=None, below=None):
+        sol = LOCAL_RATIO.solve(g, k, index=index, below=below)
         answers.append(sol)
         return sol
 
-    def unbounded(g, k, seed, index=None, below=None):
-        return LOCAL_RATIO.solve(g, k, seed, index=index)
+    def unbounded(g, k, index=None, below=None):
+        return LOCAL_RATIO.solve(g, k, index=index)
 
     bounded = ApproxOracle(name="counting-local-ratio", solve=counting, declared_ratio="k")
     plain = ApproxOracle(name="unbounded-local-ratio", solve=unbounded, declared_ratio="k")
@@ -640,8 +640,8 @@ def test_construct_sol_local_ratio_cutoff_keeps_the_result():
         k = 4 + seed % 2
         inst = mid_reopt_instance(seed, n_new=40 + 10 * (seed % 5), k=k, c=1 + seed % 3)
         family = construct_f(inst.g_new, inst.added_ids(), k)
-        got = construct_sol(inst, family, bounded, seed=seed)
-        want = construct_sol(inst, family, plain, seed=seed)
+        got = construct_sol(inst, family, bounded)
+        want = construct_sol(inst, family, plain)
         assert (got.vertices, got.weight) == (want.vertices, want.weight), seed
         assert got.feasible
     assert any(a is None for a in answers)

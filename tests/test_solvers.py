@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 import sys
 
 import pytest
@@ -21,15 +20,11 @@ from pvcover import (
     oracle_registry,
     solve_exact,
 )
-import pvcover.kpaths
 from pvcover.errors import SizeLimitExceeded
-from pvcover.kpaths import default_trials
-from pvcover.solvers import EXHAUSTIVE_N
 
 from conftest import (
     brute_opt_weight,
     brute_optima,
-    colorful_path_dp,
     random_graph,
     reference_local_ratio,
 )
@@ -97,158 +92,68 @@ def test_greedy_ratio_bound():
     for seed in range(60):
         g = random_graph(seed, 10)
         for k in (3, 4):
-            sol = greedy_approx(g, k, seed=seed)
+            sol = greedy_approx(g, k)
             assert sol.feasible
             assert sol.weight <= (g.n - k + 1) * max(brute_opt_weight(g, k), 0) or sol.weight == 0
 
 
-def dp_find_k_path(g, k, strategy, seed=0):
-    """find_k_path with each color-coding trial run by the colorful-path DP."""
-    if strategy == "exhaustive":
-        return find_k_path(g, k, strategy=strategy)
-    for t in range(default_trials(k)):
-        rng = random.Random(seed + t)
-        path = colorful_path_dp(g, k, g.vertices(), [rng.randrange(k) for _ in g.vertices()])
-        if path is not None:
-            return path
-    return None
-
-
-def reference_greedy(g, k, seed=0, alive=None, find=dp_find_k_path):
-    """The earlier greedy loop: color coding first on every round, including
-    the last, then an exhaustive search to confirm a "no path" answer."""
+def reference_greedy(g, k, alive=None):
+    """The greedy loop over induced-subgraph copies: each round copies
+    g[left], searches the copy exhaustively and deletes the lightest vertex,
+    by (weight, id), of the path found."""
     start = frozenset(g.vertices() if alive is None else alive)
     left = set(start)
     cover = set()
     while True:
         sub, orig = induced_subgraph(g, left)
-        strategy = "exhaustive" if sub.n <= EXHAUSTIVE_N or k <= 3 else "color-coding"
-        p = find(sub, k, strategy=strategy, seed=seed)
-        if p is None and strategy == "color-coding":
-            p = find(sub, k, strategy="exhaustive")
+        p = find_k_path(sub, k, strategy="exhaustive")
         if p is None:
             break
-        path = [orig[v - 1] for v in p]
-        vm = min(path, key=lambda v: (g.weights[v - 1], v))
+        vm = min((orig[v - 1] for v in p), key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
         left.remove(vm)
     return frozenset(cover), g.weight_of(cover), not has_k_path(g, k, alive=start - cover)
 
 
 def greedy_cases():
-    """Sparse graphs, then denser ones (max degree 6-8, thousands of k-paths)
-    whose long lists and searches from a hit's first vertex color coding
-    must get right."""
+    """Sparse graphs, then denser ones (max degree 6-8, thousands of
+    k-paths), each whole and on an alive set."""
     graphs = [(seed, random_graph(seed, 17 + 2 * seed, max_degree=4)) for seed in range(12)]
     for seed in range(4):
         n = 24 + 4 * seed
         graphs.append((seed, random_graph(seed, n, m=5 * n // 2, max_degree=6 + seed % 3)))
     for seed, g in graphs:
         alive = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
-        for k in (4, 5):
-            yield g, k, seed, None
-            yield g, k, seed, alive
+        for k in (3, 4, 5):
+            yield g, k, None
+            yield g, k, alive
 
 
 def test_greedy_matches_the_reference_loop():
-    for g, k, seed, alive in greedy_cases():
-        sol = greedy_approx(g, k, seed=seed, alive=alive)
-        assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, seed, alive)
-
-
-def test_greedy_reads_a_bounded_list_when_a_trial_misses_among_many_k_paths(monkeypatch):
-    # a double star: centers 1 and 2 with 60 leaves each, so its 3,600
-    # 4-paths all run leaf, 1, 2, leaf; seed 0 colors 1 and 2 alike in
-    # trial 0, which has no colorful path. Its scan stops at the limit, so
-    # a path cap of 2n, far below the number of 4-paths, is never reached.
-    leaves = 60
-    edges = [(1, 2)] + [(1 + (v > leaves + 2), v) for v in range(3, 2 * leaves + 3)]
-    g = Graph.build(2 * leaves + 2, edges)
-    rng = random.Random(0)
-    assert rng.randrange(4) == rng.randrange(4)
-    monkeypatch.setattr(pvcover.kpaths, "DEFAULT_PATH_CAP", 2 * g.n)
-    sol = greedy_approx(g, 4, seed=0)
-    assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, 4, 0)
-
-
-def test_greedy_falls_back_to_the_walkers_path_on_a_color_coding_miss(monkeypatch):
-    def missing(g, k, strategy, **kw):
-        if strategy == "color-coding":
-            return None
-        return find_k_path(g, k, strategy=strategy, **kw)
-
-    monkeypatch.setattr(pvcover.solvers, "find_k_path", missing)
-    for g, k, seed, alive in greedy_cases():
-        sol = greedy_approx(g, k, seed=seed, alive=alive)
-        want = reference_greedy(g, k, seed, alive, find=missing)
-        assert (sol.vertices, sol.weight, sol.feasible) == want
-
-
-def test_greedy_runs_color_coding_only_when_a_path_exists(monkeypatch):
-    results = []
-
-    def recording(*args, **kw):
-        results.append(find_k_path(*args, **kw))
-        return results[-1]
-
-    monkeypatch.setattr(pvcover.solvers, "find_k_path", recording)
-    for g, k, seed, alive in greedy_cases():
-        sol = greedy_approx(g, k, seed=seed, alive=alive)
-        assert sol.feasible
-        assert not has_k_path(g, k, alive=set(alive or g.vertices()) - sol.vertices)
-    assert results
-    assert None not in results
-
-
-def test_greedy_skips_color_coding_on_a_settled_list(monkeypatch):
-    # two 6-vertex paths, 1..6 and 7..12, and six isolated vertices, at
-    # k = 5: vertex 3 is the lightest of both 5-paths of the first and 9 of
-    # both of the second. Round one deletes one of them; its list then
-    # holds the other path's two 5-paths, which share their lightest vertex,
-    # and 17 > EXHAUSTIVE_N vertices. The wrapper reads the whole list
-    # before color coding runs, so round two's list is complete, and greedy
-    # must delete 9 or 3 without a call.
-    edges = [(v, v + 1) for v in (*range(1, 6), *range(7, 12))]
-    weights = [5] * 18
-    weights[3 - 1] = weights[9 - 1] = 1
-    g = Graph.build(18, edges, weights=weights)
-    calls = []
-
-    def complete_first(g, k, *, strategy, seed=0, paths=None):
-        for _ in paths.more():
-            pass
-        calls.append(len(paths.alive))
-        return find_k_path(g, k, strategy=strategy, seed=seed, paths=paths)
-
-    monkeypatch.setattr(pvcover.solvers, "find_k_path", complete_first)
-    for seed in range(4):
-        calls.clear()
-        sol = greedy_approx(g, 5, seed=seed)
-        assert sol.vertices == {3, 9}
-        assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, 5, seed)
-        assert calls == [18]
+    for g, k, alive in greedy_cases():
+        sol = greedy_approx(g, k, alive=alive)
+        assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, alive)
 
 
 @st.composite
 def greedy_instances(draw):
     """A max-degree-4 graph on 17-28 vertices with weights 1-4, so that
-    lightest vertices tie on weight, k 4-6, a seed and an alive set."""
-    n = draw(st.integers(EXHAUSTIVE_N + 1, 28))
+    lightest vertices tie on weight, k 3-6 and an alive set."""
+    n = draw(st.integers(17, 28))
     shape = random_graph(draw(st.integers(0, 10**6)), n, max_degree=4)
     weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     g = Graph.build(n, shape.edges(), weights=weights)
     lost = draw(st.frozensets(st.integers(1, n), max_size=n // 4))
     alive = draw(st.sampled_from([None, frozenset(g.vertices()) - lost]))
-    return g, draw(st.integers(4, 6)), draw(st.integers(0, 1000)), alive
+    return g, draw(st.integers(3, 6)), alive
 
 
 @settings(max_examples=300)
 @given(greedy_instances())
 def test_greedy_matches_the_reference_loop_on_drawn_graphs(instance):
-    # the reference runs color coding, by the DP, on every round it can
-    g, k, seed, alive = instance
-    sol = greedy_approx(g, k, seed=seed, alive=alive)
-    assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, seed, alive)
+    g, k, alive = instance
+    sol = greedy_approx(g, k, alive=alive)
+    assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, alive)
 
 
 def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
@@ -261,8 +166,8 @@ def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
         ):
             monkeypatch.setattr(module, "induced_subgraph", forbidden)
     monkeypatch.setattr(PathIndex, "masks", property(forbidden))
-    for g, k, seed, alive in greedy_cases():
-        assert greedy_approx(g, k, seed=seed, alive=alive).feasible
+    for g, k, alive in greedy_cases():
+        assert greedy_approx(g, k, alive=alive).feasible
         assert local_ratio_approx(g, k).feasible
 
 
@@ -375,7 +280,7 @@ def test_oracle_registry():
 def test_registry_oracles_feasible():
     g = random_graph(5, 9)
     for name, oracle in oracle_registry().items():
-        sol = oracle.solve(g, 3, 0)
+        sol = oracle.solve(g, 3)
         assert covers_all_k_paths(g, sol.vertices, 3)
 
 
@@ -393,7 +298,7 @@ def test_solvers_on_an_index_match_the_induced_subgraph():
                     local_ratio_approx(g, k, prune=False, index=index),
                     local_ratio_approx(sub, k, prune=False),
                 ),
-                (greedy_approx(g, k, seed=seed, alive=alive), greedy_approx(sub, k, seed=seed)),
+                (greedy_approx(g, k, alive=alive), greedy_approx(sub, k)),
             ]
             for got, want in pairs:
                 assert got.vertices == frozenset(orig[v - 1] for v in want.vertices)
