@@ -47,7 +47,6 @@ from .kpaths import (
     enumerate_k_paths,
     find_k_path,
     has_k_path,
-    k_paths_through,
 )
 from .reopt import (
     FamilyReport,

@@ -7,11 +7,10 @@ and an alive vertex set, the k-paths of g[alive], without building that
 subgraph: enumeration, detection (`has_k_path(g, k, alive)`) and coverage
 (the alive set is the complement of the cover). The walker is the
 deterministic oracle and decides whether a k-path exists. Its focus mode
-(`has_k_path_through`, `k_paths_through`) yields only the k-paths of
-g[alive] that meet a focus set: it grows two arms from each focus vertex
-and drops that vertex from the free set once it is done, so each such path
-comes out once and the work follows the paths near the focus, not the
-whole of g[alive]. The walker can also resume just after a given path
+(`has_k_path_through`) serves `construct_f` only. It grows two arms from
+each vertex of a focus set, then drops that vertex from the free set, so
+each k-path of g[alive] that meets the focus comes out once and the work
+stays near the focus. The walker can also resume just after a given path
 (`_walk(after=)`).
 
 `find_k_path` finds one k-path of g, by the walker (its first path) or by
@@ -19,13 +18,13 @@ color coding, a randomized detector with one-sided error: a path it
 returns is verified, but "None" may be a miss. Each color-coding trial
 is the colorful-path DP of Alon, Yuster and Zwick over all of g.
 
-A `PathIndex` keeps the enumerated k-paths of g[alive], with one vertex
-bitmask per path (bit v-1 for vertex v) built when branch and bound
-first asks. Asked many questions about one graph, it enumerates once: "does s
-meet every path?" is one scan, and the index of g[alive - s] is a part
-that keeps the enumerated list and the removed set, and filters on first
-read of its paths. The filter keeps the walker's order, so a part equals a
-fresh enumeration of that subgraph.
+A `PathIndex` keeps the enumerated k-paths of g, with one vertex bitmask
+per path (bit v-1 for vertex v) built when branch and bound first asks.
+Asked many questions about one graph, it enumerates once: "does s meet
+every path?" is one scan, and `avoiding(s)`, the one way to ask which
+k-paths survive in g - s, is a part that keeps the enumerated list and the
+removed set, and filters on first read of its paths. The filter keeps the
+walker's order, so a part equals a fresh enumeration of that subgraph.
 """
 
 from __future__ import annotations
@@ -179,19 +178,15 @@ def has_k_path_through(g: Graph, k, alive, focus) -> bool:
     return next(_walk_through(g, k, alive, focus), None) is not None
 
 
-def enumerate_k_paths(g: Graph, k, alive=None):
-    """All k-paths of g[alive] (all of g when alive is None), canonical, sorted.
+def enumerate_k_paths(g: Graph, k):
+    """All k-paths of g, canonical, sorted.
 
     More than DEFAULT_PATH_CAP paths raise LimitExceeded.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if alive is None:
-        alive = g.vertices()
-    else:
-        g._check_subset(alive)
     cap = DEFAULT_PATH_CAP
-    found = list(itertools.islice(_walk(g, k, alive), cap + 1))
+    found = list(itertools.islice(_walk(g, k, g.vertices()), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths")
     return found
@@ -200,24 +195,25 @@ def enumerate_k_paths(g: Graph, k, alive=None):
 class PathIndex:
     """The k-paths of g[alive] in lexicographic order, with their vertex masks.
 
-    Built by one `enumerate_k_paths` call, so the path cap applies. Vertex
-    set questions (`covers`, `avoiding`) are answered from the paths; the
-    bitmasks, which only branch and bound reads, are built on first use.
-    `avoiding(s)` returns the index of g[alive - s] without a new walk or a
-    filter: the part shares the enumerated list (`base`) and records the
-    vertices it drops (`removed`), and `paths`, the paths of `base` that
-    avoid `removed`, is built on first read. A pass that walks `base` and
-    skips the paths meeting `removed` sees the same sequence, so it can
-    filter as it goes and stop early.
+    `PathIndex(g, k)` indexes all of g by one `enumerate_k_paths` call, so
+    the path cap applies; a smaller alive set comes only from `avoiding`.
+    Vertex set questions (`covers`, `avoiding`) are answered from the
+    paths; the bitmasks, which only branch and bound reads, are built on
+    first use. `avoiding(s)` returns the index of g[alive - s] without a
+    new walk or a filter: the part shares the enumerated list (`base`) and
+    records the vertices it drops (`removed`), and `paths`, the paths of
+    `base` that avoid `removed`, is built on first read. A pass that walks
+    `base` and skips the paths meeting `removed` sees the same sequence, so
+    it can filter as it goes and stop early.
     """
 
     __slots__ = ("g", "k", "alive", "base", "removed", "_paths", "_masks")
 
-    def __init__(self, g: Graph, k, alive=None):
+    def __init__(self, g: Graph, k):
         self.g = g
         self.k = k
-        self.alive = frozenset(g.vertices() if alive is None else alive)
-        self.base = self._paths = enumerate_k_paths(g, k, alive=self.alive)
+        self.alive = frozenset(g.vertices())
+        self.base = self._paths = enumerate_k_paths(g, k)
         self.removed = frozenset()
         self._masks = None
 
@@ -263,21 +259,12 @@ class PathIndex:
 
 
 def has_k_path(g: Graph, k, alive=None) -> bool:
-    """True iff g[alive] (all of g when alive is None) has a path of order k.
-
-    For k <= 3 no search is needed: g[alive] has a k-path iff some alive
-    vertex has k-1 alive neighbors (for k=3 this is the dissociation-set
-    characterization: no 3-path iff max degree <= 1).
-    """
+    """True iff the walker finds a path of order k in g[alive] (all of g when
+    alive is None). alive is read once, into a frozenset, before the check."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if alive is None:
-        alive = frozenset(g.vertices())
-    else:
-        alive = frozenset(alive)
-        g._check_subset(alive)
-    if k <= 3:
-        return any(len(alive.intersection(g.adj[v - 1])) >= k - 1 for v in alive)
+    alive = frozenset(g.vertices() if alive is None else alive)
+    g._check_subset(alive)
     return next(_walk(g, k, alive), None) is not None
 
 
@@ -374,18 +361,3 @@ def find_k_path(g: Graph, k, *, strategy, seed=0):
                 return path
     return None
 
-
-def k_paths_through(g: Graph, k, focus):
-    """The k-paths of g that contain a focus vertex, canonical, sorted.
-
-    DEFAULT_PATH_CAP counts only these paths.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    focus = frozenset(focus)
-    g._check_subset(focus)
-    cap = DEFAULT_PATH_CAP
-    found = list(itertools.islice(_walk_through(g, k, g.vertices(), focus), cap + 1))
-    if len(found) > cap:
-        raise LimitExceeded(f"more than {cap} {k}-paths through the focus set")
-    return sorted(found)

@@ -26,7 +26,7 @@ from .graph import (
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through, k_paths_through
+from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through
 from .solvers import ApproxOracle, CoverSolution, _solution, make_solution, solve_exact
 
 FAMILY_CAP = 10**6
@@ -331,29 +331,23 @@ class FamilyReport:
 def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     """Exact checks of both family properties.
 
-    Property 2: every member covers every k-path touching va. Property 1:
-    some member F lies inside some optimum, that is, w(F) + OPT(g_new - F)
-    = OPT(g_new): F plus any cover of g_new - F covers g_new, and an
-    optimum holding F loses F to a cover of g_new - F. Each member is one
-    solve_exact call on the index of g_new - F under below = OPT - w(F) + 1,
-    and the witness is F with that call's optimum. The OPT solve is
-    unbounded, so the whole report needs n <= EXACT_SIZE_LIMIT (24): a
+    Property 2: every member meets every k-path touching va, the paths of
+    one PathIndex of g_new that meet va; the counterexample is the first
+    member that misses one, with the first path it misses. Property 1: some
+    member F lies inside some optimum, that is, w(F) + OPT(g_new - F) =
+    OPT(g_new): F plus any cover of g_new - F covers g_new, and an optimum
+    holding F loses F to a cover of g_new - F. Each member is one
+    solve_exact call on index.avoiding(F) under below = OPT - w(F) + 1, and
+    the witness is F with that call's optimum. The OPT solve is unbounded
+    and comes first, so the report needs n <= EXACT_SIZE_LIMIT (24): a
     larger g_new raises SizeLimitExceeded before any k-path is enumerated.
     """
     opt = solve_exact(g_new, k).weight
     va = frozenset(va)
-    paths = k_paths_through(g_new, k, va)
-    p2_ok = True
-    p2_cex = None
-    for member in family.members:
-        for p in paths:
-            if not member.intersection(p):
-                p2_ok = False
-                p2_cex = (member, p)
-                break
-        if not p2_ok:
-            break
+    g_new._check_subset(va)
     index = PathIndex(g_new, k)
+    va_paths = [p for p in index.paths if not va.isdisjoint(p)]
+    p2_cex = next(((f, p) for f in family.members for p in va_paths if f.isdisjoint(p)), None)
     p1_witness = None
     for member in family.members:
         rest = solve_exact(
@@ -363,7 +357,7 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
             p1_witness = (member, member | rest.vertices)
             break
     return FamilyReport(
-        property2_ok=p2_ok,
+        property2_ok=p2_cex is None,
         property2_counterexample=p2_cex,
         property1_ok=p1_witness is not None,
         property1_witness=p1_witness,

@@ -15,7 +15,6 @@ from pvcover import (
     find_k_path,
     has_k_path,
     induced_subgraph,
-    k_paths_through,
 )
 from pvcover.errors import LimitExceeded, UnknownVertex
 from pvcover.kpaths import _walk, _walk_through, has_k_path_through
@@ -184,12 +183,14 @@ def test_has_k_path_shortcuts():
     assert has_k_path(Graph.build(2, [(1, 2)]), 2)
     matching = Graph.build(4, [(1, 2), (3, 4)])
     assert not has_k_path(matching, 3)
+    # alive is read once, so an iterator is both checked and walked
+    assert has_k_path(Graph.build(3, [(1, 2), (2, 3)]), 3, alive=iter([1, 2, 3]))
 
 
-def test_k_paths_through(path4):
-    assert k_paths_through(path4, 3, {4}) == [(2, 3, 4)]
-    assert k_paths_through(path4, 3, set()) == []
-    assert k_paths_through(path4, 3, {2}) == [(1, 2, 3), (2, 3, 4)]
+def test_has_k_path_through(path4):
+    assert sorted(_walk_through(path4, 3, path4.vertices(), {4})) == [(2, 3, 4)]
+    assert not has_k_path_through(path4, 3, path4.vertices(), set())
+    assert sorted(_walk_through(path4, 3, path4.vertices(), {2})) == [(1, 2, 3), (2, 3, 4)]
     # the focus mode yields the paths of g[alive] that meet focus, each once
     for seed in range(60):
         n = 6 + seed % 7
@@ -198,15 +199,15 @@ def test_k_paths_through(path4):
         alive = frozenset(v for v in g.vertices() if rng.random() < 0.8)
         focus = frozenset(rng.sample(range(1, g.n + 1), 1 + seed % 3))
         for k in (2, 3, 4, 5, 6):
-            want = [p for p in enumerate_k_paths(g, k, alive=alive) if focus.intersection(p)]
+            want = [
+                p for p in enumerate_k_paths(g, k) if alive.issuperset(p) and focus.intersection(p)
+            ]
             got = list(_walk_through(g, k, alive, focus))
             assert sorted(got) == want and len(set(got)) == len(got), (seed, k)
             assert has_k_path_through(g, k, alive, focus) == bool(want)
-            everything = [p for p in enumerate_k_paths(g, k) if focus.intersection(p)]
-            assert k_paths_through(g, k, focus) == everything
     # both arms are grown iteratively: no recursion limit at large k
     long_path = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
-    assert k_paths_through(long_path, 1500, {750}) == [tuple(range(1, 1501))]
+    assert has_k_path_through(long_path, 1500, long_path.vertices(), {750})
 
 
 def test_has_k_path_rejects_unknown_alive_vertex(path4):
@@ -250,29 +251,28 @@ def test_path_index_matches_walker_and_brute_force(instance, data, k):
     g, alive = instance
     sets = st.frozensets(st.integers(1, g.n)) if g.n else st.just(frozenset())
     s, t, u = data.draw(st.tuples(sets, sets, sets))
-    index = PathIndex(g, k, alive=alive)
+    everything = frozenset(g.vertices())
+    index = PathIndex(g, k).avoiding(everything - alive)
     left = index.avoiding(s)
     # a part of a part, made before either has filtered its paths
     chained = left.avoiding(t)
-    fresh = PathIndex(g, k, alive=alive - s - t)
+    fresh = PathIndex(g, k).avoiding(everything - (alive - s - t))
     assert (chained.alive, chained.paths, chained.masks) == (fresh.alive, fresh.paths, fresh.masks)
     assert chained.covers(u) == fresh.covers(u)
-    assert index.paths == enumerate_k_paths(g, k, alive=alive)
+    assert index.paths == [p for p in enumerate_k_paths(g, k) if alive.issuperset(p)]
     assert left.alive == alive - s
-    assert left.paths == enumerate_k_paths(g, k, alive=alive - s)
+    assert left.paths == [p for p in enumerate_k_paths(g, k) if (alive - s).issuperset(p)]
     assert left.paths == [p for p in perm_k_paths(g, k) if (alive - s).issuperset(p)]
     assert left.masks == [sum(1 << (v - 1) for v in p) for p in left.paths]
     assert left.avoiding(t).paths == fresh.paths
     # s covers g[alive] iff s plus every dead vertex covers g
-    dead = frozenset(g.vertices()) - alive
+    dead = everything - alive
     assert index.covers(s) == brute_covers(g, s | dead, k)
     s_mask = sum(1 << (v - 1) for v in s)
     assert all(s_mask & pm for pm in index.masks) == index.covers(s)
 
 
 def test_path_index_rejects_unknown_vertices(path4):
-    with pytest.raises(UnknownVertex):
-        PathIndex(path4, 3, alive={1, 5})
     index = PathIndex(path4, 3)
     with pytest.raises(UnknownVertex):
         index.covers({0})

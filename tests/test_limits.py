@@ -24,7 +24,6 @@ from pvcover import (
     find_k_path,
     gen_patch,
     good_family_3pvcp,
-    k_paths_through,
     make_solution,
     ptas_unweighted,
     solve_exact,
@@ -37,8 +36,6 @@ PATH3 = Graph.build(3, [(1, 2), (2, 3)])
 PATH4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
 PATH10 = Graph.build(10, [(v, v + 1) for v in range(1, 10)])
 PATH30 = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
-# its 3-paths (1,2,3), (1,2,5), (2,3,4), (3,2,5) all meet 2; only (2,3,4) meets 4
-STAR = Graph.build(5, [(1, 2), (2, 3), (3, 4), (2, 5)])
 
 
 def _patch(c):
@@ -67,15 +64,8 @@ LIMITS = [
     pytest.param(
         pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
         lambda: PathIndex(PATH4, 3),
-        lambda: PathIndex(PATH4, 3, alive={1, 2, 3}).paths == [(1, 2, 3)],
+        lambda: PathIndex(PATH3, 3).paths == [(1, 2, 3)],
         id="DEFAULT_PATH_CAP-PathIndex",
-    ),
-    pytest.param(
-        pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
-        lambda: k_paths_through(STAR, 3, {2}),
-        # the cap counts only the paths through the focus set
-        lambda: k_paths_through(STAR, 3, {4}) == [(2, 3, 4)],
-        id="DEFAULT_PATH_CAP-k_paths_through",
     ),
     pytest.param(
         # 252 trials at k = 4: 252 * 2^4 * 30 vertices is over 10^5, * 10 is not

@@ -1,0 +1,73 @@
+"""Stdlib lint over the package, for what a deletion can leave behind.
+
+Each module but `__init__.py`, which imports to re-export, must read every
+name it imports, and each module-level `_private` function, class or
+constant must be referenced somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pvcover"
+
+
+def _reads(tree):
+    """The names a module reads as bare names."""
+    return {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+
+
+def _references(tree):
+    """The names a module reads as bare names, attributes or imports."""
+    refs = _reads(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _imports(tree):
+    """(bound name, line) for each import at any depth, except __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _private_definitions(tree):
+    """(name, line) for each module-level _name that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_no_unused_import_or_unreferenced_private_name():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    problems = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        reads = _reads(tree)
+        for imported, line in _imports(tree):
+            if imported not in reads:
+                problems.append(f"{name}:{line}: {imported} is imported but never read")
+        for private, line in _private_definitions(tree):
+            if private not in referenced:
+                problems.append(f"{name}:{line}: {private} is never referenced")
+    assert not problems, "\n".join(problems)

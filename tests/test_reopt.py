@@ -530,6 +530,15 @@ def test_validate_reports_a_property2_counterexample(path4):
     assert report.property2_ok is False
     assert report.property2_counterexample == (frozenset(), (1, 2, 3, 4))
     assert report.property1_ok  # {4} is an optimum of the unit-weight path
+    # on the 5-path with va = {3}: {5} misses (1,2,3) and (2,3,4), {1} misses
+    # (2,3,4) and (3,4,5); the report names the first of them in family order
+    # and its lexicographically first missed path, which the focus walk from
+    # 3 would yield second
+    path5 = Graph.build(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    fam = GoodFamily(members=tuple(map(frozenset, ({3}, {5}, {1}))), provenance=("",) * 3)
+    report = validate_good_family(path5, {3}, fam, 3)
+    assert report.property2_counterexample == (frozenset({5}), (1, 2, 3))
+    assert report.property1_witness == (frozenset({3}), frozenset({3}))
 
 
 def test_family_members_pass_p2_both_modes():
@@ -589,7 +598,6 @@ def test_validate_family_past_the_exact_limit_enumerates_nothing(monkeypatch):
         raise AssertionError("k-paths enumerated")
 
     monkeypatch.setattr(pvcover.reopt, "PathIndex", no_walk)
-    monkeypatch.setattr(pvcover.reopt, "k_paths_through", no_walk)
     monkeypatch.setattr(pvcover.solvers, "PathIndex", no_walk)
     with pytest.raises(SizeLimitExceeded):
         validate_good_family(g, {25}, fam, 3)

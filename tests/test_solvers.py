@@ -216,7 +216,8 @@ def test_hit_count_prune_matches_the_mask_loop():
         g = random_graph(seed, 12 + seed % 20, max_degree=4 + seed % 2)
         alive = frozenset(v for v in g.vertices() if (v * 3 + seed) % 8)
         for k in (3, 4, 5):
-            for index in (PathIndex(g, k), PathIndex(g, k, alive=alive)):
+            whole = PathIndex(g, k)
+            for index in (whole, whole.avoiding(set(g.vertices()) - alive)):
                 cover, _ = pvcover.solvers._local_ratio(g, index)
                 got = local_ratio_approx(g, k, index=index)
                 assert got.vertices == reference_prune(g, k, cover, index)
@@ -233,7 +234,7 @@ def test_local_ratio_pass_matches_the_reference_loop():
         part = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
         for k in (3, 4, 5, 6):
             whole = PathIndex(g, k)
-            for ix in (whole, PathIndex(g, k, alive=part), whole.avoiding(set(g.vertices()) - part)):
+            for ix in (whole, whole.avoiding(set(g.vertices()) - part)):
                 full = reference_local_ratio(g, ix)
                 assert pvcover.solvers._local_ratio(g, ix) == full
                 cover, total = full
@@ -290,7 +291,7 @@ def test_solvers_on_an_index_match_the_induced_subgraph():
         alive = frozenset(v for v in g.vertices() if (v * 7 + seed) % 5)
         sub, orig = induced_subgraph(g, alive)
         for k in (3, 4):
-            index = PathIndex(g, k, alive=alive)
+            index = PathIndex(g, k).avoiding(set(g.vertices()) - alive)
             pairs = [
                 (solve_exact(g, k, index=index), solve_exact(sub, k)),
                 (local_ratio_approx(g, k, index=index), local_ratio_approx(sub, k)),
@@ -307,10 +308,10 @@ def test_solvers_on_an_index_match_the_induced_subgraph():
 
 def test_exact_size_guard_counts_alive_vertices():
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
-    small = PathIndex(g, 3, alive=range(1, 11))
-    assert solve_exact(g, 3, index=small).weight == 3
+    whole = PathIndex(g, 3)
+    assert solve_exact(g, 3, index=whole.avoiding(range(11, 31))).weight == 3
     with pytest.raises(SizeLimitExceeded):
-        solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)))
+        solve_exact(g, 3, index=whole.avoiding(range(26, 31)))
 
 
 def test_solver_rejects_an_index_of_another_graph_or_k(path4):
@@ -383,7 +384,7 @@ def test_solve_exact_below_keeps_the_guards(monkeypatch):
     g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
     # 25 alive vertices weigh less than below=100, so the depth is not bounded
     with pytest.raises(SizeLimitExceeded):
-        solve_exact(g, 3, index=PathIndex(g, 3, alive=range(1, 26)), below=100)
+        solve_exact(g, 3, index=PathIndex(g, 3).avoiding(range(26, 31)), below=100)
     # below=0: Σδ = 0 settles it at the root
     assert solve_exact(g, 3, below=0) is None
     assert solve_exact(g, 3, below=11).vertices == set(range(1, 30, 3))
