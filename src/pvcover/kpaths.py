@@ -25,6 +25,8 @@ every path?" is one scan, and `avoiding(s)`, the one way to ask which
 k-paths survive in g - s, is a part that keeps the enumerated list and the
 removed set, and filters on first read of its paths. The filter keeps the
 walker's order, so a part equals a fresh enumeration of that subgraph.
+`region_last(r)` also splits the list once into the paths that avoid r and
+those that meet r, which the parts removing vertices of r share.
 """
 
 from __future__ import annotations
@@ -192,6 +194,23 @@ def enumerate_k_paths(g: Graph, k):
     return found
 
 
+class FarPaths:
+    """The k-paths of a region-last index split by a vertex set, region:
+    paths, those that avoid it, and near, those that meet it, each in the
+    walker's order. Every part that removes only vertices of region keeps
+    all of paths and shares this object. state is None until the
+    local-ratio pass over paths first runs (`solvers._local_ratio`), and
+    then holds its result for every part that shares them."""
+
+    __slots__ = ("region", "paths", "near", "state")
+
+    def __init__(self, region, paths, near):
+        self.region = region
+        self.paths = paths
+        self.near = near
+        self.state = None
+
+
 class PathIndex:
     """The k-paths of g[alive] in lexicographic order, with their vertex masks.
 
@@ -205,9 +224,15 @@ class PathIndex:
     `base` that avoid `removed`, is built on first read. A pass that walks
     `base` and skips the paths meeting `removed` sees the same sequence, so
     it can filter as it goes and stop early.
+
+    `region_last(r)` is the same index with its paths also split by r into
+    `far` (a `FarPaths`): the far paths, which avoid r, and the near ones.
+    A part keeps far while its removed set lies inside r, as it then keeps
+    every far path, and the local-ratio pass on it takes the far paths
+    first (`solvers._local_ratio`). Every other index has far None.
     """
 
-    __slots__ = ("g", "k", "alive", "base", "removed", "_paths", "_masks")
+    __slots__ = ("g", "k", "alive", "base", "removed", "far", "_paths", "_masks")
 
     def __init__(self, g: Graph, k):
         self.g = g
@@ -215,6 +240,7 @@ class PathIndex:
         self.alive = frozenset(g.vertices())
         self.base = self._paths = enumerate_k_paths(g, k)
         self.removed = frozenset()
+        self.far = None
         self._masks = None
 
     @property
@@ -253,9 +279,22 @@ class PathIndex:
         sub.alive = self.alive - s
         sub.base = self.base
         sub.removed = self.removed | s
+        sub.far = self.far if self.far is not None and s <= self.far.region else None
         sub._paths = None
         sub._masks = None
         return sub
+
+    def region_last(self, region):
+        """This index with its paths split by region, a vertex set of g, into
+        far and near ones (`FarPaths`), in one pass over paths."""
+        region = self._vertex_set(region)
+        far, near = [], []
+        for p in self.paths:
+            (far if region.isdisjoint(p) else near).append(p)
+        ix = self.avoiding(())
+        ix._paths = self.paths
+        ix.far = FarPaths(region, far, near)
+        return ix
 
 
 def has_k_path(g: Graph, k, alive=None) -> bool:

@@ -121,24 +121,28 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     touching the inserted vertices (and one member inside an optimum), the
     result is within (2 - 1/rho) of optimal.
 
-    The k-paths of g_new are enumerated once, into a PathIndex. Each member
-    F must meet every k-path through va (the family contract), so old_opt +
-    F covers g_new, and so does F plus any cover of the rest. The oracle gets
-    index.avoiding(va | F), the paths of g_new[V_old - F] in g_new's ids,
-    and below = min(w(old_opt + F), best so far) - w(F). The part filters
-    its paths only when something reads them, so an oracle that needs only
-    part.alive (greedy) or walks the shared list (local ratio) pays no
-    filter. A member the bound settles (None) keeps old_opt + F and has no
-    oracle output to check; any other cover must lie in V_old - F and meet
-    every path of its part. The winner's feasible flag is a scan of the
-    index, not a new walk of g_new.
+    The k-paths of g_new are enumerated once, into a PathIndex split
+    region-last by R = va plus every member into the far paths, which
+    avoid R, and the near ones. Each member F must meet every k-path
+    through va (the family contract), so old_opt + F covers g_new, and so
+    does F plus any cover of the rest. The oracle gets index.avoiding(va | F), the
+    paths of g_new[V_old - F] in g_new's ids, and below = min(w(old_opt +
+    F), best so far) - w(F). The part filters its paths only when something
+    reads them, so an oracle that needs only part.alive (greedy) or walks
+    the shared list (local ratio) pays no filter. va | F lies in R, so
+    every part keeps all the far paths, and the local-ratio pass over them
+    runs once for the whole family; each member's pass walks only the near
+    paths (`solvers._local_ratio`). A member the bound settles (None) keeps
+    old_opt + F and has no oracle output to check; any other cover must lie
+    in V_old - F and meet every path of its part. The winner's feasible
+    flag is a scan of the index, not a new walk of g_new.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
     g = inst.g_new
     k = inst.k
     va = inst.added_ids()
-    index = PathIndex(g, k)
+    index = PathIndex(g, k).region_last(va.union(*family.members))
     va_paths = [p for p in index.paths if not va.isdisjoint(p)]
     old = inst.old_opt.vertices
     w_old = g.weight_of(old)

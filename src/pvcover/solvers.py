@@ -106,7 +106,10 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     same optimum. The local-ratio pass runs first: its Σδ, a lower bound on
     the optimum, settles most bounded calls before any branching, as the
     pass stops once Σδ reaches below, and its cover is the incumbent when
-    it weighs less than below.
+    it weighs less than below. On a region-last part the pass takes the far
+    paths first and resumes from their shared state (`_local_ratio`), so
+    the incumbent and Σδ need not be those of the lexicographic pass; the
+    optimum, being canonical, is the same.
 
     EXACT_SIZE_LIMIT bounds the search's memory: one mask per path and one
     per visited node. Up to that many alive vertices that is at most
@@ -212,17 +215,22 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
 
     Each path the cover misses, taken lexicographically, loses its minimum
     residual weight δ on every vertex, and zero-residual vertices join the
-    cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT.
+    cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT, and the
+    cover is within k of OPT; both hold in any path order.
 
     The pass walks ix.base and skips the paths that meet ix.removed or the
     cover, which is ix.paths without building that list. The cover and Σδ
     only grow, so the pass returns None once the cover weighs below or
     more, or once Σδ reaches dual_below.
 
-    Weights are positive, so a vertex reaches residual 0 only on the path
-    that joins it to the cover. A path that meets neither the cover nor
-    ix.removed thus holds no zero-residual vertex, and the vertices it
-    brings to 0 join the cover in ascending order.
+    On an index with far paths (`PathIndex.region_last`) the pass takes
+    ix.far.paths first, then ix.far.near, each lexicographically. The far
+    paths avoid ix.removed, so the pass over them is the same for every
+    part that shares them: it runs once, on the first call, and is kept in
+    ix.far.state. Each call resumes from a copy of that state and walks
+    only the near paths. When the kept cover or Σδ already reaches its
+    bound, the full pass would have stopped there too, so the call returns
+    None at once.
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
@@ -230,9 +238,35 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     cover = []
     skip = set(ix.removed)  # the removed vertices, then the cover
     weight = total = 0
+    paths = ix.base
+    far = ix.far
+    if far is not None:
+        if far.state is None:
+            far.state = (residual, cover, *_pass(g, far.paths, set(), residual, cover))
+        residual, cover, weight, total = far.state
+        if weight >= below or total >= dual_below:
+            return None
+        residual = residual.copy()
+        cover = cover.copy()
+        skip.update(cover)
+        paths = far.near
+    found = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
+    return None if found is None else (cover, found[1])
+
+
+def _pass(g, paths, skip, residual, cover, weight=0, total=0, below=math.inf, dual_below=math.inf):
+    """The local-ratio loop of `_local_ratio` over paths, from the given
+    state: skip, residual and cover are updated in place. Returns (weight,
+    Σδ), or None once the cover weighs below or Σδ reaches dual_below.
+
+    Weights are positive, so a vertex reaches residual 0 only on the path
+    that joins it to the cover. A path that meets no vertex of skip thus
+    holds no zero-residual vertex, and the vertices it brings to 0 join the
+    cover in ascending order.
+    """
     # filter calls skip.isdisjoint on each path as the loop reaches it, so
     # it sees the vertices that earlier paths added to skip
-    for p in filter(skip.isdisjoint, ix.base):
+    for p in filter(skip.isdisjoint, paths):
         delta = min(map(residual.__getitem__, p))
         total += delta
         if total >= dual_below:
@@ -249,7 +283,7 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
             weight += g.weights[v - 1]
         if weight >= below:
             return None
-    return cover, total
+    return weight, total
 
 
 def local_ratio_approx(g: Graph, k, prune=True, index=None, below=math.inf):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pvcover import (
     construct_f,
     construct_sol,
     covers_all_k_paths,
+    enumerate_k_paths,
     gen_patch,
     good_family_3pvcp,
     has_k_path,
@@ -41,7 +43,13 @@ from pvcover import (
 
 from pvcover.errors import SizeLimitExceeded
 
-from conftest import brute_optima, random_graph, random_reopt_instance, reference_ptas
+from conftest import (
+    brute_optima,
+    random_graph,
+    random_reopt_instance,
+    reference_local_ratio,
+    reference_ptas,
+)
 
 EXACT = oracle_registry()["exact"]
 LOCAL_RATIO = oracle_registry()["local-ratio"]
@@ -254,6 +262,92 @@ def test_construct_sol_matches_subgraph_reference():
             want = subgraph_construct_sol(inst, family, registry[name])
             assert sol.vertices == want, (seed, name)
             assert sol.feasible
+
+
+def region_last_construct_sol(inst, family):
+    """construct_sol with the local-ratio oracle, written over induced
+    subgraphs whose k-paths, in g_new's ids, run far then near: first those
+    that avoid R = va plus every member, then those that meet R, each group
+    lexicographic. The full local-ratio loop over that list: a reference."""
+    g, k = inst.g_new, inst.k
+    va = inst.added_ids()
+    region = va.union(*family.members)
+    old_verts = frozenset(g.vertices()) - va
+    best = None
+    for i, f in enumerate(family.members):
+        s1 = inst.old_opt.vertices | f
+        sub, orig = induced_subgraph(g, old_verts - f)
+        # orig ascends, so a canonical path of sub maps to a canonical one
+        paths = [tuple(orig[v - 1] for v in p) for p in enumerate_k_paths(sub, k)]
+        far = sorted(p for p in paths if region.isdisjoint(p))
+        near = sorted(p for p in paths if not region.isdisjoint(p))
+        cover, _ = reference_local_ratio(g, SimpleNamespace(base=far + near, removed=frozenset()))
+        s2 = frozenset(cover) | f
+        assert covers_all_k_paths(g, s2, k)
+        w1, w2 = g.weight_of(s1), g.weight_of(s2)
+        cand = (w1, i, s1) if w1 <= w2 else (w2, i, s2)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    return best[2]
+
+
+def test_construct_sol_matches_a_region_last_reference():
+    # at seeds 65 and 70 the lexicographic order gives another answer
+    for seed in range(72):
+        k = 4 + seed % 2
+        inst = mid_reopt_instance(seed, n_new=40 + 10 * (seed % 5), k=k, c=1 + seed % 3)
+        family = construct_f(inst.g_new, inst.added_ids(), k)
+        sol = construct_sol(inst, family, LOCAL_RATIO)
+        assert sol.vertices == region_last_construct_sol(inst, family), seed
+        assert sol.feasible
+
+
+def test_construct_sol_walks_the_far_paths_once(monkeypatch):
+    # the local-ratio pass over the paths that avoid every member runs once
+    # per construct_sol call, and each member's pass walks only the others
+    inst = mid_reopt_instance(0, n_new=100, k=4, c=2)
+    family = construct_f(inst.g_new, inst.added_ids(), 4)
+    assert len(family) >= 50
+    region = inst.added_ids().union(*family.members)
+    paths = PathIndex(inst.g_new, 4).paths
+    n_near = sum(not region.isdisjoint(p) for p in paths)
+    n_far = len(paths) - n_near
+    assert n_far > n_near > 0
+    walks = []  # [far paths, near paths] handed to each pass
+    real_pass = pvcover.solvers._pass
+
+    def counting_pass(g, paths, *args, **kwargs):
+        walked = [0, 0]
+        walks.append(walked)
+
+        def counted():
+            for p in paths:
+                walked[not region.isdisjoint(p)] += 1
+                yield p
+
+        return real_pass(g, counted(), *args, **kwargs)
+
+    want = construct_sol(inst, family, LOCAL_RATIO)
+    monkeypatch.setattr(pvcover.solvers, "_pass", counting_pass)
+    got = construct_sol(inst, family, LOCAL_RATIO)
+    assert (got.vertices, got.weight) == (want.vertices, want.weight)
+    assert len(walks) <= len(family) + 1
+    assert [w for w in walks if w[0]] == [[n_far, 0]]
+    assert all(near <= n_near for _, near in walks)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10**6), st.integers(6, 12), st.integers(3, 5), st.integers(1, 3))
+def test_reoptimizers_meet_their_factor_against_the_subset_scan(seed, n_new, k, c):
+    # with an exact old optimum: rho = 1 gives factor 1, and the local-ratio
+    # oracle, rho = k, gives factor 2 - 1/k, checked in integers
+    inst = random_reopt_instance(seed, n_new=n_new, k=k, c=c, max_degree=4)
+    opt, _ = brute_optima(inst.g_new, k)
+    reoptimize = wtd_3path if k == 3 else wtd_kpath
+    assert reoptimize(inst, EXACT).weight == opt
+    sol = reoptimize(inst, LOCAL_RATIO)
+    assert sol.feasible
+    assert k * sol.weight <= (2 * k - 1) * opt
 
 
 def test_construct_sol_rejects_an_infeasible_oracle_cover(weighted_path_fixture):

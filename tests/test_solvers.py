@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -226,27 +227,56 @@ def test_hit_count_prune_matches_the_mask_loop():
 
 def test_local_ratio_pass_matches_the_reference_loop():
     # same cover in join order, same Σδ and same None, on whole and part
-    # indexes, unbounded and under bounds that stop the pass partway
+    # indexes, unbounded and under bounds that stop the pass partway. On a
+    # region-last index the reference is the full pass over the far paths
+    # and then the near ones: parts that remove only region vertices resume
+    # from the shared far pass, the others walk base
     stopped = {"below": 0, "dual_below": 0}
+
+    def answers(g, ix):
+        ref = ix
+        if ix.far is not None:
+            ref = SimpleNamespace(base=ix.far.paths + ix.far.near, removed=ix.removed)
+        full = reference_local_ratio(g, ref)
+        got = [pvcover.solvers._local_ratio(g, ix)]
+        assert got[0] == full
+        cover, total = full
+        weight = g.weight_of(cover)
+        for b in (1, weight // 3, weight // 2, weight, weight + 1):
+            want = reference_local_ratio(g, ref, below=b)
+            got.append(pvcover.solvers._local_ratio(g, ix, below=b))
+            assert got[-1] == want
+            stopped["below"] += want is None and 0 < b
+        for b in (1, total // 3, total // 2, total, total + 1):
+            want = reference_local_ratio(g, ref, dual_below=b)
+            got.append(pvcover.solvers._local_ratio(g, ix, dual_below=b))
+            assert got[-1] == want
+            stopped["dual_below"] += want is None and 0 < b
+        return got
+
     for seed in range(30):
         n = 14 + seed % 25
         g = random_graph(seed, n, m=n + n // 4, max_degree=3 + seed % 2)
         part = frozenset(v for v in g.vertices() if (v * 5 + seed) % 7)
+        region = frozenset(v for v in g.vertices() if (v * 3 + seed) % 4 == 0)
+        outside = (set(g.vertices()) - part) | {max(set(g.vertices()) - region)}
+
+        def parts(ix):
+            # two that resume, one that falls back, and the whole index
+            inner = ix.avoiding({v for v in region if v % 2}), ix.avoiding(region)
+            assert all(p.far is ix.far for p in inner)
+            fallback = ix.avoiding(outside)
+            assert fallback.far is None
+            return [*inner, fallback, ix]
+
         for k in (3, 4, 5, 6):
             whole = PathIndex(g, k)
             for ix in (whole, whole.avoiding(set(g.vertices()) - part)):
-                full = reference_local_ratio(g, ix)
-                assert pvcover.solvers._local_ratio(g, ix) == full
-                cover, total = full
-                weight = g.weight_of(cover)
-                for b in (1, weight // 3, weight // 2, weight, weight + 1):
-                    want = reference_local_ratio(g, ix, below=b)
-                    assert pvcover.solvers._local_ratio(g, ix, below=b) == want
-                    stopped["below"] += want is None and 0 < b
-                for b in (1, total // 3, total // 2, total, total + 1):
-                    want = reference_local_ratio(g, ix, dual_below=b)
-                    assert pvcover.solvers._local_ratio(g, ix, dual_below=b) == want
-                    stopped["dual_below"] += want is None and 0 < b
+                answers(g, ix)
+            forward = [answers(g, ix) for ix in parts(whole.region_last(region))]
+            # the far state is shared, never changed: any call order agrees
+            backward = [answers(g, ix) for ix in reversed(parts(whole.region_last(region)))]
+            assert backward[::-1] == forward
     # the bounds cut many passes after they began
     assert min(stopped.values()) > 100
 
