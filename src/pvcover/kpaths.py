@@ -232,16 +232,21 @@ class PathIndex:
     first (`solvers._local_ratio`). Every other index has far None.
     """
 
-    __slots__ = ("g", "k", "alive", "base", "removed", "far", "_paths", "_masks")
+    __slots__ = ("g", "k", "base", "removed", "far", "_whole", "_paths", "_masks")
 
     def __init__(self, g: Graph, k):
         self.g = g
         self.k = k
-        self.alive = frozenset(g.vertices())
         self.base = self._paths = enumerate_k_paths(g, k)
         self.removed = frozenset()
         self.far = None
+        self._whole = self
         self._masks = None
+
+    @property
+    def alive(self):
+        """The vertices of g not in removed, built on each read."""
+        return frozenset(self.g.vertices()) - self.removed
 
     @property
     def paths(self):
@@ -252,8 +257,11 @@ class PathIndex:
 
     @property
     def masks(self):
-        """One vertex bitmask per path, in order."""
-        if self._masks is None:
+        """One vertex bitmask per path, in order; a part filters the whole index's."""
+        if self._masks is None and self._whole is not self:
+            out = sum(1 << (v - 1) for v in self.removed)
+            self._masks = [m for m in self._whole.masks if not m & out]
+        elif self._masks is None:
             # a path's vertices are distinct, so the sum of their bits is their OR
             bit = [0, *(1 << i for i in range(self.g.n))].__getitem__
             self._masks = [sum(map(bit, p)) for p in self.paths]
@@ -271,17 +279,20 @@ class PathIndex:
         return not any(map((self.removed | self._vertex_set(s)).isdisjoint, self.base))
 
     def avoiding(self, s):
-        """The index of g[alive - s]; its paths are filtered on first read."""
-        s = self._vertex_set(s)
+        """The index of g[alive - s]; its paths are filtered on first read.
+        An s inside far.region keeps far, and `region_last` checked it."""
+        s = frozenset(s)
+        far = self.far if self.far is not None and s <= self.far.region else None
+        if far is None:
+            self.g._check_subset(s)
         sub = object.__new__(PathIndex)
         sub.g = self.g
         sub.k = self.k
-        sub.alive = self.alive - s
         sub.base = self.base
         sub.removed = self.removed | s
-        sub.far = self.far if self.far is not None and s <= self.far.region else None
-        sub._paths = None
-        sub._masks = None
+        sub.far = far
+        sub._whole = self._whole
+        sub._paths = sub._masks = None
         return sub
 
     def region_last(self, region):

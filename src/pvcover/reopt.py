@@ -146,13 +146,13 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     va_paths = [p for p in index.paths if not va.isdisjoint(p)]
     old = inst.old_opt.vertices
     w_old = g.weight_of(old)
-    best = None  # (weight, index, frozenset)
+    best = None  # (weight, index, base, member): the cover is base | member
     for i, f in enumerate(family.members):
         if any(map(f.isdisjoint, va_paths)):
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
             )
-        cand = (w_old + g.weight_of(f - old), i, old | f)
+        cand = (w_old + g.weight_of(f - old), i, old, f)
         w_f = g.weight_of(f)
         part = index.avoiding(va | f)
         below = min(cand, best or cand)[0] - w_f
@@ -168,10 +168,11 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
                 )
             w2 = g.weight_of(sub_sol.vertices) + w_f
             if w2 < cand[0]:
-                cand = (w2, i, sub_sol.vertices | f)
+                cand = (w2, i, sub_sol.vertices, f)
         # indices differ, so ties in weight go to the earlier member
         best = min(best or cand, cand)
-    return _solution(g, k, best[2], index.covers(best[2]))
+    cover = best[2] | best[3]
+    return _solution(g, k, cover, index.covers(cover))
 
 
 def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):

@@ -8,6 +8,7 @@ bound (ratio k).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -81,26 +82,14 @@ def _index_of(g: Graph, k, index):
     return index
 
 
-class _Visited(set):
-    """A set of masks that raises SizeLimitExceeded(message) past room members."""
-
-    def __init__(self, room, message):
-        super().__init__()
-        self.room, self.message = room, message
-
-    def add(self, mask):
-        if len(self) == self.room:
-            raise SizeLimitExceeded(self.message)
-        super().add(mask)
-
-
 def solve_exact(g: Graph, k, index=None, below=math.inf):
     """Minimum-weight cover by branch and bound.
 
-    Branches on the k vertices of the first uncovered path in lexicographic
-    order; ties resolve to smaller cardinality then lexicographically
-    smallest vertex list, so the returned optimum is canonical. With an
-    index of g[alive], covers g[alive].
+    Branches on the first uncovered path v1 ... vk, in lexicographic order:
+    the j-th child takes vj and leaves out v1 ... v(j-1), so no two nodes
+    take the same set. Ties resolve to smaller cardinality then
+    lexicographically smallest vertex list, so the returned optimum is
+    canonical. With an index of g[alive], covers g[alive].
 
     Returns None iff no cover weighs less than below, and otherwise the
     same optimum. The local-ratio pass runs first: its Σδ, a lower bound on
@@ -111,24 +100,21 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     the incumbent and Σδ need not be those of the lexicographic pass; the
     optimum, being canonical, is the same.
 
-    EXACT_SIZE_LIMIT bounds the search's memory: one mask per path and one
-    per visited node. Up to that many alive vertices that is at most
-    2^EXACT_SIZE_LIMIT one-word masks. A larger call gets the same budget
-    of words, each mask taking ceil(g.n / EXACT_SIZE_LIMIT): it raises
-    SizeLimitExceeded before any mask is built if the path masks alone
-    pass it, else once one more visited node would. Each node enters at
-    most k others, so this bounds the time too. Nodes are counted as
-    visited, not by the worst case, Σ_{j <= d+1} k^j with d the most alive
-    vertices lighter together than below and the incumbent, which passes
-    the budget on calls that visit a few hundred. A call whose alive
-    vertices together weigh less than below, and a search deeper than the
-    recursion limit, raise too; the first before the index is built.
+    EXACT_SIZE_LIMIT bounds the search: one mask per path, and one count
+    per node, which is not stored. Up to that many alive vertices there are
+    at most 2^EXACT_SIZE_LIMIT nodes. A larger call gets the same budget of
+    one-word masks, each mask of ceil(g.n / EXACT_SIZE_LIMIT) words: it
+    raises SizeLimitExceeded before any mask is built if the path masks
+    alone pass it, else once one more node would, which bounds the time
+    too. A call whose alive vertices together weigh less than below, and a
+    search deeper than the recursion limit, raise too; the first before the
+    index is built.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    alive = g.vertices() if index is None else index.alive
-    n = len(alive)
-    if n > EXACT_SIZE_LIMIT and g.weight_of(alive) < below:
+    removed = () if index is None else index.removed
+    n = g.n - len(removed)
+    if n > EXACT_SIZE_LIMIT and sum(g.weights) - g.weight_of(removed) < below:
         raise SizeLimitExceeded(f"n={n} exceeds exact-solver guard {EXACT_SIZE_LIMIT}")
     ix = _index_of(g, k, index)
 
@@ -146,7 +132,7 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         best = [key(cover, w_cover), frozenset(cover)]
     paths = ix.paths
     n_paths = len(paths)
-    visited = set()
+    node = itertools.repeat(None).__next__
     if n > EXACT_SIZE_LIMIT:
         words = -(-g.n // EXACT_SIZE_LIMIT)
         room = (1 << EXACT_SIZE_LIMIT) // words - n_paths
@@ -154,34 +140,36 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         guard = f"of {words} words exceed guard 2^{EXACT_SIZE_LIMIT} words"
         if room < 1:
             raise SizeLimitExceeded(f"{masks_of} {guard}")
-        visited = _Visited(room, f"{masks_of} and {room + 1} visited nodes {guard}")
+        node = itertools.repeat(None, room).__next__  # StopIteration past the budget
     masks = ix.masks
 
-    def branch(chosen, mask, weight, i):
-        if mask in visited:
-            return
-        visited.add(mask)
+    def branch(chosen, mask, out, weight, i):
+        node()
         # chosen contains the parent's set, so paths before i are still hit
         while i < n_paths and mask & masks[i]:
             i += 1
         if i == n_paths:
             cand = key(chosen, weight)
             if cand < best[0]:
-                best[0] = cand
-                best[1] = frozenset(chosen)
+                best[:] = cand, frozenset(chosen)
             return
         # any completion adds at least one more positive-weight vertex
         if weight >= best[0][0]:
             return
         for v in paths[i]:
-            chosen.add(v)
-            branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1], i + 1)
-            chosen.remove(v)
+            b = 1 << (v - 1)
+            if not out & b:
+                chosen.add(v)
+                branch(chosen, mask | b, out, weight + g.weights[v - 1], i + 1)
+                chosen.remove(v)
+                out |= b
 
     try:
-        branch(set(), 0, 0, 0)
+        branch(set(), 0, 0, 0, 0)
     except RecursionError:
         raise SizeLimitExceeded(f"exact search at n={n} passes the recursion limit") from None
+    except StopIteration:
+        raise SizeLimitExceeded(f"{masks_of} and {room + 1} visited nodes {guard}") from None
     if best[1] is None:
         return None
     return _solution(g, k, best[1], ix.covers(best[1]))

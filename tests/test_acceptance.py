@@ -43,6 +43,8 @@ from pvcover import (
     write_graph,
     write_patch,
     write_solution,
+    wtd_3path,
+    wtd_kpath,
 )
 from pvcover.cli import main as cli_main
 from pvcover.kpaths import enumerate_k_paths, find_k_path, is_k_path
@@ -121,6 +123,38 @@ def test_acceptance_4_wtd_kpath_bounds():
         assert 4 * approx.weight <= 7 * opt, (i, approx.weight, opt)
         assert construct_sol(inst, family, EXACT).weight == opt, i
     print("\nk=4 reoptimization held 4w <= 7*opt and exact equality on 100/100")
+
+
+# 3-4 at n_new 36-40: both reoptimizers past the desk tier, max degree 3.
+#    OPT and the old optimum are exact searches bounded by the weight of the
+#    pruned local-ratio cover plus one, which keeps them within the budget.
+def test_acceptance_3_4_at_n_new_40():
+    def bounded_opt(g, k):
+        return solve_exact(g, k, below=local_ratio_approx(g, k).weight + 1)
+
+    start = time.perf_counter()
+    for i in range(12):
+        k = 3 + i % 2
+        n_new = 36 + i % 5
+        c = 1 + i % 3
+        n_old = n_new - c
+        g_old = random_graph(i, n_old, m=13 * n_old // 10, max_degree=3)
+        patch = gen_patch(
+            g_old, c, 2.0 / n_old, 0.4, seed=i + 1, weight_range=(1, 10), max_degree=3
+        )
+        inst = ReoptInstance.create(g_old, patch, bounded_opt(g_old, k), k)
+        assert inst.g_new.n == n_new and max_degree(inst.g_new) <= 3
+        opt = bounded_opt(inst.g_new, k).weight
+        reopt = wtd_3path if k == 3 else wtd_kpath
+        approx = reopt(inst, LOCAL_RATIO)
+        assert approx.feasible, i
+        assert k * approx.weight <= (2 * k - 1) * opt, (i, approx.weight, opt)
+        assert reopt(inst, EXACT).weight == opt, i
+    elapsed = time.perf_counter() - start
+    print(
+        "\nk=3,4 reoptimization held kw <= (2k-1)*opt and exact equality"
+        f" on 12/12 at n_new 36-40 in {elapsed:.1f}s"
+    )
 
 
 # 5. Family validity: both properties on random instances; the documented

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 from types import SimpleNamespace
@@ -334,6 +335,103 @@ def test_solvers_on_an_index_match_the_induced_subgraph():
             for got, want in pairs:
                 assert got.vertices == frozenset(orig[v - 1] for v in want.vertices)
                 assert (got.weight, got.feasible) == (want.weight, want.feasible)
+
+
+def reference_solve_exact(g, k, index, below=math.inf):
+    """The earlier branch and bound, the reference for `solve_exact`: each
+    node branches on every vertex of its first uncovered path, and a set of
+    the visited cover masks cuts a node reached twice. It starts from the
+    same local-ratio pass and compares by the same canonical key, and has
+    no size guard. Returns (vertices, weight, feasible) or None."""
+
+    def key(vertices, weight):
+        return (weight, len(vertices), tuple(sorted(vertices)))
+
+    found = pvcover.solvers._local_ratio(g, index, dual_below=below)
+    if found is None:
+        return None
+    cover, _ = found
+    best = [(below, -1), None]
+    if g.weight_of(cover) < below:
+        best = [key(cover, g.weight_of(cover)), frozenset(cover)]
+    paths, masks = index.paths, index.masks
+    visited = set()
+
+    def branch(chosen, mask, weight, i):
+        if mask in visited:
+            return
+        visited.add(mask)
+        while i < len(paths) and mask & masks[i]:
+            i += 1
+        if i == len(paths):
+            if key(chosen, weight) < best[0]:
+                best[:] = key(chosen, weight), frozenset(chosen)
+            return
+        if weight >= best[0][0]:
+            return
+        for v in paths[i]:
+            chosen.add(v)
+            branch(chosen, mask | (1 << (v - 1)), weight + g.weights[v - 1], i + 1)
+            chosen.remove(v)
+
+    branch(set(), 0, 0, 0)
+    if best[1] is None:
+        return None
+    return best[1], g.weight_of(best[1]), index.covers(best[1])
+
+
+@st.composite
+def exact_instances(draw):
+    """A graph on 4-14 vertices with weights 1-4, so that optima tie on
+    weight, k 2-5, and the index to search: the whole graph, an avoiding
+    part, or a part of a region-last index, which resumes from the shared
+    far pass when it removes only region vertices."""
+    n = draw(st.integers(4, 14))
+    m = draw(st.integers(n - 1, 3 * n // 2))
+    shape = random_graph(draw(st.integers(0, 10**6)), n, m=m, max_degree=5)
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    g = Graph.build(n, shape.edges(), weights=weights)
+    k = draw(st.integers(2, 5))
+    whole = PathIndex(g, k)
+    removed = draw(st.frozensets(st.integers(1, n), max_size=n // 2))
+    kind = draw(st.sampled_from(["whole", "avoiding", "region-last"]))
+    if kind == "whole":
+        return g, whole
+    if kind == "avoiding":
+        return g, whole.avoiding(removed)
+    region = removed | draw(st.frozensets(st.integers(1, n), max_size=n // 2))
+    inside = draw(st.booleans())
+    return g, whole.region_last(region).avoiding(removed if inside else removed | {1, n})
+
+
+@settings(max_examples=400)
+@given(exact_instances())
+def test_exact_search_matches_the_visited_set_reference(instance):
+    # the same optimum, or the same None, unbounded and at each bound
+    g, index = instance
+    k = index.k
+
+    def answer(sol):
+        return None if sol is None else (sol.vertices, sol.weight, sol.feasible)
+
+    plain = reference_solve_exact(g, k, index)
+    assert answer(solve_exact(g, k, index=index)) == plain
+    opt = plain[1]
+    _, bound = pvcover.solvers._local_ratio(g, index)
+    for below in (bound, opt - 1, opt, opt + 1, 0):
+        want = reference_solve_exact(g, k, index, below)
+        assert answer(solve_exact(g, k, index=index, below=below)) == want
+        assert (want is None) == (opt >= below)
+
+
+def test_exact_search_takes_no_vertex_set_twice(monkeypatch):
+    # K12 at k=3 under a guard of 2^11 words: its 660 path masks of 2
+    # words leave room for 364 nodes. A left-out vertex is never taken, so
+    # no two nodes take the same set, and the search visits 286 of them; a
+    # search that did not leave vertices out would visit 88,573
+    g = Graph.build(12, list(itertools.combinations(range(1, 13), 2)))
+    monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 11)
+    assert solve_exact(g, 3, below=12).vertices == set(range(1, 11))
 
 
 def test_exact_size_guard_counts_alive_vertices():
