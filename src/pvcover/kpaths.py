@@ -232,7 +232,7 @@ class PathIndex:
     first (`solvers._local_ratio`). Every other index has far None.
     """
 
-    __slots__ = ("g", "k", "base", "removed", "far", "_whole", "_paths", "_masks")
+    __slots__ = ("g", "k", "base", "removed", "far", "_paths", "_masks")
 
     def __init__(self, g: Graph, k):
         self.g = g
@@ -240,7 +240,6 @@ class PathIndex:
         self.base = self._paths = enumerate_k_paths(g, k)
         self.removed = frozenset()
         self.far = None
-        self._whole = self
         self._masks = None
 
     @property
@@ -257,11 +256,8 @@ class PathIndex:
 
     @property
     def masks(self):
-        """One vertex bitmask per path, in order; a part filters the whole index's."""
-        if self._masks is None and self._whole is not self:
-            out = sum(1 << (v - 1) for v in self.removed)
-            self._masks = [m for m in self._whole.masks if not m & out]
-        elif self._masks is None:
+        """One vertex bitmask per path, in order."""
+        if self._masks is None:
             # a path's vertices are distinct, so the sum of their bits is their OR
             bit = [0, *(1 << i for i in range(self.g.n))].__getitem__
             self._masks = [sum(map(bit, p)) for p in self.paths]
@@ -291,7 +287,6 @@ class PathIndex:
         sub.base = self.base
         sub.removed = self.removed | s
         sub.far = far
-        sub._whole = self._whole
         sub._paths = sub._masks = None
         return sub
 

@@ -158,17 +158,19 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
         below = min(cand, best or cand)[0] - w_f
         sub_sol = oracle.solve(g, k, index=part, below=below)
         if sub_sol is not None:
-            if not sub_sol.vertices <= part.alive:
+            chosen = sub_sol.vertices
+            in_g = all(map(g.vertices().__contains__, chosen))
+            if not (in_g and part.removed.isdisjoint(chosen)):
                 raise ValueError(
                     f"oracle {oracle.name} chose vertices outside V_old minus member {i}"
                 )
-            if not part.covers(sub_sol.vertices):
+            if not part.covers(chosen):
                 raise FamilyPropertyViolated(
                     f"member {i} ({sorted(f)}): oracle completion is infeasible"
                 )
-            w2 = g.weight_of(sub_sol.vertices) + w_f
+            w2 = g.weight_of(chosen) + w_f
             if w2 < cand[0]:
-                cand = (w2, i, sub_sol.vertices, f)
+                cand = (w2, i, chosen, f)
         # indices differ, so ties in weight go to the earlier member
         best = min(best or cand, cand)
     cover = best[2] | best[3]

@@ -388,6 +388,16 @@ def test_construct_sol_rejects_oracle_vertices_outside_the_remainder(weighted_pa
     family = GoodFamily(members=(frozenset({3}),), provenance=("",))
     with pytest.raises(ValueError, match="outside"):
         construct_sol(inst, family, everything)
+    # a vertex that g_new does not have is outside too, and is caught before
+    # the coverage check reads it
+    beyond = ApproxOracle(
+        name="beyond",
+        solve=lambda g, k, index=None, below=None: pvcover.solvers.CoverSolution(
+            frozenset({1, g.n + 1}), k, 2, 2, True
+        ),
+    )
+    with pytest.raises(ValueError, match="oracle beyond chose vertices outside"):
+        construct_sol(inst, family, beyond)
 
 
 # ---------------------------------------------------------------- 3-PVCP family

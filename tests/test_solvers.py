@@ -537,6 +537,21 @@ def test_solve_exact_below_keeps_the_guards(monkeypatch):
     assert index._masks is None
 
 
+def test_a_part_counts_and_builds_only_its_own_path_masks(monkeypatch):
+    # a star with 40 leaves at k=3 has 780 paths, all through the center.
+    # At 2^6 words their masks of 7 words pass the budget, so the whole
+    # index is refused before any is built; a part without the center
+    # keeps no path, fits, and builds no mask of the whole index
+    g = Graph.build(41, [(1, v) for v in range(2, 42)])
+    whole = PathIndex(g, 3)
+    monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 6)
+    with pytest.raises(SizeLimitExceeded, match="780 path masks of 7 words"):
+        solve_exact(g, 3, index=whole, below=2)
+    part = whole.avoiding({1})
+    assert solve_exact(g, 3, index=part, below=2).vertices == frozenset()
+    assert part.masks == [] and whole._masks is None
+
+
 def test_unbounded_exact_past_the_limit_builds_no_index(monkeypatch):
     g = Graph.build(25, [(v, v + 1) for v in range(1, 25)])
 
