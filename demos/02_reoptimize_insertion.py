@@ -2,9 +2,9 @@
 
 Starts from a weighted path whose optimum is cheap, inserts one expensive
 vertex, and shows how the candidate family plus the generic combiner finds
-the new optimum without re-solving from scratch. Also contrasts the
-corrected family construction with the literal one on the fixture where
-they disagree.
+the new optimum without re-solving from scratch. Checks the family's two
+properties exactly, and contrasts the corrected family construction with
+the literal one on the fixture where they disagree.
 """
 
 from pvcover import (
@@ -15,6 +15,7 @@ from pvcover import (
     good_family_3pvcp,
     oracle_registry,
     solve_exact,
+    validate_good_family,
     wtd_3path,
 )
 
@@ -34,6 +35,9 @@ family = good_family_3pvcp(inst.g_new, patch)
 print("candidate family:")
 for member, label in zip(family.members, family.provenance):
     print(f"  {sorted(member)}  <- {label}")
+report = validate_good_family(inst.g_new, patch.added_ids(), family, 3)
+print(f"every member meets every 3-path through the insert: {report.property2_ok}")
+print(f"some member lies inside an optimum: {report.property1_ok}")
 
 sol = wtd_3path(inst, EXACT)
 direct = solve_exact(inst.g_new, 3)
@@ -50,5 +54,9 @@ inst = ReoptInstance.create(g_old, patch, solve_exact(g_old, 3), 3)
 for mode in ("corrected", "paper-literal"):
     fam = good_family_3pvcp(g_new, patch, mode=mode)
     sol = wtd_3path(inst, EXACT, mode=mode)
-    print(f"  {mode:14s} family={[sorted(m) for m in fam.members]} -> weight={sol.weight}")
+    inside = validate_good_family(g_new, patch.added_ids(), fam, 3).property1_ok
+    print(
+        f"  {mode:14s} family={[sorted(m) for m in fam.members]} "
+        f"member inside an optimum: {inside} -> weight={sol.weight}"
+    )
 print(f"  true optimum weight: {solve_exact(g_new, 3).weight}")

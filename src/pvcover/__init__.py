@@ -3,7 +3,6 @@ under constant-size graph insertion."""
 
 from .errors import (
     EmptyFamily,
-    EmptyRootSet,
     FamilyPropertyViolated,
     InfeasibleConfig,
     LimitExceeded,
@@ -17,11 +16,9 @@ from .errors import (
     WeightMismatch,
 )
 from .graph import (
-    BfsForest,
     Graph,
     InsertionPatch,
     apply_patch,
-    bfs_forest_from_set,
     connected_components,
     induced_subgraph,
     is_va_connected,
@@ -43,7 +40,6 @@ from .instances import (
 from .kpaths import (
     PathIndex,
     covers_all_k_paths,
-    default_trials,
     enumerate_k_paths,
     find_k_path,
     has_k_path,

@@ -9,10 +9,6 @@ class UnknownVertex(PvcError):
     pass
 
 
-class EmptyRootSet(PvcError):
-    pass
-
-
 class LimitExceeded(PvcError):
     """An enumeration guard (path count, family size, state count) was hit."""
 

@@ -6,9 +6,9 @@ indexed id-1. Weights are positive integers (callers scale decimals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import EmptyRootSet, MalformedPatch, UnknownVertex
+from .errors import MalformedPatch, UnknownVertex
 
 
 class Graph:
@@ -145,15 +145,6 @@ class InsertionPatch:
         return frozenset(i for i, _ in self.added)
 
 
-@dataclass(frozen=True)
-class BfsForest:
-    """Levels of a breadth-first traversal seeded with a whole vertex set."""
-
-    root_set: frozenset
-    levels: tuple  # tuple of tuples, ascending ids within each level
-    level_of: dict = field(compare=False)  # vertex -> 1-based level, reached only
-
-
 def apply_patch(g_old: Graph, patch: InsertionPatch) -> Graph:
     """Insert the patch graph into g_old, returning the new graph."""
     if patch.old_vertex_count != g_old.n:
@@ -194,31 +185,6 @@ def induced_subgraph(g: Graph, s):
     weights = [g.weights[orig - 1] for orig in orig_ids]
     adj = [[new_id[u] for u in g.adj[orig - 1] if u in s] for orig in orig_ids]
     return Graph(weights, adj), orig_ids
-
-
-def bfs_forest_from_set(g: Graph, roots) -> BfsForest:
-    """BFS seeded with a whole root set; roots sit together at level 1."""
-    roots = frozenset(roots)
-    if not roots:
-        raise EmptyRootSet("root set must be non-empty")
-    g._check_subset(roots)
-    level_of = {v: 1 for v in roots}
-    levels = [tuple(sorted(roots))]
-    frontier = levels[0]
-    depth = 1
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            for u in g.adj[v - 1]:
-                if u not in level_of:
-                    nxt.add(u)
-        depth += 1
-        for u in nxt:
-            level_of[u] = depth
-        if nxt:
-            levels.append(tuple(sorted(nxt)))
-        frontier = tuple(sorted(nxt))
-    return BfsForest(root_set=roots, levels=tuple(levels), level_of=level_of)
 
 
 def max_degree(g: Graph) -> int:

@@ -5,18 +5,12 @@ adjacent, in canonical orientation: first endpoint < last endpoint. One
 iterative depth-first walker answers every exhaustive question over a graph
 and an alive vertex set, the k-paths of g[alive], without building that
 subgraph: enumeration, detection (`has_k_path(g, k, alive)`) and coverage
-(the alive set is the complement of the cover). The walker is the
-deterministic oracle and decides whether a k-path exists. Its focus mode
-(`has_k_path_through`) serves `construct_f` only. It grows two arms from
-each vertex of a focus set, then drops that vertex from the free set, so
-each k-path of g[alive] that meets the focus comes out once and the work
-stays near the focus. The walker can also resume just after a given path
-(`_walk(after=)`).
-
-`find_k_path` finds one k-path of g, by the walker (its first path) or by
-color coding, a randomized detector with one-sided error: a path it
-returns is verified, but "None" may be a miss. Each color-coding trial
-is the colorful-path DP of Alon, Yuster and Zwick over all of g.
+(the alive set is the complement of the cover); `find_k_path(g, k)` is its
+first k-path of g. Its focus mode (`has_k_path_through`) serves
+`construct_f` only. It grows two arms from each vertex of a focus set, then
+drops that vertex from the free set, so each k-path of g[alive] that meets
+the focus comes out once and the work stays near the focus. The walker can
+also resume just after a given path (`_walk(after=)`).
 
 A `PathIndex` keeps the enumerated k-paths of g, with one vertex bitmask
 per path (bit v-1 for vertex v) built when branch and bound first asks.
@@ -33,28 +27,17 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
-import random
 
 from .errors import LimitExceeded
 from .graph import Graph
 
 DEFAULT_PATH_CAP = 10**7
-DEFAULT_DELTA = 0.01
-COLOR_CODING_GUARD = 10**10  # cap on trials * 2^k * n before color coding starts
 
 
 def canonical(path):
     """Canonical orientation of an undirected path sequence."""
     path = tuple(path)
     return path if path[0] < path[-1] else path[::-1]
-
-
-def is_k_path(g: Graph, path, k) -> bool:
-    """True iff path is a simple path of order k in g."""
-    if len(path) != k or len(set(path)) != k:
-        return False
-    return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
 def _walk(g: Graph, k, alive, after=None):
@@ -320,89 +303,8 @@ def covers_all_k_paths(g: Graph, s, k) -> bool:
     return not has_k_path(g, k, alive=frozenset(g.vertices()) - s)
 
 
-def default_trials(k):
-    """Trials for a per-path miss rate of at most delta = DEFAULT_DELTA:
-    ceil(e^k * ln(1/delta)).
-
-    Raises LimitExceeded when e^k overflows a float (k >= 709).
-    """
-    try:
-        return math.ceil(math.exp(k) * math.log(1.0 / DEFAULT_DELTA))
-    except OverflowError:
-        raise LimitExceeded(f"color-coding trial count for k={k} is too large") from None
-
-
-def _colorful_layers(adj, k, bit, starts):
-    """layers[i] holds each (x, colors) such that a colorful sequence of
-    i + 1 vertices runs from a vertex of starts to x with those colors.
-
-    bit[v] is vertex v's color bit. From every vertex, the last layer is the
-    forward pass of the colorful-path DP of Alon, Yuster and Zwick, without
-    parent pointers.
-    """
-    layers = [{(v, bit[v]) for v in starts}]
-    for _ in range(k - 1):
-        step = set()
-        for x, mask in layers[-1]:
-            for u in adj[x - 1]:
-                if not mask & bit[u]:
-                    step.add((u, mask | bit[u]))
-        layers.append(step)
-    return layers
-
-
-def _least_colorful_from(adj, k, bit, v):
-    """The colorful k-path from v whose reversal is least, as a sequence from v.
-
-    The far end is the least x of the last of v's layers
-    (`_colorful_layers`), and each vertex before it the least neighbor
-    whose state, with the colors still free, is in the layer before.
-    """
-    layers = _colorful_layers(adj, k, bit, (v,))
-    seq = [min(layers.pop())[0]]
-    mask = (1 << k) - 1
-    while layers:
-        mask ^= bit[seq[-1]]
-        layer = layers.pop()
-        seq.append(min(x for x in adj[seq[-1] - 1] if (x, mask) in layer))
-    return tuple(reversed(seq))
-
-
-def find_k_path(g: Graph, k, *, strategy, seed=0):
-    """Find one k-path of g; strategy is "exhaustive" or "color-coding".
-
-    exhaustive: the walker's first path, the lexicographically first k-path
-    of g, or None; never errs.
-
-    color-coding: default_trials(k) random trials with derived seeds; trial
-    t colors vertex v with the v-th value of Random(seed + t).randrange(k)
-    and runs the colorful-path DP. Its forward pass (`_colorful_layers`)
-    finds the least vertex v* that ends a colorful k-sequence, and the
-    search from v* (`_least_colorful_from`) returns the colorful k-path from
-    v* whose reversal is least: the path a DP that keeps each state's
-    lexicographically least sequence returns. Any returned path is
-    verified, so only "None" can be wrong. Raises LimitExceeded before the
-    first trial when trials * 2^k * n exceeds COLOR_CODING_GUARD, the
-    budget of the DP.
-    """
+def find_k_path(g: Graph, k):
+    """The walker's first path, the lexicographically first k-path of g, or None."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if strategy not in ("exhaustive", "color-coding"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "exhaustive":
-        return next(_walk(g, k, g.vertices()), None)
-    trials = default_trials(k)
-    if trials * (1 << k) * g.n > COLOR_CODING_GUARD:
-        raise LimitExceeded(
-            f"color coding at k={k}, n={g.n} with {trials} trials exceeds guard {COLOR_CODING_GUARD}"
-        )
-    for t in range(trials):
-        rng = random.Random(seed + t)
-        bit = [0, *(1 << rng.randrange(k) for _ in range(g.n))]
-        ends = _colorful_layers(g.adj, k, bit, g.vertices())[-1]
-        if ends:
-            path = _least_colorful_from(g.adj, k, bit, min(ends)[0])
-            if is_k_path(g, path, k):
-                return path
-    return None
-
+    return next(_walk(g, k, g.vertices()), None)

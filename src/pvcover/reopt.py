@@ -1,8 +1,9 @@
 """Reoptimization of k-path vertex cover under constant-size graph insertion.
 
-Three entry points: a PTAS for the unweighted problem, a 1.5-approximation
-for the weighted 3-path problem, and a (2 - 1/rho)-approximation for the
-weighted problem at k >= 4 on bounded-degree graphs. The latter two build a
+Three entry points: a PTAS for the unweighted problem, a (2 - 1/rho)-
+approximation for the weighted 3-path problem (5/3 with the local-ratio
+oracle, rho = 3; the paper's 1.5 needs a ratio-2 oracle), and the same
+factor at k >= 4 on bounded-degree graphs. The latter two build a
 family of candidate partial covers (a "good family") and hand it to the
 generic construct_sol subroutine.
 
@@ -27,7 +28,14 @@ from .graph import (
     neighbors_of_set,
 )
 from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through
-from .solvers import ApproxOracle, CoverSolution, _solution, make_solution, solve_exact
+from .solvers import (
+    ApproxOracle,
+    CoverSolution,
+    _solution,
+    local_ratio_approx,
+    make_solution,
+    solve_exact,
+)
 
 FAMILY_CAP = 10**6
 PATCH_SIZE_GUARD = 12
@@ -235,7 +243,7 @@ def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):
 
 
 def wtd_3path(inst: ReoptInstance, oracle: ApproxOracle, mode="corrected"):
-    """1.5-approximation (with a 2-ratio oracle) for k=3 reoptimization."""
+    """(2 - 1/rho)-approximation for k=3 reoptimization: 5/3 with local ratio."""
     if inst.k != 3:
         raise UnsupportedInstance("wtd_3path requires k = 3")
     family = good_family_3pvcp(inst.g_new, inst.patch, mode=mode)
@@ -345,14 +353,15 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     OPT(g_new): F plus any cover of g_new - F covers g_new, and an optimum
     holding F loses F to a cover of g_new - F. Each member is one
     solve_exact call on index.avoiding(F) under below = OPT - w(F) + 1, and
-    the witness is F with that call's optimum. The OPT solve is unbounded
-    and comes first, so the report needs n <= EXACT_SIZE_LIMIT (24): a
-    larger g_new raises SizeLimitExceeded before any k-path is enumerated.
+    the witness is F with that call's optimum. The OPT solve is bounded by
+    the local-ratio cover's weight + 1, so it never returns None, and past
+    EXACT_SIZE_LIMIT (24) vertices only the search budget refuses it.
     """
-    opt = solve_exact(g_new, k).weight
     va = frozenset(va)
     g_new._check_subset(va)
     index = PathIndex(g_new, k)
+    below = local_ratio_approx(g_new, k, index=index).weight + 1
+    opt = solve_exact(g_new, k, index=index, below=below).weight
     va_paths = [p for p in index.paths if not va.isdisjoint(p)]
     p2_cex = next(((f, p) for f in family.members for p in va_paths if f.isdisjoint(p)), None)
     p1_witness = None

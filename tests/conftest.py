@@ -78,42 +78,17 @@ def perm_k_paths(g: Graph, k):
     return sorted(found)
 
 
-def colorful_path_dp(g: Graph, k, colors):
-    """The colorful-path DP of one color-coding trial, the reference for
-    each trial of `find_k_path`'s color coding; colors[v - 1] is the color
-    of vertex v.
-
-    States are (vertex, color-subset) pairs with a parent pointer; the
-    first parent found wins, so each state keeps its lexicographically
-    least colorful sequence. Returns the canonical path of the state
-    (v, all colors) with the least v, or None.
-    """
-    full = (1 << k) - 1
-    bit = [0, *(1 << c for c in colors)]
-    parent = {}
-    frontier = []
-    for v in g.vertices():
-        parent[(v, bit[v])] = None
-        frontier.append((v, bit[v]))
-    for _ in range(k - 1):
-        nxt = []
-        for v, mask in frontier:
-            for u in g.adj[v - 1]:
-                if mask & bit[u]:
-                    continue
-                key = (u, mask | bit[u])
-                if key not in parent:
-                    parent[key] = v
-                    nxt.append(key)
-        frontier = nxt
-    for v in g.vertices():
-        if (v, full) in parent:
-            path, key = [v], (v, full)
-            while parent[key] is not None:
-                key = (parent[key], key[1] & ~bit[key[0]])
-                path.append(key[0])
-            return tuple(path if path[0] < path[-1] else path[::-1])
-    return None
+def bfs_levels(g: Graph, roots):
+    """The levels of a breadth-first search seeded with the whole root set:
+    the roots are level 1, and each level lists its vertices ascending."""
+    seen = set(roots)
+    levels = []
+    level = sorted(seen)
+    while level:
+        levels.append(tuple(level))
+        level = sorted({u for v in level for u in g.adj[v - 1]} - seen)
+        seen.update(level)
+    return tuple(levels)
 
 
 def brute_covers(g: Graph, s, k):

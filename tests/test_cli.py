@@ -62,9 +62,8 @@ def _bench_graph_file(tmp_path, n, seed):
 
 # SHA-256 of `pvc solve --alg greedy` stdout on gen_graph instances drawn
 # like the solve_greedy benchmark's (max degree 3, 1.3 n edges, k 5-6), one
-# per (n, k, seed). Recorded when greedy began to delete from the walker's
-# first path instead of a color-coding pick: (30, 5, 1) kept its digest and
-# the other five changed. The seed no longer reaches any solver.
+# per (n, k, seed). Greedy deletes from the walker's first k-path each
+# round; these were recorded when it began to, and the seed reaches no solver.
 GREEDY_STDOUT_SHA256 = {
     (30, 5, 1): "908516d34457d049c46d8f5aed1d60280a76226756b76d07da71e198fc136d5a",
     (36, 6, 2): "6ede3627c4a3fa1900659fa514b29921debd4fab7c63fa7f1524a4f14a335423",
@@ -187,10 +186,8 @@ def test_limit_exit_code(tmp_path):
     assert "limit exceeded" in err
 
 
-def test_greedy_color_coding_budget_exit_code(tmp_path):
-    # greedy runs no color coding, so the guard that refuses k = 25 for
-    # color coding does not apply: each round deletes the first vertex of
-    # the first 25-path left
+def test_greedy_at_k25_deletes_from_each_first_path(tmp_path):
+    # each round deletes the first vertex of the first 25-path left
     path = tmp_path / "p30.graph"
     path.write_text(write_graph(Graph.build(30, [(v, v + 1) for v in range(1, 30)])))
     t0 = time.perf_counter()
@@ -200,8 +197,8 @@ def test_greedy_color_coding_budget_exit_code(tmp_path):
     assert out == "s pvc 25 6 6\n" + "".join(f"x {v}\n" for v in range(1, 7))
 
 
-def test_greedy_without_a_k_path_needs_no_color_coding(tmp_path):
-    # two 15-vertex paths: no 25-path, so the color-coding guard is never reached
+def test_greedy_at_k25_without_a_path_takes_nothing(tmp_path):
+    # two 15-vertex paths: no 25-path, so the cover is empty
     path = tmp_path / "two_p15.graph"
     edges = [(v, v + 1) for v in range(1, 30) if v != 15]
     path.write_text(write_graph(Graph.build(30, edges)))
@@ -476,8 +473,8 @@ def test_solve_local_ratio_on_long_path(long_path_file):
 
 
 def test_solve_greedy_large_k_is_a_limit(long_path_file):
-    # greedy runs no color coding; its 101 rounds each resume the walk, and
-    # the last walk, which finds no 1100-path, takes most of the time
+    # greedy's 101 rounds each resume the walk, and the last walk, which
+    # finds no 1100-path, takes most of the time
     t0 = time.perf_counter()
     code, out, err = run_cli(["solve", "-k", "1100", "--alg", "greedy", long_path_file])
     assert time.perf_counter() - t0 < 5.0

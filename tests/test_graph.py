@@ -1,14 +1,12 @@
 import pytest
 
 from pvcover import (
-    EmptyRootSet,
     Graph,
     InsertionPatch,
     MalformedPatch,
     ParseError,
     UnknownVertex,
     apply_patch,
-    bfs_forest_from_set,
     induced_subgraph,
     is_va_connected,
     max_degree,
@@ -16,7 +14,7 @@ from pvcover import (
     parse_patch,
 )
 
-from conftest import random_graph
+from conftest import bfs_levels, random_graph
 
 
 def test_apply_patch_extends_path(path4):
@@ -113,35 +111,26 @@ def test_induced_subgraph_keeps_weights():
 
 
 def test_bfs_forest_levels(path4):
-    f = bfs_forest_from_set(path4, {1})
-    assert f.levels == ((1,), (2,), (3,), (4,))
-    f = bfs_forest_from_set(path4, {2, 3})
-    assert f.levels == ((2, 3), (1, 4))
+    assert bfs_levels(path4, {1}) == ((1,), (2,), (3,), (4,))
+    assert bfs_levels(path4, {2, 3}) == ((2, 3), (1, 4))
 
 
 def test_bfs_forest_unreached():
     g = Graph.build(3, [(1, 2)])
-    f = bfs_forest_from_set(g, {1})
-    assert f.levels == ((1,), (2,))
-    assert 3 not in f.level_of
-
-
-def test_bfs_forest_empty_roots(path4):
-    with pytest.raises(EmptyRootSet):
-        bfs_forest_from_set(path4, set())
+    assert bfs_levels(g, {1}) == ((1,), (2,))
 
 
 def test_bfs_levels_partition_and_parent_property():
     for seed in range(30):
         g = random_graph(seed, 10)
         roots = {1, (seed % g.n) + 1}
-        f = bfs_forest_from_set(g, roots)
-        reached = [v for lvl in f.levels for v in lvl]
+        levels = bfs_levels(g, roots)
+        reached = [v for lvl in levels for v in lvl]
         assert len(reached) == len(set(reached))
-        assert set(f.level_of) == set(reached)
-        for i, lvl in enumerate(f.levels[1:], start=2):
+        level_of = {v: i for i, lvl in enumerate(levels, start=1) for v in lvl}
+        for i, lvl in enumerate(levels[1:], start=2):
             for v in lvl:
-                nbr_levels = {f.level_of.get(u) for u in g.neighbors(v)}
+                nbr_levels = {level_of.get(u) for u in g.neighbors(v)}
                 assert (i - 1) in nbr_levels
                 assert not any(l is not None and l < i - 1 for l in nbr_levels)
 

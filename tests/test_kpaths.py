@@ -5,31 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pvcover.kpaths
 from pvcover import (
     Graph,
     PathIndex,
     covers_all_k_paths,
-    default_trials,
     enumerate_k_paths,
     find_k_path,
     has_k_path,
-    induced_subgraph,
 )
-from pvcover.errors import LimitExceeded, UnknownVertex
+from pvcover.errors import UnknownVertex
 from pvcover.kpaths import _walk, _walk_through, has_k_path_through
 
-from conftest import brute_covers, colorful_path_dp, perm_k_paths, random_graph
-
-
-@pytest.fixture
-def few_trials(monkeypatch):
-    """Set color coding's trial budget, which no caller sets, for a test."""
-
-    def set_trials(trials):
-        monkeypatch.setattr(pvcover.kpaths, "default_trials", lambda k: trials)
-
-    return set_trials
+from conftest import brute_covers, perm_k_paths, random_graph
 
 
 def test_enumerate_path_graph(path4):
@@ -77,23 +64,19 @@ def test_k3_shortcut_is_dissociation_characterization():
         assert covers_all_k_paths(g, s, 3) == brute_covers(g, s, 3)
 
 
-def test_find_exhaustive_unique_path(path4, few_trials):
-    assert find_k_path(path4, 4, strategy="exhaustive") == (1, 2, 3, 4)
-    few_trials(50)
-    assert find_k_path(path4, 4, strategy="color-coding", seed=1) == (1, 2, 3, 4)
+def test_find_exhaustive_unique_path(path4):
+    assert find_k_path(path4, 4) == (1, 2, 3, 4)
 
 
-def test_find_none_in_star(few_trials):
+def test_find_none_in_star():
     star = Graph.build(4, [(1, 2), (2, 3), (2, 4)])
-    assert find_k_path(star, 4, strategy="exhaustive") is None
-    few_trials(30)
-    assert find_k_path(star, 4, strategy="color-coding", seed=0) is None
+    assert find_k_path(star, 4) is None
 
 
 def test_five_cycle_has_five_5paths():
     c5 = Graph.build(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     assert len(perm_k_paths(c5, 5)) == 5
-    p = find_k_path(c5, 5, strategy="exhaustive")
+    p = find_k_path(c5, 5)
     assert p in perm_k_paths(c5, 5)
 
 
@@ -101,81 +84,12 @@ def test_exhaustive_agrees_with_enumeration():
     for seed in range(100):
         g = random_graph(seed, 9)
         for k in (3, 4, 5):
-            p = find_k_path(g, k, strategy="exhaustive")
+            p = find_k_path(g, k)
             paths = enumerate_k_paths(g, k)
             if paths:
                 assert p == paths[0]
             else:
                 assert p is None
-
-
-def test_color_coding_one_sided(few_trials):
-    # never returns a path when none exists; returned paths are genuine
-    few_trials(20)
-    hits = 0
-    for seed in range(60):
-        g = random_graph(seed, 10)
-        paths = enumerate_k_paths(g, 4)
-        got = find_k_path(g, 4, strategy="color-coding", seed=seed)
-        if got is not None:
-            assert got in paths
-            hits += 1
-        else:
-            # misses are allowed but must be rare with 20 trials at k=4
-            pass
-    assert hits > 0
-
-
-def test_color_coding_deterministic_per_seed():
-    g = random_graph(3, 12, m=16)
-    a = find_k_path(g, 4, strategy="color-coding", seed=42)
-    b = find_k_path(g, 4, strategy="color-coding", seed=42)
-    assert a == b
-
-
-def alive_cases():
-    """Seeded (g, alive, k, seed) cases, with few trials so that misses occur."""
-    for gseed in range(15):
-        g = random_graph(gseed, 14 + gseed, max_degree=4)
-        rng = random.Random(gseed)
-        for _ in range(3):
-            alive = frozenset(v for v in g.vertices() if rng.random() < 0.75)
-            for k in (3, 4, 5):
-                yield g, alive, k, rng.randrange(1000)
-
-
-def reference_color_coding(g, k, trials, seed):
-    """The color-coding loop on a whole graph as first written: trial t
-    colors vertex v with the v-th draw of Random(seed + t).randrange(k) and
-    runs the colorful-path DP."""
-    for t in range(trials):
-        rng = random.Random(seed + t)
-        color = [rng.randrange(k) for _ in range(g.n)]
-        path = colorful_path_dp(g, k, color)
-        if path is not None:
-            return path
-    return None
-
-
-def test_color_coding_matches_the_reference_loop(few_trials):
-    few_trials(3)
-    for g, alive, k, seed in alive_cases():
-        sub, _ = induced_subgraph(g, alive)
-        want = reference_color_coding(sub, k, 3, seed)
-        assert find_k_path(sub, k, strategy="color-coding", seed=seed) == want
-
-
-def test_default_trials_formula():
-    # ceil(e^k * ln(1/0.01))
-    assert default_trials(3) == 93
-    assert default_trials(5) == 684
-
-
-def test_default_trials_overflow_is_a_limit():
-    assert default_trials(708) > 10**307
-    for k in (709, 1100):
-        with pytest.raises(LimitExceeded):
-            default_trials(k)
 
 
 def test_has_k_path_shortcuts():
@@ -218,7 +132,7 @@ def test_has_k_path_rejects_unknown_alive_vertex(path4):
 def test_walker_is_iterative_on_long_paths():
     # a recursive search would exceed the interpreter's recursion limit here
     g = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
-    assert find_k_path(g, 1500, strategy="exhaustive") == tuple(range(1, 1501))
+    assert find_k_path(g, 1500) == tuple(range(1, 1501))
     assert not covers_all_k_paths(g, {1}, 1499)
 
 
@@ -238,7 +152,7 @@ def test_walker_matches_brute_force(instance, k):
     g, alive = instance
     paths = perm_k_paths(g, k)
     assert enumerate_k_paths(g, k) == paths
-    assert find_k_path(g, k, strategy="exhaustive") == (paths[0] if paths else None)
+    assert find_k_path(g, k) == (paths[0] if paths else None)
     assert has_k_path(g, k) == bool(paths)
     assert has_k_path(g, k, alive=alive) == any(alive.issuperset(p) for p in paths)
     removed = frozenset(g.vertices()) - alive
@@ -278,14 +192,6 @@ def test_path_index_rejects_unknown_vertices(path4):
         index.covers({0})
     with pytest.raises(UnknownVertex):
         index.avoiding({5})
-
-
-def test_color_coding_budget_is_guarded():
-    g = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
-    with pytest.raises(LimitExceeded, match="exceeds guard"):
-        find_k_path(g, 25, strategy="color-coding")
-    # the default budget at k = 4 stays under the guard
-    assert find_k_path(g, 4, strategy="color-coding", seed=0) is not None
 
 
 def test_walk_resumes_after_a_path_on_fewer_vertices():

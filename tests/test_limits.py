@@ -21,7 +21,6 @@ from pvcover import (
     apply_patch,
     construct_f,
     enumerate_k_paths,
-    find_k_path,
     gen_patch,
     good_family_3pvcp,
     make_solution,
@@ -34,8 +33,6 @@ from conftest import random_graph
 
 PATH3 = Graph.build(3, [(1, 2), (2, 3)])
 PATH4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
-PATH10 = Graph.build(10, [(v, v + 1) for v in range(1, 10)])
-PATH30 = Graph.build(30, [(v, v + 1) for v in range(1, 30)])
 
 
 def _patch(c):
@@ -66,13 +63,6 @@ LIMITS = [
         lambda: PathIndex(PATH4, 3),
         lambda: PathIndex(PATH3, 3).paths == [(1, 2, 3)],
         id="DEFAULT_PATH_CAP-PathIndex",
-    ),
-    pytest.param(
-        # 252 trials at k = 4: 252 * 2^4 * 30 vertices is over 10^5, * 10 is not
-        pvcover.kpaths, "COLOR_CODING_GUARD", 10**5, LimitExceeded,
-        lambda: find_k_path(PATH30, 4, strategy="color-coding"),
-        lambda: find_k_path(PATH10, 4, strategy="color-coding") == (2, 3, 4, 5),
-        id="COLOR_CODING_GUARD-find_k_path",
     ),
     pytest.param(
         pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,

@@ -2,13 +2,17 @@
 
 Each module but `__init__.py`, which imports to re-export, must read every
 name it imports, and each module-level `_private` function, class or
-constant must be referenced somewhere in the package.
+constant must be referenced somewhere in the package. Each public one must
+be referenced by a module of the package other than `__init__.py`, by a
+demo or by perfbench, whose span tracer names the callables it wraps as
+strings in `spans.LAYERS`; a name only the tests use is dead.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pvcover"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pvcover"
 
 
 def _reads(tree):
@@ -40,8 +44,8 @@ def _imports(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _private_definitions(tree):
-    """(name, line) for each module-level _name that is not a dunder."""
+def _definitions(tree):
+    """(name, line) for each module-level function, class or constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -52,8 +56,25 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
+
+
+def _private_definitions(tree):
+    """(name, line) for each module-level _name that is not a dunder."""
+    for name, line in _definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, line
+
+
+def _layer_names(tree):
+    """Each dotted part of the strings in the module-level LAYERS table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            for n in ast.walk(node.value):
+                if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    yield from n.value.split(".")
 
 
 def test_no_unused_import_or_unreferenced_private_name():
@@ -70,4 +91,21 @@ def test_no_unused_import_or_unreferenced_private_name():
         for private, line in _private_definitions(tree):
             if private not in referenced:
                 problems.append(f"{name}:{line}: {private} is never referenced")
+    assert not problems, "\n".join(problems)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    users = {p: t for p, t in trees.items() if p.name != "__init__.py"}
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        users[path] = ast.parse(path.read_text(), str(path))
+    used = set().union(*map(_references, users.values()))
+    used.update(_layer_names(users[ROOT / "perfbench" / "spans.py"]))
+    problems = [
+        f"{path.name}:{line}: {name} is used only by the tests"
+        for path, tree in trees.items()
+        if path.name != "__init__.py"
+        for name, line in _definitions(tree)
+        if not name.startswith("_") and name not in used
+    ]
     assert not problems, "\n".join(problems)

@@ -41,8 +41,6 @@ from pvcover import (
     wtd_kpath,
 )
 
-from pvcover.errors import SizeLimitExceeded
-
 from conftest import (
     brute_optima,
     random_graph,
@@ -694,17 +692,14 @@ def test_corrected_families_pass_p1():
         assert report.property2_ok and report.property1_ok, (seed, k)
 
 
-def test_validate_family_past_the_exact_limit_enumerates_nothing(monkeypatch):
+def test_validate_family_past_the_exact_limit_answers():
+    # 25 vertices pass EXACT_SIZE_LIMIT; the OPT solve, bounded by the
+    # local-ratio cover, still answers: OPT = 8, and {25} lies in no optimum
     g = Graph.build(25, [(v, v + 1) for v in range(1, 25)])
-    fam = GoodFamily(members=(frozenset({25}),), provenance=("",))
-
-    def no_walk(*args, **kwargs):
-        raise AssertionError("k-paths enumerated")
-
-    monkeypatch.setattr(pvcover.reopt, "PathIndex", no_walk)
-    monkeypatch.setattr(pvcover.solvers, "PathIndex", no_walk)
-    with pytest.raises(SizeLimitExceeded):
-        validate_good_family(g, {25}, fam, 3)
+    fam = GoodFamily(members=(frozenset({25}), frozenset({24})), provenance=("", ""))
+    report = validate_good_family(g, {25}, fam, 3)
+    assert report.property2_ok
+    assert report.property1_witness == (frozenset({24}), frozenset(range(3, 25, 3)))
 
 
 def test_construct_sol_exact_oracle_settles_members_by_the_bound():

@@ -108,7 +108,7 @@ def reference_greedy(g, k, alive=None):
     cover = set()
     while True:
         sub, orig = induced_subgraph(g, left)
-        p = find_k_path(sub, k, strategy="exhaustive")
+        p = find_k_path(sub, k)
         if p is None:
             break
         vm = min((orig[v - 1] for v in p), key=lambda v: (g.weights[v - 1], v))
