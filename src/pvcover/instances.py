@@ -7,6 +7,16 @@ Patch file:    "p patch <n_old> <c> <mA> <ma>", c "v" lines for the new ids,
                mA internal "e" lines, ma attachment "a <old> <new>" lines.
 Solution file: "s pvc <k> <size> <weight>", size "x <id>" lines.
 
+Lines are split on "\n", and fields on any whitespace; a line whose first
+field starts with "c" is a comment, and lines may come in any order. Each
+parser makes one scan for its single header line, then one pass over the
+body lines that splits each line once and checks it in place. So every
+header fault (a second header, a malformed one, none at all) is raised
+before any body fault, and body faults are raised in line order, each with
+its line number. The counts a header states are compared with the lines
+read, and nothing is sized by a header before that check: "p pvc
+1000000000 0" fails at once with "expected 1000000000 v lines, got 0".
+
 write(parse(text)) is byte-identical for canonical files. The generators use
 Python's random.Random (Mersenne Twister) with a fixed stream order
 (weights first, then edges); changing either is a breaking change.
@@ -33,53 +43,53 @@ def read_text(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line.split()
-
-
-def _ints(fields, lineno):
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(f"expected integers, got {fields}", line=lineno)
-
-
-def _split_header(text, kind, tag, width, what):
-    """Find the single header line; any line order is accepted.
-
-    Returns (header ints, header line number, body lines).
-    """
-    body = []
+def _header(lines, kind, tag, width, what):
+    """The ints and line number of the single header line; any line order is
+    accepted. Only lines holding kind are split, and a header fault raises
+    here, before the caller reads a body line."""
     header = None
-    for lineno, fields in _lines(text):
-        if fields[0] == kind:
-            if header is not None:
-                raise ParseError(f"duplicate {kind} line", line=lineno)
-            if len(fields) != width or fields[1] != tag:
-                raise ParseError(f"expected '{what}'", line=lineno)
-            header = _ints(fields[2:], lineno)
-            head = lineno
-        else:
-            body.append((lineno, fields))
+    for lineno, raw in enumerate(lines, start=1):
+        if kind not in raw:
+            continue
+        fields = raw.split()
+        if fields[0] != kind:
+            continue
+        if header is not None:
+            raise ParseError(f"duplicate {kind} line", line=lineno)
+        if len(fields) != width or fields[1] != tag:
+            raise ParseError(f"expected '{what}'", line=lineno)
+        try:
+            header = [int(f) for f in fields[2:]]
+        except ValueError:
+            raise ParseError(f"expected integers, got {fields[2:]}", line=lineno) from None
+        head = lineno
     if header is None:
         raise ParseError(f"missing {kind} line")
-    return header, head, body
+    return header, head
+
+
+def _not_integers(fields, lineno):
+    return ParseError(f"expected integers, got {fields[1:]}", line=lineno)
 
 
 def parse_graph(text) -> Graph:
-    (n, m), _, body = _split_header(text, "p", "pvc", 4, "p pvc <n> <m>")
+    lines = text.split("\n")
+    (n, m), _ = _header(lines, "p", "pvc", 4, "p pvc <n> <m>")
     weights = {}
     edges = set()
-    for lineno, fields in body:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
         kind = fields[0]
         if kind == "v":
             if len(fields) != 3:
                 raise ParseError("expected 'v <id> <weight>'", line=lineno)
-            vid, w = _ints(fields[1:], lineno)
+            try:
+                vid = int(fields[1])
+                w = int(fields[2])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not 1 <= vid <= n:
                 raise ParseError(f"vertex id {vid} out of range", line=lineno)
             if vid in weights:
@@ -90,16 +100,20 @@ def parse_graph(text) -> Graph:
         elif kind == "e":
             if len(fields) != 3:
                 raise ParseError("expected 'e <u> <v>'", line=lineno)
-            u, v = _ints(fields[1:], lineno)
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge ({u},{v}) endpoint out of range", line=lineno)
             if u == v:
                 raise ParseError(f"self-loop at {u}", line=lineno)
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise ParseError(f"duplicate edge {key}", line=lineno)
             edges.add(key)
-        else:
+        elif kind != "p" and kind[0] != "c":
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(weights) != n:
         raise ParseError(f"expected {n} v lines, got {len(weights)}")
@@ -122,19 +136,27 @@ def write_graph(g: Graph) -> str:
 def parse_patch(text) -> InsertionPatch:
     """The checked boundary for patches: every fault raises ParseError, with
     its line number when one line is at fault."""
-    header, head, body = _split_header(text, "p", "patch", 6, "p patch <n_old> <c> <mA> <ma>")
+    lines = text.split("\n")
+    header, head = _header(lines, "p", "patch", 6, "p patch <n_old> <c> <mA> <ma>")
     n_old, c, m_a, m_att = header
     if n_old < 0:
         raise ParseError(f"old vertex count {n_old} must be non-negative", line=head)
     weights = {}
     internal = set()
     attach = set()
-    for lineno, fields in body:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
         kind = fields[0]
         if kind == "v":
             if len(fields) != 3:
                 raise ParseError("expected 'v <id> <weight>'", line=lineno)
-            vid, w = _ints(fields[1:], lineno)
+            try:
+                vid = int(fields[1])
+                w = int(fields[2])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not n_old + 1 <= vid <= n_old + c:
                 raise ParseError(f"new vertex id {vid} out of range", line=lineno)
             if vid in weights:
@@ -145,19 +167,27 @@ def parse_patch(text) -> InsertionPatch:
         elif kind == "e":
             if len(fields) != 3:
                 raise ParseError("expected 'e <u> <v>'", line=lineno)
-            u, v = _ints(fields[1:], lineno)
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not (n_old < u <= n_old + c and n_old < v <= n_old + c):
                 raise ParseError(f"internal edge ({u},{v}) must join two new vertices", line=lineno)
             if u == v:
                 raise ParseError(f"self-loop at {u}", line=lineno)
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in internal:
                 raise ParseError(f"duplicate internal edge {key}", line=lineno)
             internal.add(key)
         elif kind == "a":
             if len(fields) != 3:
                 raise ParseError("expected 'a <old> <new>'", line=lineno)
-            u, v = _ints(fields[1:], lineno)
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not (1 <= u <= n_old and n_old < v <= n_old + c):
                 raise ParseError(
                     f"attachment edge ({u},{v}) must join an old and a new vertex", line=lineno
@@ -165,7 +195,7 @@ def parse_patch(text) -> InsertionPatch:
             if (u, v) in attach:
                 raise ParseError(f"duplicate attachment edge ({u},{v})", line=lineno)
             attach.add((u, v))
-        else:
+        elif kind != "p" and kind[0] != "c":
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(weights) != c:
         raise ParseError(f"expected {c} v lines, got {len(weights)}")
@@ -195,24 +225,31 @@ def write_patch(p: InsertionPatch) -> str:
 def parse_solution(text, g: Graph) -> CoverSolution:
     """Parse a solution against its companion graph; the stated weight must
     match the recomputed one."""
-    (k, size, weight), _, body = _split_header(text, "s", "pvc", 5, "s pvc <k> <size> <weight>")
+    lines = text.split("\n")
+    (k, size, weight), _ = _header(lines, "s", "pvc", 5, "s pvc <k> <size> <weight>")
     if k < 2:
         raise ParseError(f"k={k} must be at least 2")
     chosen = []
     seen = set()
-    for lineno, fields in body:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
         kind = fields[0]
         if kind == "x":
             if len(fields) != 2:
                 raise ParseError("expected 'x <id>'", line=lineno)
-            (vid,) = _ints(fields[1:], lineno)
+            try:
+                vid = int(fields[1])
+            except ValueError:
+                raise _not_integers(fields, lineno) from None
             if not 1 <= vid <= g.n:
                 raise ParseError(f"vertex id {vid} out of range", line=lineno)
             if vid in seen:
                 raise ParseError(f"duplicate x line for {vid}", line=lineno)
             seen.add(vid)
             chosen.append(vid)
-        else:
+        elif kind != "s" and kind[0] != "c":
             raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(chosen) != size:
         raise ParseError(f"expected {size} x lines, got {len(chosen)}")

@@ -6,11 +6,15 @@ iterative depth-first walker answers every exhaustive question over a graph
 and an alive vertex set, the k-paths of g[alive], without building that
 subgraph: enumeration, detection (`has_k_path(g, k, alive)`) and coverage
 (the alive set is the complement of the cover); `find_k_path(g, k)` is its
-first k-path of g. Its focus mode (`has_k_path_through`) serves
-`construct_f` only. It grows two arms from each vertex of a focus set, then
-drops that vertex from the free set, so each k-path of g[alive] that meets
-the focus comes out once and the work stays near the focus. The walker can
-also resume just after a given path (`_walk(after=)`).
+first k-path of g. The walker takes the alive set as a bytearray of
+g.n + 1 flags (`_flags`), which it copies once and then reads and writes
+by index as vertices join and leave the current path; greedy keeps its
+remaining vertices in such flags and clears one per round. The walker can
+also resume just after a given path (`_walk(after=)`). Its focus mode
+(`has_k_path_through`) serves `construct_f` only. It grows two arms from
+each vertex of a focus set, then drops that vertex from a free set, so
+each k-path of g[alive] that meets the focus comes out once and the work
+stays near the focus; there alive sets are small, and a set is kept.
 
 A `PathIndex` keeps the enumerated k-paths of g, with one vertex bitmask
 per path (bit v-1 for vertex v) built when branch and bound first asks.
@@ -25,7 +29,6 @@ those that meet r, which the parts removing vertices of r share.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 
 from .errors import LimitExceeded
@@ -40,16 +43,30 @@ def canonical(path):
     return path if path[0] < path[-1] else path[::-1]
 
 
-def _walk(g: Graph, k, alive, after=None):
-    """Yield the canonical k-paths of g[alive], alive a set of vertex ids.
+def _flags(g: Graph, alive=None):
+    """The walker's alive set: g.n + 1 flags, set at the ids in alive (every
+    vertex of g when alive is None). alive is read once, and an id outside
+    g raises UnknownVertex."""
+    if alive is None:
+        return bytearray(b"\0" + b"\1" * g.n)
+    flags = bytearray(g.n + 1)
+    for v in alive:
+        g._check_vertex(v)
+        flags[v] = 1
+    return flags
 
-    One iterative depth-first search: start vertices ascending, sorted
-    adjacency, so sequences come out in lexicographic order. A sequence is
-    yielded only when its first vertex is below its last, which keeps one
-    orientation of each path. `free` holds the alive vertices not on the
-    current path, so the work follows |alive| rather than g.n. The last
-    step is taken inline: once path + u has k-1 vertices, every free
-    neighbor w of u above the start closes a path.
+
+def _walk(g: Graph, k, alive, after=None):
+    """Yield the canonical k-paths of g[alive], alive a `_flags` bytearray.
+
+    One iterative depth-first search: start vertices ascending, each once,
+    sorted adjacency, so sequences come out in lexicographic order. A
+    sequence is yielded only when its first vertex is below its last, which
+    keeps one orientation of each path. `free`, a copy of alive, flags the
+    alive vertices not on the current path, and a step reads or writes one
+    flag by index; the caller's flags are never written. The last step is
+    taken inline: once path + u has k-1 vertices, every free neighbor w of
+    u above the start closes a path.
 
     With after, a canonical k-path of g whose vertices need not be alive,
     only the sequences that follow it are yielded: the search starts at its
@@ -58,48 +75,49 @@ def _walk(g: Graph, k, alive, after=None):
     before after is walked again.
     """
     adj = g.adj
-    free = set(alive)
-    starts = sorted(free)
-    if after is not None:
-        starts = starts[bisect.bisect_left(starts, after[0]) :]
-    for start in starts:
+    free = bytearray(alive)
+    # Starts are the set flags, ascending, each found by memchr, so a few
+    # alive vertices in a long array cost little. Every flag a start's walk
+    # clears is set again before the next start is read.
+    start = 0 if after is None else after[0] - 1
+    while (start := free.find(1, start + 1)) != -1:
         resume = after is not None and start == after[0]
         if k == 2:
             lo = after[1] if resume else start
-            yield from ((start, u) for u in adj[start - 1] if u > lo and u in free)
+            yield from ((start, u) for u in adj[start - 1] if u > lo and free[u])
             continue
-        free.remove(start)
+        free[start] = 0
         path = [start]
         stack = [iter(adj[start - 1])]
         if resume:
             for u in after[1:-1]:
                 nbrs = adj[path[-1] - 1]
                 stack[-1] = iter(nbrs[nbrs.index(u) + 1 :])
-                if u not in free:
+                if not free[u]:
                     break
                 if len(path) == k - 2:
                     for w in adj[u - 1]:
-                        if w > after[-1] and w in free:
+                        if w > after[-1] and free[w]:
                             yield (*path, u, w)
                     break
-                free.remove(u)
+                free[u] = 0
                 path.append(u)
                 stack.append(iter(adj[u - 1]))
         while stack:
             for u in stack[-1]:
-                if u in free:
+                if free[u]:
                     break
             else:
                 stack.pop()
-                free.add(path.pop())
+                free[path.pop()] = 1
                 continue
             if len(path) < k - 2:
-                free.remove(u)
+                free[u] = 0
                 path.append(u)
                 stack.append(iter(adj[u - 1]))
             else:
                 for w in adj[u - 1]:
-                    if w > start and w in free:
+                    if w > start and free[w]:
                         yield (*path, u, w)
 
 
@@ -171,7 +189,7 @@ def enumerate_k_paths(g: Graph, k):
     if k < 2:
         raise ValueError("k must be at least 2")
     cap = DEFAULT_PATH_CAP
-    found = list(itertools.islice(_walk(g, k, g.vertices()), cap + 1))
+    found = list(itertools.islice(_walk(g, k, _flags(g)), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths")
     return found
@@ -288,23 +306,26 @@ class PathIndex:
 
 def has_k_path(g: Graph, k, alive=None) -> bool:
     """True iff the walker finds a path of order k in g[alive] (all of g when
-    alive is None). alive is read once, into a frozenset, before the check."""
+    alive is None). alive is read once, and checked before the walk."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    alive = frozenset(g.vertices() if alive is None else alive)
-    g._check_subset(alive)
-    return next(_walk(g, k, alive), None) is not None
+    return next(_walk(g, k, _flags(g, alive)), None) is not None
 
 
 def covers_all_k_paths(g: Graph, s, k) -> bool:
     """True iff removing s leaves no path of order k."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
     s = frozenset(s)
     g._check_subset(s)
-    return not has_k_path(g, k, alive=frozenset(g.vertices()) - s)
+    alive = _flags(g)
+    for v in s:
+        alive[v] = 0
+    return next(_walk(g, k, alive), None) is None
 
 
 def find_k_path(g: Graph, k):
     """The walker's first path, the lexicographically first k-path of g, or None."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return next(_walk(g, k, g.vertices()), None)
+    return next(_walk(g, k, _flags(g)), None)

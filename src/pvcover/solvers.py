@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
-from .kpaths import PathIndex, _walk, covers_all_k_paths
+from .kpaths import PathIndex, _flags, _walk, covers_all_k_paths
 
 EXACT_SIZE_LIMIT = 24
 
@@ -182,19 +182,19 @@ def greedy_approx(g: Graph, k, alive=None):
     lightest vertex, by (weight, id), of the walker's first k-path of
     g[left]; the ratio holds whichever k-path a round deletes from. A
     deletion creates no path, so the next round's first path follows this
-    one, and its walk resumes just after it (`_walk(after=)`). The loop ends
-    when the walk finds no path, so that verdict is the feasible flag.
+    one, and its walk resumes just after it (`_walk(after=)`). The vertices
+    left are walker flags (`_flags`), and a deletion clears one. The loop
+    ends when the walk finds no path, so that verdict is the feasible flag.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    left = set(g.vertices() if alive is None else alive)
-    g._check_subset(left)
+    left = _flags(g, alive)
     cover = set()
     p = None
     while (p := next(_walk(g, k, left, after=p), None)) is not None:
         vm = min(p, key=lambda v: (g.weights[v - 1], v))
         cover.add(vm)
-        left.remove(vm)
+        left[vm] = 0
     return _solution(g, k, cover, p is None)
 
 

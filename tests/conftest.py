@@ -2,11 +2,14 @@
 
 The oracles here deliberately avoid the package's enumeration/DFS code paths:
 paths come from permutations of vertex combinations, covers from full subset
-scans. They are slow and only meant for desk-scale cross-checks.
+scans. They are slow and only meant for desk-scale cross-checks. The
+`reference_*` helpers keep earlier, plainer versions of package code that a
+faster one replaced; tests require the two to agree.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -17,8 +20,11 @@ from hypothesis import strategies as st
 from pvcover import (
     Graph,
     GeneratorConfig,
+    InsertionPatch,
+    ParseError,
     PathIndex,
     ReoptInstance,
+    WeightMismatch,
     gen_graph,
     gen_patch,
     make_solution,
@@ -167,6 +173,229 @@ def reference_local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     return cover, total
 
 
+def reference_walk(g: Graph, k, alive, after=None):
+    """The earlier set-based walker, the reference for `kpaths._walk`: the
+    canonical k-paths of g[alive], alive an iterable of vertex ids, in
+    lexicographic order, or with after only those that follow it. `free`
+    is a set of the alive vertices not on the current path."""
+    adj = g.adj
+    free = set(alive)
+    starts = sorted(free)
+    if after is not None:
+        starts = starts[bisect.bisect_left(starts, after[0]) :]
+    for start in starts:
+        resume = after is not None and start == after[0]
+        if k == 2:
+            lo = after[1] if resume else start
+            yield from ((start, u) for u in adj[start - 1] if u > lo and u in free)
+            continue
+        free.remove(start)
+        path = [start]
+        stack = [iter(adj[start - 1])]
+        if resume:
+            for u in after[1:-1]:
+                nbrs = adj[path[-1] - 1]
+                stack[-1] = iter(nbrs[nbrs.index(u) + 1 :])
+                if u not in free:
+                    break
+                if len(path) == k - 2:
+                    for w in adj[u - 1]:
+                        if w > after[-1] and w in free:
+                            yield (*path, u, w)
+                    break
+                free.remove(u)
+                path.append(u)
+                stack.append(iter(adj[u - 1]))
+        while stack:
+            for u in stack[-1]:
+                if u in free:
+                    break
+            else:
+                stack.pop()
+                free.add(path.pop())
+                continue
+            if len(path) < k - 2:
+                free.remove(u)
+                path.append(u)
+                stack.append(iter(adj[u - 1]))
+            else:
+                for w in adj[u - 1]:
+                    if w > start and w in free:
+                        yield (*path, u, w)
+
+
+# The earlier parsers, the references for `instances.parse_graph`,
+# `parse_patch` and `parse_solution`: every line is split into a body list
+# first, and the header is taken from it.
+
+
+def _reference_lines(text):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        yield lineno, line.split()
+
+
+def _reference_ints(fields, lineno):
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"expected integers, got {fields}", line=lineno)
+
+
+def _reference_split_header(text, kind, tag, width, what):
+    body = []
+    header = None
+    for lineno, fields in _reference_lines(text):
+        if fields[0] == kind:
+            if header is not None:
+                raise ParseError(f"duplicate {kind} line", line=lineno)
+            if len(fields) != width or fields[1] != tag:
+                raise ParseError(f"expected '{what}'", line=lineno)
+            header = _reference_ints(fields[2:], lineno)
+            head = lineno
+        else:
+            body.append((lineno, fields))
+    if header is None:
+        raise ParseError(f"missing {kind} line")
+    return header, head, body
+
+
+def reference_parse_graph(text) -> Graph:
+    (n, m), _, body = _reference_split_header(text, "p", "pvc", 4, "p pvc <n> <m>")
+    weights = {}
+    edges = set()
+    for lineno, fields in body:
+        kind = fields[0]
+        if kind == "v":
+            if len(fields) != 3:
+                raise ParseError("expected 'v <id> <weight>'", line=lineno)
+            vid, w = _reference_ints(fields[1:], lineno)
+            if not 1 <= vid <= n:
+                raise ParseError(f"vertex id {vid} out of range", line=lineno)
+            if vid in weights:
+                raise ParseError(f"duplicate v line for {vid}", line=lineno)
+            if w < 1:
+                raise ParseError(f"weight {w} must be >= 1", line=lineno)
+            weights[vid] = w
+        elif kind == "e":
+            if len(fields) != 3:
+                raise ParseError("expected 'e <u> <v>'", line=lineno)
+            u, v = _reference_ints(fields[1:], lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"edge ({u},{v}) endpoint out of range", line=lineno)
+            if u == v:
+                raise ParseError(f"self-loop at {u}", line=lineno)
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                raise ParseError(f"duplicate edge {key}", line=lineno)
+            edges.add(key)
+        else:
+            raise ParseError(f"unknown line type {kind!r}", line=lineno)
+    if len(weights) != n:
+        raise ParseError(f"expected {n} v lines, got {len(weights)}")
+    if len(edges) != m:
+        raise ParseError(f"expected {m} e lines, got {len(edges)}")
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u - 1].append(v)
+        adj[v - 1].append(u)
+    return Graph([weights[v] for v in range(1, n + 1)], adj)
+
+
+def reference_parse_patch(text) -> InsertionPatch:
+    header, head, body = _reference_split_header(
+        text, "p", "patch", 6, "p patch <n_old> <c> <mA> <ma>"
+    )
+    n_old, c, m_a, m_att = header
+    if n_old < 0:
+        raise ParseError(f"old vertex count {n_old} must be non-negative", line=head)
+    weights = {}
+    internal = set()
+    attach = set()
+    for lineno, fields in body:
+        kind = fields[0]
+        if kind == "v":
+            if len(fields) != 3:
+                raise ParseError("expected 'v <id> <weight>'", line=lineno)
+            vid, w = _reference_ints(fields[1:], lineno)
+            if not n_old + 1 <= vid <= n_old + c:
+                raise ParseError(f"new vertex id {vid} out of range", line=lineno)
+            if vid in weights:
+                raise ParseError(f"duplicate v line for {vid}", line=lineno)
+            if w < 1:
+                raise ParseError(f"weight {w} must be >= 1", line=lineno)
+            weights[vid] = w
+        elif kind == "e":
+            if len(fields) != 3:
+                raise ParseError("expected 'e <u> <v>'", line=lineno)
+            u, v = _reference_ints(fields[1:], lineno)
+            if not (n_old < u <= n_old + c and n_old < v <= n_old + c):
+                raise ParseError(f"internal edge ({u},{v}) must join two new vertices", line=lineno)
+            if u == v:
+                raise ParseError(f"self-loop at {u}", line=lineno)
+            key = (min(u, v), max(u, v))
+            if key in internal:
+                raise ParseError(f"duplicate internal edge {key}", line=lineno)
+            internal.add(key)
+        elif kind == "a":
+            if len(fields) != 3:
+                raise ParseError("expected 'a <old> <new>'", line=lineno)
+            u, v = _reference_ints(fields[1:], lineno)
+            if not (1 <= u <= n_old and n_old < v <= n_old + c):
+                raise ParseError(
+                    f"attachment edge ({u},{v}) must join an old and a new vertex", line=lineno
+                )
+            if (u, v) in attach:
+                raise ParseError(f"duplicate attachment edge ({u},{v})", line=lineno)
+            attach.add((u, v))
+        else:
+            raise ParseError(f"unknown line type {kind!r}", line=lineno)
+    if len(weights) != c:
+        raise ParseError(f"expected {c} v lines, got {len(weights)}")
+    if len(internal) != m_a:
+        raise ParseError(f"expected {m_a} e lines, got {len(internal)}")
+    if len(attach) != m_att:
+        raise ParseError(f"expected {m_att} a lines, got {len(attach)}")
+    return InsertionPatch(
+        old_vertex_count=n_old,
+        added=tuple((vid, weights[vid]) for vid in sorted(weights)),
+        internal_edges=tuple(internal),
+        attachment_edges=tuple(attach),
+    )
+
+
+def reference_parse_solution(text, g: Graph):
+    (k, size, weight), _, body = _reference_split_header(
+        text, "s", "pvc", 5, "s pvc <k> <size> <weight>"
+    )
+    if k < 2:
+        raise ParseError(f"k={k} must be at least 2")
+    chosen = []
+    seen = set()
+    for lineno, fields in body:
+        kind = fields[0]
+        if kind == "x":
+            if len(fields) != 2:
+                raise ParseError("expected 'x <id>'", line=lineno)
+            (vid,) = _reference_ints(fields[1:], lineno)
+            if not 1 <= vid <= g.n:
+                raise ParseError(f"vertex id {vid} out of range", line=lineno)
+            if vid in seen:
+                raise ParseError(f"duplicate x line for {vid}", line=lineno)
+            seen.add(vid)
+            chosen.append(vid)
+        else:
+            raise ParseError(f"unknown line type {kind!r}", line=lineno)
+    if len(chosen) != size:
+        raise ParseError(f"expected {size} x lines, got {len(chosen)}")
+    actual = g.weight_of(chosen)
+    if actual != weight:
+        raise WeightMismatch(f"stated weight {weight}, recomputed {actual}")
+    return make_solution(g, chosen, k)
+
+
 def brute_opt_weight(g: Graph, k):
     return brute_optima(g, k)[0]
 
@@ -224,11 +453,3 @@ def edge_plus_vertex_fixture():
     g_old = Graph.build(2, [(1, 2)], weights=[5, 5])
     patch = InsertionPatch(2, added=((3, 1),), attachment_edges=((2, 3),))
     return g_old, patch, apply_patch(g_old, patch)
-
-
-def exact_old_opt(g_old, k):
-    return solve_exact(g_old, k)
-
-
-def empty_solution(g, k):
-    return make_solution(g, frozenset(), k)

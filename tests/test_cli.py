@@ -472,7 +472,7 @@ def test_solve_local_ratio_on_long_path(long_path_file):
     assert all(any(s <= v < s + 1100 for v in chosen) for s in range(1, 102))
 
 
-def test_solve_greedy_large_k_is_a_limit(long_path_file):
+def test_solve_greedy_large_k_resumes_every_round(long_path_file):
     # greedy's 101 rounds each resume the walk, and the last walk, which
     # finds no 1100-path, takes most of the time
     t0 = time.perf_counter()

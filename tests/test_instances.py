@@ -22,7 +22,12 @@ from pvcover import (
     write_solution,
 )
 
-from conftest import line_format_texts
+from conftest import (
+    line_format_texts,
+    reference_parse_graph,
+    reference_parse_patch,
+    reference_parse_solution,
+)
 
 
 def test_parse_graph_basic():
@@ -192,3 +197,71 @@ def test_parsers_raise_only_parse_errors(text):
     with contextlib.suppress(ParseError):
         sol = parse_solution(text, FUZZ_GRAPH)
         assert parse_solution(write_solution(sol), FUZZ_GRAPH) == sol
+
+
+def _outcome(parse, *args):
+    """What a parser returns, or the type, message and line of its ParseError."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _assert_parsers_agree(text):
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+    assert _outcome(parse_patch, text) == _outcome(reference_parse_patch, text)
+    want = _outcome(reference_parse_solution, text, FUZZ_GRAPH)
+    assert _outcome(parse_solution, text, FUZZ_GRAPH) == want
+
+
+@settings(max_examples=300)
+@given(line_format_texts())
+def test_parsers_match_the_earlier_parsers_on_the_fuzz_corpus(text):
+    _assert_parsers_agree(text)
+
+
+_PARSE = {
+    "graph": parse_graph,
+    "patch": parse_patch,
+    "solution": lambda text: parse_solution(text, FUZZ_GRAPH),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text, error",
+    [
+        # a header fault is raised before a body fault on an earlier line
+        ("graph", "v 1 x\nq\np pvc 2\n", "line 3: expected 'p pvc <n> <m>'"),
+        ("patch", "v 4 x\np patch 3 1 0 0\np patch 3 1 0 0\n", "line 3: duplicate p line"),
+        ("solution", "x 9\ns pvc 2 1 z\n", "line 2: expected integers, got ['2', '1', 'z']"),
+        ("graph", "p pvc 1 0\nv 1 1\np pvc 1 0\n", "line 3: duplicate p line"),
+        ("solution", "s pvc 2 0 0\ns pvc 2 0 0\n", "line 2: duplicate s line"),
+        # counts are checked before anything is sized by them
+        ("graph", "p pvc 1000000000 0\n", "expected 1000000000 v lines, got 0"),
+        ("patch", "p patch 0 1000000000 0 0\n", "expected 1000000000 v lines, got 0"),
+        ("solution", "s pvc 2 1000000000 0\n", "expected 1000000000 x lines, got 0"),
+        # any whitespace separates fields and pads lines
+        ("graph", "p pvc 2 1\r\nv\t1 1\r\n\x0bv 2\x0b3 \r\n e 2\t1\x0c\r\n\r\n", None),
+        ("patch", "p patch 2 1 0 1\r\nv\t3 4\r\n\ta 2\x0b3\r\n", None),
+        ("solution", "\ts\x0bpvc 2 1 3\r\n x\t3\r\n", None),
+        # a first field starting with c is a comment; other letters are not
+        ("graph", "cx 1\n  c p pvc 9 9\ncomment\np pvc 1 0\nv 1 1\n", None),
+        ("graph", "p pvc 1 0\nv 1 1\npvc 1\n", "line 3: unknown line type 'pvc'"),
+        ("graph", "p pvc 1 0\nv 1 1\nx 1\n", "line 3: unknown line type 'x'"),
+        ("solution", "s pvc 2 0 0\np pvc 1 0\n", "line 2: unknown line type 'p'"),
+        ("patch", "p patch 0 0 0 0\nV 1 1\n", "line 2: unknown line type 'V'"),
+        # an integer past int()'s digit limit is not an integer
+        ("graph", "p pvc 1 0\nv 1 " + "9" * 5000 + "\n", "line 2: expected integers, got"),
+        ("patch", "p patch " + "9" * 5000 + " 0 0 0\n", "line 1: expected integers, got"),
+        ("solution", "s pvc 2 1 1\nx " + "9" * 5000 + "\n", "line 2: expected integers, got"),
+        ("graph", "p pvc 1 0\nv 1 1\ne 1 2 3\n", "line 3: expected 'e <u> <v>'"),
+    ],
+)
+def test_parsers_match_the_earlier_parsers_on_edge_cases(kind, text, error):
+    _assert_parsers_agree(text)
+    if error is None:
+        _PARSE[kind](text)
+    else:
+        with pytest.raises(ParseError) as exc:
+            _PARSE[kind](text)
+        assert str(exc.value).startswith(error)

@@ -14,9 +14,9 @@ from pvcover import (
     has_k_path,
 )
 from pvcover.errors import UnknownVertex
-from pvcover.kpaths import _walk, _walk_through, has_k_path_through
+from pvcover.kpaths import _flags, _walk, _walk_through, has_k_path_through
 
-from conftest import brute_covers, perm_k_paths, random_graph
+from conftest import brute_covers, perm_k_paths, random_graph, reference_walk
 
 
 def test_enumerate_path_graph(path4):
@@ -201,7 +201,26 @@ def test_walk_resumes_after_a_path_on_fewer_vertices():
         g = random_graph(seed, n, m=None if seed % 2 else 2 * n)
         rng = random.Random(seed)
         for k in (2, 3, 4, 5, 6):
-            for after in _walk(g, k, g.vertices()):
-                fewer = {v for v in g.vertices() if rng.random() < 0.8}
+            for after in _walk(g, k, _flags(g)):
+                fewer = _flags(g, (v for v in g.vertices() if rng.random() < 0.8))
                 want = [p for p in _walk(g, k, fewer) if p > after]
                 assert list(_walk(g, k, fewer, after=after)) == want, (seed, k, after)
+
+
+def test_walk_matches_the_set_based_walker_at_benchmark_sizes():
+    # reopt_mid's sizes: n 60-140, max degree 3-4, k 2-6, with random alive
+    # sets and resume points drawn from the paths of the whole graph
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = rng.randint(60, 140)
+        g = random_graph(seed, n, m=round(1.3 * n), max_degree=3 + seed % 2)
+        for k in range(2, 7):
+            alive = [v for v in g.vertices() if rng.random() < 0.85]
+            flags = _flags(g, alive)
+            want = list(reference_walk(g, k, alive))
+            assert list(_walk(g, k, flags)) == want, (seed, k)
+            whole = list(reference_walk(g, k, g.vertices()))
+            for after in rng.sample(whole, min(4, len(whole))):
+                got = list(_walk(g, k, flags, after=after))
+                assert got == list(reference_walk(g, k, alive, after=after)), (seed, k, after)
+                assert got == [p for p in want if p > after]

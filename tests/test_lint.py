@@ -6,6 +6,11 @@ constant must be referenced somewhere in the package. Each public one must
 be referenced by a module of the package other than `__init__.py`, by a
 demo or by perfbench, whose span tracer names the callables it wraps as
 strings in `spans.LAYERS`; a name only the tests use is dead.
+
+The tests' shared `conftest.py` must read every name it imports, and each
+of its module-level names, public or private, must be referenced by a test
+module or by conftest itself; a fixture is referenced by a parameter of
+that name. A reference implementation that no test compares against is dead.
 """
 
 import ast
@@ -13,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pvcover"
+TESTS = ROOT / "tests"
 
 
 def _reads(tree):
@@ -57,6 +63,16 @@ def _definitions(tree):
             continue
         for name in names:
             yield name, node.lineno
+
+
+def _parameters(tree):
+    """The parameter names of every function, which is how tests ask for fixtures."""
+    return {
+        a.arg
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for a in n.args.args
+    }
 
 
 def _private_definitions(tree):
@@ -107,5 +123,24 @@ def test_every_public_name_is_used_outside_the_tests():
         if path.name != "__init__.py"
         for name, line in _definitions(tree)
         if not name.startswith("_") and name not in used
+    ]
+    assert not problems, "\n".join(problems)
+
+
+def test_every_conftest_name_is_read_and_used_by_a_test():
+    path = TESTS / "conftest.py"
+    conftest = ast.parse(path.read_text(), str(path))
+    tests = [ast.parse(p.read_text(), str(p)) for p in sorted(TESTS.glob("test_*.py"))]
+    used = set().union(_references(conftest), *map(_references, tests), *map(_parameters, tests))
+    reads = _reads(conftest)
+    problems = [
+        f"conftest.py:{line}: {imported} is imported but never read"
+        for imported, line in _imports(conftest)
+        if imported not in reads
+    ]
+    problems += [
+        f"conftest.py:{line}: {name} is never used by a test"
+        for name, line in _definitions(conftest)
+        if name not in used
     ]
     assert not problems, "\n".join(problems)
