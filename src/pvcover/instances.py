@@ -33,6 +33,7 @@ from .graph import Graph, InsertionPatch
 from .solvers import CoverSolution, make_solution
 
 PATCH_COIN_GUARD = 10**7  # cap on gen_patch's c(c-1)/2 + c*n coin flips
+TOKEN_ECHO = 20  # characters of a bad field that a ParseError shows
 
 
 def read_text(path):
@@ -61,7 +62,7 @@ def _header(lines, kind, tag, width, what):
         try:
             header = [int(f) for f in fields[2:]]
         except ValueError:
-            raise ParseError(f"expected integers, got {fields[2:]}", line=lineno) from None
+            raise _not_integers(fields[2:], lineno) from None
         head = lineno
     if header is None:
         raise ParseError(f"missing {kind} line")
@@ -69,7 +70,18 @@ def _header(lines, kind, tag, width, what):
 
 
 def _not_integers(fields, lineno):
-    return ParseError(f"expected integers, got {fields[1:]}", line=lineno)
+    """The ParseError for fields that are not all integers. It names the
+    first field that is not one, cut to TOKEN_ECHO characters, so a long
+    field does not make a long error line."""
+    for bad in fields:
+        try:
+            int(bad)
+        except ValueError:
+            break
+    shown = repr(bad[:TOKEN_ECHO])
+    if len(bad) > TOKEN_ECHO:
+        shown += f"... ({len(bad)} characters)"
+    return ParseError(f"expected integers, got {shown}", line=lineno)
 
 
 def parse_graph(text) -> Graph:
@@ -89,7 +101,7 @@ def parse_graph(text) -> Graph:
                 vid = int(fields[1])
                 w = int(fields[2])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not 1 <= vid <= n:
                 raise ParseError(f"vertex id {vid} out of range", line=lineno)
             if vid in weights:
@@ -104,7 +116,7 @@ def parse_graph(text) -> Graph:
                 u = int(fields[1])
                 v = int(fields[2])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge ({u},{v}) endpoint out of range", line=lineno)
             if u == v:
@@ -156,7 +168,7 @@ def parse_patch(text) -> InsertionPatch:
                 vid = int(fields[1])
                 w = int(fields[2])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not n_old + 1 <= vid <= n_old + c:
                 raise ParseError(f"new vertex id {vid} out of range", line=lineno)
             if vid in weights:
@@ -171,7 +183,7 @@ def parse_patch(text) -> InsertionPatch:
                 u = int(fields[1])
                 v = int(fields[2])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not (n_old < u <= n_old + c and n_old < v <= n_old + c):
                 raise ParseError(f"internal edge ({u},{v}) must join two new vertices", line=lineno)
             if u == v:
@@ -187,7 +199,7 @@ def parse_patch(text) -> InsertionPatch:
                 u = int(fields[1])
                 v = int(fields[2])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not (1 <= u <= n_old and n_old < v <= n_old + c):
                 raise ParseError(
                     f"attachment edge ({u},{v}) must join an old and a new vertex", line=lineno
@@ -242,7 +254,7 @@ def parse_solution(text, g: Graph) -> CoverSolution:
             try:
                 vid = int(fields[1])
             except ValueError:
-                raise _not_integers(fields, lineno) from None
+                raise _not_integers(fields[1:], lineno) from None
             if not 1 <= vid <= g.n:
                 raise ParseError(f"vertex id {vid} out of range", line=lineno)
             if vid in seen:

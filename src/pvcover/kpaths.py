@@ -10,11 +10,9 @@ first k-path of g. The walker takes the alive set as a bytearray of
 g.n + 1 flags (`_flags`), which it copies once and then reads and writes
 by index as vertices join and leave the current path; greedy keeps its
 remaining vertices in such flags and clears one per round. The walker can
-also resume just after a given path (`_walk(after=)`). Its focus mode
-(`has_k_path_through`) serves `construct_f` only. It grows two arms from
-each vertex of a focus set, then drops that vertex from a free set, so
-each k-path of g[alive] that meets the focus comes out once and the work
-stays near the focus; there alive sets are small, and a set is kept.
+also resume just after a given path (`_walk(after=)`). `enumerate_k_paths`
+and `construct_f`'s walk of the ball around the inserted vertices both
+take their lists from `_walk_capped`, which holds the one path cap.
 
 A `PathIndex` keeps the enumerated k-paths of g, with one vertex bitmask
 per path (bit v-1 for vertex v) built when branch and bound first asks.
@@ -35,12 +33,6 @@ from .errors import LimitExceeded
 from .graph import Graph
 
 DEFAULT_PATH_CAP = 10**7
-
-
-def canonical(path):
-    """Canonical orientation of an undirected path sequence."""
-    path = tuple(path)
-    return path if path[0] < path[-1] else path[::-1]
 
 
 def _flags(g: Graph, alive=None):
@@ -121,66 +113,6 @@ def _walk(g: Graph, k, alive, after=None):
                         yield (*path, u, w)
 
 
-def _arms(adj, free, root, lo, hi):
-    """Yield each tuple (a1, ..., aL), lo <= L <= hi, of vertices in free such
-    that root, a1, ..., aL is a simple path; root is not in free.
-
-    Iterative, like `_walk`. While an arm is out, its vertices are not in
-    free, so a caller may grow a second, disjoint arm from root before it
-    asks for the next one.
-    """
-    if lo == 0:
-        yield ()
-    if hi == 0:
-        return
-    arm = []
-    stack = [iter(adj[root - 1])]
-    while stack:
-        for u in stack[-1]:
-            if u in free:
-                break
-        else:
-            stack.pop()
-            if arm:
-                free.add(arm.pop())
-            continue
-        free.remove(u)
-        arm.append(u)
-        if len(arm) >= lo:
-            yield tuple(arm)
-        if len(arm) < hi:
-            stack.append(iter(adj[u - 1]))
-        else:
-            free.add(arm.pop())
-
-
-def _walk_through(g: Graph, k, alive, focus):
-    """Yield each canonical k-path of g[alive] that meets focus exactly once.
-
-    Focus vertices are taken in ascending order, and a path is yielded from
-    the first of them it holds: once a focus vertex f is done it leaves the
-    free set, so later ones never see a path through it. At f a path splits
-    into two arms with k-1 vertices between them. The long arm has at least
-    k//2 = ceil((k-1)/2) of them, and the short arm the rest, grown disjoint
-    from it. Arms of equal length come in both orders; the one whose long
-    arm ends below the short arm's end is kept. Order of yield is not sorted.
-    """
-    adj = g.adj
-    free = set(alive)
-    for f in sorted(free.intersection(focus)):
-        free.remove(f)
-        for long in _arms(adj, free, f, k // 2, k - 1):
-            rest = k - 1 - len(long)
-            for short in _arms(adj, free, f, rest, rest):
-                if len(long) > rest or long[-1] < short[-1]:
-                    yield canonical((*long[::-1], f, *short))
-
-
-def has_k_path_through(g: Graph, k, alive, focus) -> bool:
-    """True iff g[alive] has a k-path that meets focus; neither set is checked."""
-    return next(_walk_through(g, k, alive, focus), None) is not None
-
-
 def enumerate_k_paths(g: Graph, k):
     """All k-paths of g, canonical, sorted.
 
@@ -188,8 +120,14 @@ def enumerate_k_paths(g: Graph, k):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    return _walk_capped(g, k)
+
+
+def _walk_capped(g: Graph, k, alive=None):
+    """The walker's k-paths of g[alive] (all of g when alive is None) as a
+    list; more than DEFAULT_PATH_CAP of them raise LimitExceeded."""
     cap = DEFAULT_PATH_CAP
-    found = list(itertools.islice(_walk(g, k, _flags(g)), cap + 1))
+    found = list(itertools.islice(_walk(g, k, _flags(g, alive)), cap + 1))
     if len(found) > cap:
         raise LimitExceeded(f"more than {cap} {k}-paths")
     return found

@@ -27,7 +27,7 @@ from .graph import (
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import PathIndex, covers_all_k_paths, has_k_path, has_k_path_through
+from .kpaths import PathIndex, _walk_capped, covers_all_k_paths, has_k_path
 from .solvers import (
     ApproxOracle,
     CoverSolution,
@@ -275,19 +275,33 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
 
     Each candidate V | V' (V' a non-empty subset of L with at most b
     vertices, by increasing size) is tested once, where it can fail. A call
-    does not re-test its entry set, which its caller tested. g[V] has no
-    k-path, so a k-path of g[V | V'] meets V' and the walker starts only
-    there. g[V | V'] is induced in g[V | V''] for V'' containing V', so a
-    rejected V' rejects every later superset without a walk. Every
-    component of g[V | V'] meets va with no test: V' lies in L, which is va
-    at level 1 and deeper holds only neighbors of V, whose components do.
+    does not re-test its entry set, which its caller tested. g[V | V'] is
+    induced in g[V | V''] for V'' containing V', so a rejected V' rejects
+    every later superset without a test. Every component of g[V | V'] meets
+    va with no test: V' lies in L, which is va at level 1 and deeper holds
+    only neighbors of V, whose components do.
+
+    The tests are answered from one walk. L at level l lies within distance
+    l - 1 of va, and tests run only below stop_level, so every tested set
+    lies in the ball B of vertices within distance stop_level - 2 of va,
+    and its k-paths are k-paths of g[B]. Those are walked once, under the
+    path cap, and each is filed under each of its vertices. g[V] has no
+    k-path, so g[V | V'] has one iff some path filed under a vertex of V'
+    lies inside V | V'.
+
+    The next frontier is N(V') - V2 - X2, for V2 = V | V' and
+    X2 = X | (L - V'): every call has N(V) inside X | L | V, which is
+    X2 | V2, so N(V2) - V2 - X2 gains nothing from N(V). The root has V
+    empty, and a child's L2 is N(V2) - V2 - X2, so the inclusion holds for
+    the child too.
 
     corrected: recursion expands up to level k-1 (stop test level >= k).
     paper-literal stops one level early, which can omit the empty set from
     the family when the whole neighborhood stays k-path-free (see the
     star fixture in the tests).
 
-    Members come out in the order the recursion first reaches them.
+    Members come out in the order the recursion first reaches them. A
+    recursion deeper than the interpreter allows raises LimitExceeded.
     """
     if k < 4:
         raise ValueError("construct_f requires k >= 4")
@@ -300,6 +314,14 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
     # always holds the whole root set; never cap below |va|
     b = max(level_bound(len(va), delta, k), len(va)) if va else 0
     stop_level = k if cap_mode == "corrected" else k - 1
+    ball, ring = set(va), va
+    for _ in range(stop_level - 2):
+        ring = neighbors_of_set(g_new, ring) - ball
+        ball |= ring
+    near = {v: [] for v in ball}  # the k-paths of g[ball] through each vertex
+    for p in _walk_capped(g_new, k, ball):
+        for v in p:
+            near[v].append(p)
     family = {}
 
     def recurse(x, v, l, level):
@@ -311,17 +333,19 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
             if not vp:
                 continue
             vp = frozenset(vp)
-            if any(r <= vp for r in rejected):
+            if any(map(vp.issuperset, rejected)):
                 continue
             v2 = v | vp
-            if has_k_path_through(g_new, k, v2, vp):
+            if any(map(v2.issuperset, itertools.chain.from_iterable(map(near.__getitem__, vp)))):
                 rejected.append(vp)
                 continue
             x2 = x | (l - vp)
-            l2 = neighbors_of_set(g_new, v2) - x2
-            recurse(x2, v2, l2, level + 1)
+            recurse(x2, v2, neighbors_of_set(g_new, vp) - v2 - x2, level + 1)
 
-    recurse(frozenset(), frozenset(), frozenset(va), 1)
+    try:
+        recurse(frozenset(), frozenset(), va, 1)
+    except RecursionError:
+        raise LimitExceeded(f"construct_f at k={k} passes the recursion limit") from None
     return GoodFamily(members=tuple(family), provenance=tuple(family.values()))
 
 

@@ -222,12 +222,13 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
-    residual = [0, *g.weights]  # residual[v] for vertex v
     cover = []
     skip = set(ix.removed)  # the removed vertices, then the cover
     weight = total = 0
     paths = ix.base
     far = ix.far
+    if far is None or far.state is None:  # else the kept state is copied below
+        residual = [0, *g.weights]  # residual[v] for vertex v
     if far is not None:
         if far.state is None:
             far.state = (residual, cover, *_pass(g, far.paths, set(), residual, cover))

@@ -238,10 +238,14 @@ def _reference_lines(text):
 
 
 def _reference_ints(fields, lineno):
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(f"expected integers, got {fields}", line=lineno)
+    out = []
+    for f in fields:
+        try:
+            out.append(int(f))
+        except ValueError:
+            shown = repr(f) if len(f) <= 20 else f"{f[:20]!r}... ({len(f)} characters)"
+            raise ParseError(f"expected integers, got {shown}", line=lineno)
+    return out
 
 
 def _reference_split_header(text, kind, tag, width, what):

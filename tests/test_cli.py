@@ -169,6 +169,16 @@ def test_parse_error_exit_code(tmp_path):
     assert "parse error" in err
 
 
+def test_parse_error_shows_a_long_field_cut(tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("p pvc 2 1\nv 1 1\nv 2 " + "9" * 5000 + "\ne 1 2\n")
+    code, out, err = run_cli(["solve", "-k", "3", "--alg", "exact", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: line 3: expected integers, got '99999999999999999999'... (5000 characters)\n"
+    )
+
+
 def test_limit_exit_code(tmp_path):
     g = gen_graph(GeneratorConfig(n=14, edge_target=20, seed=0, weight_range=(1, 1)))
     path = tmp_path / "g.graph"
@@ -480,6 +490,23 @@ def test_solve_greedy_large_k_resumes_every_round(long_path_file):
     assert time.perf_counter() - t0 < 5.0
     assert (code, err) == (0, "")
     assert out == "s pvc 1100 101 101\n" + "".join(f"x {v}\n" for v in range(1, 102))
+
+
+def test_reopt_wk_past_the_recursion_limit_is_refused(tmp_path):
+    # construct_f nests one call per level; a vertex attached at the end of
+    # a 1500-vertex path grows the levels along the path, past the limit
+    g = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
+    files = {
+        "g.graph": write_graph(g),
+        "p.patch": "p patch 1500 1 0 1\nv 1501 1\na 1500 1501\n",
+        "s.sol": "s pvc 1200 1 1\nx 750\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["reopt", "-k", "1200", "--mode", "wk", *(str(tmp_path / name) for name in files)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: construct_f at k=1200 passes the recursion limit\n"
 
 
 def test_verify_warns_on_solution_k_mismatch(graph_file, tmp_path):

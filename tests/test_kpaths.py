@@ -14,7 +14,7 @@ from pvcover import (
     has_k_path,
 )
 from pvcover.errors import UnknownVertex
-from pvcover.kpaths import _flags, _walk, _walk_through, has_k_path_through
+from pvcover.kpaths import _flags, _walk
 
 from conftest import brute_covers, perm_k_paths, random_graph, reference_walk
 
@@ -99,29 +99,6 @@ def test_has_k_path_shortcuts():
     assert not has_k_path(matching, 3)
     # alive is read once, so an iterator is both checked and walked
     assert has_k_path(Graph.build(3, [(1, 2), (2, 3)]), 3, alive=iter([1, 2, 3]))
-
-
-def test_has_k_path_through(path4):
-    assert sorted(_walk_through(path4, 3, path4.vertices(), {4})) == [(2, 3, 4)]
-    assert not has_k_path_through(path4, 3, path4.vertices(), set())
-    assert sorted(_walk_through(path4, 3, path4.vertices(), {2})) == [(1, 2, 3), (2, 3, 4)]
-    # the focus mode yields the paths of g[alive] that meet focus, each once
-    for seed in range(60):
-        n = 6 + seed % 7
-        g = random_graph(seed, n, m=min(n * (1 + seed % 3), n * (n - 1) // 2))
-        rng = random.Random(seed)
-        alive = frozenset(v for v in g.vertices() if rng.random() < 0.8)
-        focus = frozenset(rng.sample(range(1, g.n + 1), 1 + seed % 3))
-        for k in (2, 3, 4, 5, 6):
-            want = [
-                p for p in enumerate_k_paths(g, k) if alive.issuperset(p) and focus.intersection(p)
-            ]
-            got = list(_walk_through(g, k, alive, focus))
-            assert sorted(got) == want and len(set(got)) == len(got), (seed, k)
-            assert has_k_path_through(g, k, alive, focus) == bool(want)
-    # both arms are grown iteratively: no recursion limit at large k
-    long_path = Graph.build(1500, [(v, v + 1) for v in range(1, 1500)])
-    assert has_k_path_through(long_path, 1500, long_path.vertices(), {750})
 
 
 def test_has_k_path_rejects_unknown_alive_vertex(path4):

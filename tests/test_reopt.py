@@ -516,20 +516,35 @@ def check_family_invariants(g, va, k, family):
         assert neighbors_of_set(g, v) <= member if v else member == va, label
 
 
+def _patched_graph(seed, n, delta, c, m):
+    """A seeded graph of n vertices, the last c of them a patch, and those c."""
+    g_old = random_graph(seed, n - c, m=m, max_degree=delta)
+    patch = gen_patch(
+        g_old, c, attach_prob=2.0 / (n - c), internal_prob=0.4, seed=seed, max_degree=delta
+    )
+    return apply_patch(g_old, patch), patch.added_ids()
+
+
 def test_construct_f_matches_the_whole_set_reference():
+    cases = []
     for seed in range(20):
         rng = random.Random(seed)
         n, delta = rng.randint(8, 40), rng.choice((3, 4, 5))
         k, c = rng.randint(4, 6), rng.randint(1, 3)
-        g_old = random_graph(seed, n - c, m=n - c, max_degree=delta)
-        patch = gen_patch(
-            g_old, c, attach_prob=2.0 / (n - c), internal_prob=0.4, seed=seed, max_degree=delta
-        )
-        g, va = apply_patch(g_old, patch), patch.added_ids()
+        cases.append((seed, *_patched_graph(seed, n, delta, c, m=n - c), k))
+    # max degree 4 at n = 60, with a family of thousands of members
+    cases.append(("delta 4", *_patched_graph(2, 60, 4, 3, m=74), 5))
+    # a caterpillar entered at one end of its spine: the first k-path of a
+    # tested set closes on a vertex at the ball's radius, stop_level - 2
+    spine = [(v, v + 1) for v in range(1, 12)]
+    caterpillar = Graph.build(24, spine + [(v, v + 12) for v in range(1, 13)])
+    cases += [("caterpillar", caterpillar, {1}, k) for k in (6, 7)]
+    cases.append(("empty va", caterpillar, set(), 5))
+    for case, g, va, k in cases:
         for cap_mode in ("corrected", "paper-literal"):
             got = construct_f(g, va, k, cap_mode=cap_mode)
             want = reference_construct_f(g, va, k, cap_mode=cap_mode)
-            assert (got.members, got.provenance) == (want.members, want.provenance), seed
+            assert (got.members, got.provenance) == (want.members, want.provenance), case
             check_family_invariants(g, va, k, got)
 
 
