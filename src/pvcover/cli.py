@@ -64,7 +64,6 @@ def build_parser():
     p.add_argument("--oracle", choices=solvers, default="local-ratio")
     p.add_argument("--family-mode", choices=["corrected", "paper"], default="corrected")
     p.add_argument("--cap-mode", choices=["corrected", "paper"], default="corrected")
-    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
     p.add_argument("old_graph")
     p.add_argument("patch")
     p.add_argument("old_sol")

@@ -62,10 +62,6 @@ class Graph:
     def vertices(self):
         return range(1, self.n + 1)
 
-    def neighbors(self, v):
-        self._check_vertex(v)
-        return self.adj[v - 1]
-
     def weight(self, v):
         self._check_vertex(v)
         return self.weights[v - 1]
@@ -82,11 +78,6 @@ class Graph:
             for u in self.adj[v - 1]:
                 if v < u:
                     yield (v, u)
-
-    def has_edge(self, u, v):
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self.adj[u - 1]
 
     def _check_vertex(self, v):
         if not 1 <= v <= self.n:

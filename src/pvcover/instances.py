@@ -229,8 +229,8 @@ def write_patch(p: InsertionPatch) -> str:
         f"{len(p.internal_edges)} {len(p.attachment_edges)}"
     ]
     out.extend(f"v {vid} {w}" for vid, w in p.added)
-    out.extend(f"e {u} {v}" for u, v in sorted((min(e), max(e)) for e in p.internal_edges))
-    out.extend(f"a {u} {v}" for u, v in sorted(p.attachment_edges))
+    out.extend(f"e {u} {v}" for u, v in p.internal_edges)
+    out.extend(f"a {u} {v}" for u, v in p.attachment_edges)
     return "\n".join(out) + "\n"
 
 

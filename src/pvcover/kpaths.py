@@ -14,13 +14,12 @@ also resume just after a given path (`_walk(after=)`). `enumerate_k_paths`
 and `construct_f`'s walk of the ball around the inserted vertices both
 take their lists from `_walk_capped`, which holds the one path cap.
 
-A `PathIndex` keeps the enumerated k-paths of g, with one vertex bitmask
-per path (bit v-1 for vertex v) built when branch and bound first asks.
-Asked many questions about one graph, it enumerates once: "does s meet
-every path?" is one scan, and `avoiding(s)`, the one way to ask which
-k-paths survive in g - s, is a part that keeps the enumerated list and the
-removed set, and filters on first read of its paths. The filter keeps the
-walker's order, so a part equals a fresh enumeration of that subgraph.
+A `PathIndex` keeps the enumerated k-paths of g. Asked many questions
+about one graph, it enumerates once: "does s meet every path?" is one scan,
+and `avoiding(s)`, the one way to ask which k-paths survive in g - s, is a
+part that keeps the enumerated list and the removed set, and filters it on
+each read of its paths. The filter keeps the walker's order, so a part
+equals a fresh enumeration of that subgraph.
 `region_last(r)` also splits the list once into the paths that avoid r and
 those that meet r, which the parts removing vertices of r share.
 """
@@ -151,16 +150,15 @@ class FarPaths:
 
 
 class PathIndex:
-    """The k-paths of g[alive] in lexicographic order, with their vertex masks.
+    """The k-paths of g[alive] in lexicographic order.
 
     `PathIndex(g, k)` indexes all of g by one `enumerate_k_paths` call, so
     the path cap applies; a smaller alive set comes only from `avoiding`.
     Vertex set questions (`covers`, `avoiding`) are answered from the
-    paths; the bitmasks, which only branch and bound reads, are built on
-    first use. `avoiding(s)` returns the index of g[alive - s] without a
-    new walk or a filter: the part shares the enumerated list (`base`) and
+    paths. `avoiding(s)` returns the index of g[alive - s] without a new
+    walk or a filter: the part shares the enumerated list (`base`) and
     records the vertices it drops (`removed`), and `paths`, the paths of
-    `base` that avoid `removed`, is built on first read. A pass that walks
+    `base` that avoid `removed`, is built on each read. A pass that walks
     `base` and skips the paths meeting `removed` sees the same sequence, so
     it can filter as it goes and stop early.
 
@@ -171,15 +169,14 @@ class PathIndex:
     first (`solvers._local_ratio`). Every other index has far None.
     """
 
-    __slots__ = ("g", "k", "base", "removed", "far", "_paths", "_masks")
+    __slots__ = ("g", "k", "base", "removed", "far")
 
     def __init__(self, g: Graph, k):
         self.g = g
         self.k = k
-        self.base = self._paths = enumerate_k_paths(g, k)
+        self.base = enumerate_k_paths(g, k)
         self.removed = frozenset()
         self.far = None
-        self._masks = None
 
     @property
     def alive(self):
@@ -188,19 +185,11 @@ class PathIndex:
 
     @property
     def paths(self):
-        """The paths of g[alive], in the walker's order."""
-        if self._paths is None:
-            self._paths = list(filter(self.removed.isdisjoint, self.base))
-        return self._paths
-
-    @property
-    def masks(self):
-        """One vertex bitmask per path, in order."""
-        if self._masks is None:
-            # a path's vertices are distinct, so the sum of their bits is their OR
-            bit = [0, *(1 << i for i in range(self.g.n))].__getitem__
-            self._masks = [sum(map(bit, p)) for p in self.paths]
-        return self._masks
+        """The paths of g[alive], in the walker's order: base itself when
+        nothing is removed, else a new filtered list on each read."""
+        if not self.removed:
+            return self.base
+        return list(filter(self.removed.isdisjoint, self.base))
 
     def _vertex_set(self, s):
         s = frozenset(s)
@@ -214,7 +203,7 @@ class PathIndex:
         return not any(map((self.removed | self._vertex_set(s)).isdisjoint, self.base))
 
     def avoiding(self, s):
-        """The index of g[alive - s]; its paths are filtered on first read.
+        """The index of g[alive - s]; its paths are filtered on each read.
         An s inside far.region keeps far, and `region_last` checked it."""
         s = frozenset(s)
         far = self.far if self.far is not None and s <= self.far.region else None
@@ -226,7 +215,6 @@ class PathIndex:
         sub.base = self.base
         sub.removed = self.removed | s
         sub.far = far
-        sub._paths = sub._masks = None
         return sub
 
     def region_last(self, region):
@@ -237,7 +225,6 @@ class PathIndex:
         for p in self.paths:
             (far if region.isdisjoint(p) else near).append(p)
         ix = self.avoiding(())
-        ix._paths = self.paths
         ix.far = FarPaths(region, far, near)
         return ix
 

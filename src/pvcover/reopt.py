@@ -132,12 +132,13 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     The k-paths of g_new are enumerated once, into a PathIndex split
     region-last by R = va plus every member into the far paths, which
     avoid R, and the near ones. Each member F must meet every k-path
-    through va (the family contract), so old_opt + F covers g_new, and so
-    does F plus any cover of the rest. The oracle gets index.avoiding(va | F), the
-    paths of g_new[V_old - F] in g_new's ids, and below = min(w(old_opt +
-    F), best so far) - w(F). The part filters its paths only when something
-    reads them, so an oracle that needs only part.alive (greedy) or walks
-    the shared list (local ratio) pays no filter. va | F lies in R, so
+    through va (the family contract), the near paths that meet va, so
+    old_opt + F covers g_new, and so does F plus any cover of the rest.
+    The oracle gets index.avoiding(va | F), the paths of g_new[V_old - F]
+    in g_new's ids, and below = min(w(old_opt + F), best so far) - w(F).
+    The part filters its paths only when something reads them, so an
+    oracle that needs only part.alive (greedy) or walks the shared list
+    (local ratio) pays no filter. va | F lies in R, so
     every part keeps all the far paths, and the local-ratio pass over them
     runs once for the whole family; each member's pass walks only the near
     paths (`solvers._local_ratio`). A member the bound settles (None) keeps
@@ -151,7 +152,7 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     k = inst.k
     va = inst.added_ids()
     index = PathIndex(g, k).region_last(va.union(*family.members))
-    va_paths = [p for p in index.paths if not va.isdisjoint(p)]
+    va_paths = [p for p in index.far.near if not va.isdisjoint(p)]
     old = inst.old_opt.vertices
     w_old = g.weight_of(old)
     best = None  # (weight, index, base, member): the cover is base | member

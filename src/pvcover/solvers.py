@@ -100,15 +100,18 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     the incumbent and Σδ need not be those of the lexicographic pass; the
     optimum, being canonical, is the same.
 
+    The search reads the index's paths once, and builds from that list one
+    vertex bitmask per path (bit v-1 for vertex v), which only it reads.
     EXACT_SIZE_LIMIT bounds the search: one mask per path, and one count
     per node, which is not stored. Up to that many alive vertices there are
     at most 2^EXACT_SIZE_LIMIT nodes. A larger call gets the same budget of
     one-word masks, each mask of ceil(g.n / EXACT_SIZE_LIMIT) words: it
-    raises SizeLimitExceeded before any mask is built if the path masks
-    alone pass it, else once one more node would, which bounds the time
-    too. A call whose alive vertices together weigh less than below, and a
-    search deeper than the recursion limit, raise too; the first before the
-    index is built.
+    counts the paths that avoid index.removed and raises SizeLimitExceeded,
+    before it reads the path list or builds any mask, if their masks alone
+    pass it, else once one more node would, which bounds the time too. A
+    call whose alive vertices together weigh less than below, and a search
+    deeper than the recursion limit, raise too; the first before the index
+    is built.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -130,18 +133,21 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     w_cover = g.weight_of(cover)
     if w_cover < below:
         best = [key(cover, w_cover), frozenset(cover)]
-    paths = ix.paths
-    n_paths = len(paths)
     node = itertools.repeat(None).__next__
     if n > EXACT_SIZE_LIMIT:
         words = -(-g.n // EXACT_SIZE_LIMIT)
+        n_paths = sum(map(ix.removed.isdisjoint, ix.base))
         room = (1 << EXACT_SIZE_LIMIT) // words - n_paths
         masks_of = f"exact search at n={n}: {n_paths} path masks"
         guard = f"of {words} words exceed guard 2^{EXACT_SIZE_LIMIT} words"
         if room < 1:
             raise SizeLimitExceeded(f"{masks_of} {guard}")
         node = itertools.repeat(None, room).__next__  # StopIteration past the budget
-    masks = ix.masks
+    paths = ix.paths
+    n_paths = len(paths)
+    # a path's vertices are distinct, so the sum of their bits is their OR
+    bit = [0, *(1 << i for i in range(g.n))].__getitem__
+    masks = [sum(map(bit, p)) for p in paths]
 
     def branch(chosen, mask, out, weight, i):
         node()

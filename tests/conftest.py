@@ -79,7 +79,7 @@ def perm_k_paths(g: Graph, k):
         for perm in itertools.permutations(combo):
             if perm[0] > perm[-1]:
                 continue
-            if all(g.has_edge(u, v) for u, v in zip(perm, perm[1:])):
+            if all(v in g.adj[u - 1] for u, v in zip(perm, perm[1:])):
                 found.add(perm)
     return sorted(found)
 

@@ -318,10 +318,11 @@ def test_reopt_ptas_at_ten_thousand_vertices_settled_by_the_dual(tmp_path, monke
     )
 
     def forbidden(self):
-        raise AssertionError("the search built its path masks")
+        raise AssertionError("the search read a path list")
 
     # Σδ reaches m + 1 = 3 on the first paths, so the search never branches
-    monkeypatch.setattr(PathIndex, "masks", property(forbidden))
+    # and never reads the path list it would build masks from
+    monkeypatch.setattr(PathIndex, "paths", property(forbidden))
     t0 = time.perf_counter()
     code, out, err = run_cli(["reopt", "-k", "5", "--mode", "ptas", "--epsilon", "1.0", *files])
     assert time.perf_counter() - t0 < 10.0
@@ -420,6 +421,22 @@ def test_reopt_wk(tmp_path):
     )
     assert code == 0
     assert out == "s pvc 4 1 1\nx 4\n"
+
+
+def test_reopt_has_no_seed_option(tmp_path):
+    # no reoptimizer draws random numbers, so reopt takes no --seed; solve
+    # still accepts and ignores one
+    gpath = tmp_path / "g.graph"
+    gpath.write_text("p pvc 3 2\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 2 3\n")
+    ppath = tmp_path / "p.patch"
+    ppath.write_text("p patch 3 1 0 1\nv 4 1\na 3 4\n")
+    spath = tmp_path / "s.sol"
+    spath.write_text("s pvc 4 0 0\n")
+    argv = ["reopt", "-k", "4", "--mode", "wk", str(gpath), str(ppath), str(spath)]
+    assert run_cli(argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv[:5], "--seed", "1", *argv[5:]])
+    assert exc.value.code == 2
 
 
 def test_incremental_exact(graph_file):

@@ -130,7 +130,7 @@ def test_bfs_levels_partition_and_parent_property():
         level_of = {v: i for i, lvl in enumerate(levels, start=1) for v in lvl}
         for i, lvl in enumerate(levels[1:], start=2):
             for v in lvl:
-                nbr_levels = {level_of.get(u) for u in g.neighbors(v)}
+                nbr_levels = {level_of.get(u) for u in g.adj[v - 1]}
                 assert (i - 1) in nbr_levels
                 assert not any(l is not None and l < i - 1 for l in nbr_levels)
 

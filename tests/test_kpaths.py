@@ -148,19 +148,19 @@ def test_path_index_matches_walker_and_brute_force(instance, data, k):
     # a part of a part, made before either has filtered its paths
     chained = left.avoiding(t)
     fresh = PathIndex(g, k).avoiding(everything - (alive - s - t))
-    assert (chained.alive, chained.paths, chained.masks) == (fresh.alive, fresh.paths, fresh.masks)
+    assert (chained.alive, chained.paths) == (fresh.alive, fresh.paths)
     assert chained.covers(u) == fresh.covers(u)
     assert index.paths == [p for p in enumerate_k_paths(g, k) if alive.issuperset(p)]
     assert left.alive == alive - s
     assert left.paths == [p for p in enumerate_k_paths(g, k) if (alive - s).issuperset(p)]
     assert left.paths == [p for p in perm_k_paths(g, k) if (alive - s).issuperset(p)]
-    assert left.masks == [sum(1 << (v - 1) for v in p) for p in left.paths]
     assert left.avoiding(t).paths == fresh.paths
     # s covers g[alive] iff s plus every dead vertex covers g
     dead = everything - alive
     assert index.covers(s) == brute_covers(g, s | dead, k)
     s_mask = sum(1 << (v - 1) for v in s)
-    assert all(s_mask & pm for pm in index.masks) == index.covers(s)
+    masks = [sum(1 << (v - 1) for v in p) for p in index.paths]
+    assert all(s_mask & pm for pm in masks) == index.covers(s)
 
 
 def test_path_index_rejects_unknown_vertices(path4):

@@ -2,10 +2,11 @@
 
 Each module but `__init__.py`, which imports to re-export, must read every
 name it imports, and each module-level `_private` function, class or
-constant must be referenced somewhere in the package. Each public one must
-be referenced by a module of the package other than `__init__.py`, by a
-demo or by perfbench, whose span tracer names the callables it wraps as
-strings in `spans.LAYERS`; a name only the tests use is dead.
+constant must be referenced somewhere in the package. Each public one, and
+each public method or property of a module-level class, must be referenced
+by a module of the package other than `__init__.py`, by a demo or by
+perfbench, whose span tracer names the callables it wraps as strings in
+`spans.LAYERS`; a name only the tests use is dead.
 
 The tests' shared `conftest.py` must read every name it imports, and each
 of its module-level names, public or private, must be referenced by a test
@@ -63,6 +64,16 @@ def _definitions(tree):
             continue
         for name in names:
             yield name, node.lineno
+
+
+def _public_members(tree):
+    """(Class.name, name, line) for each public method or property of a
+    module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member.lineno
 
 
 def _parameters(tree):
@@ -123,6 +134,12 @@ def test_every_public_name_is_used_outside_the_tests():
         if path.name != "__init__.py"
         for name, line in _definitions(tree)
         if not name.startswith("_") and name not in used
+    ]
+    problems += [
+        f"{path.name}:{line}: {member} is used only by the tests"
+        for path, tree in trees.items()
+        for member, name, line in _public_members(tree)
+        if name not in used
     ]
     assert not problems, "\n".join(problems)
 

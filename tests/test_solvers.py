@@ -158,6 +158,19 @@ def test_greedy_matches_the_reference_loop_on_drawn_graphs(instance):
     assert (sol.vertices, sol.weight, sol.feasible) == reference_greedy(g, k, alive)
 
 
+def spy_on_paths(monkeypatch):
+    """The indexes whose paths are read from now on, one entry per read."""
+    reads = []
+    read = PathIndex.paths.fget
+
+    def spy(ix):
+        reads.append(ix)
+        return read(ix)
+
+    monkeypatch.setattr(PathIndex, "paths", property(spy))
+    return reads
+
+
 def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
     def forbidden(*args, **kw):
         raise AssertionError("no subgraph copy or mask scan expected")
@@ -167,10 +180,14 @@ def test_greedy_and_prune_copy_nothing_and_scan_no_masks(monkeypatch):
             module, "induced_subgraph"
         ):
             monkeypatch.setattr(module, "induced_subgraph", forbidden)
-    monkeypatch.setattr(PathIndex, "masks", property(forbidden))
+    # path masks are built only by the branch and bound
+    monkeypatch.setattr(pvcover.solvers, "solve_exact", forbidden)
+    reads = spy_on_paths(monkeypatch)
     for g, k, alive in greedy_cases():
         assert greedy_approx(g, k, alive=alive).feasible
         assert local_ratio_approx(g, k).feasible
+    # prune reads whole indexes only, whose paths are the enumerated list itself
+    assert reads and not any(ix.removed for ix in reads)
 
 
 def test_local_ratio_trace_small():
@@ -205,9 +222,10 @@ def reference_prune(g, k, cover, index):
     vertex, latest first."""
     in_cover = set(cover)
     mask = sum(1 << (v - 1) for v in in_cover)
+    masks = [sum(1 << (v - 1) for v in p) for p in index.paths]
     for v in reversed(cover):
         trial = mask & ~(1 << (v - 1))
-        if all(trial & pm for pm in index.masks):
+        if all(trial & pm for pm in masks):
             mask = trial
             in_cover.remove(v)
     return frozenset(in_cover)
@@ -354,7 +372,8 @@ def reference_solve_exact(g, k, index, below=math.inf):
     best = [(below, -1), None]
     if g.weight_of(cover) < below:
         best = [key(cover, g.weight_of(cover)), frozenset(cover)]
-    paths, masks = index.paths, index.masks
+    paths = index.paths
+    masks = [sum(1 << (v - 1) for v in p) for p in paths]
     visited = set()
 
     def branch(chosen, mask, weight, i):
@@ -529,27 +548,31 @@ def test_solve_exact_below_keeps_the_guards(monkeypatch):
     monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 9)
     with pytest.raises(SizeLimitExceeded, match="29 path masks and 100 visited nodes of 4 words"):
         solve_exact(g, 2, below=22)
-    # at 2^4 words the path masks of 8 words alone pass it: none is built
+    # at 2^4 words the path masks of 8 words alone pass it: the search
+    # reads no path list, so it builds no mask
     monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 4)
     index = PathIndex(g, 2)
+    reads = spy_on_paths(monkeypatch)
     with pytest.raises(SizeLimitExceeded, match="29 path masks of 8 words"):
         solve_exact(g, 2, index=index, below=22)
-    assert index._masks is None
+    assert reads == []
 
 
 def test_a_part_counts_and_builds_only_its_own_path_masks(monkeypatch):
     # a star with 40 leaves at k=3 has 780 paths, all through the center.
     # At 2^6 words their masks of 7 words pass the budget, so the whole
-    # index is refused before any is built; a part without the center
-    # keeps no path, fits, and builds no mask of the whole index
+    # index is refused before it reads its path list; a part without the
+    # center keeps no path, fits, and reads only its own list, which is empty
     g = Graph.build(41, [(1, v) for v in range(2, 42)])
     whole = PathIndex(g, 3)
     monkeypatch.setattr(pvcover.solvers, "EXACT_SIZE_LIMIT", 6)
+    reads = spy_on_paths(monkeypatch)
     with pytest.raises(SizeLimitExceeded, match="780 path masks of 7 words"):
         solve_exact(g, 3, index=whole, below=2)
+    assert reads == []
     part = whole.avoiding({1})
     assert solve_exact(g, 3, index=part, below=2).vertices == frozenset()
-    assert part.masks == [] and whole._masks is None
+    assert reads == [part] and part.paths == []
 
 
 def test_unbounded_exact_past_the_limit_builds_no_index(monkeypatch):
