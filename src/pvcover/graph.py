@@ -62,10 +62,6 @@ class Graph:
     def vertices(self):
         return range(1, self.n + 1)
 
-    def weight(self, v):
-        self._check_vertex(v)
-        return self.weights[v - 1]
-
     def weight_of(self, s):
         return sum(self.weights[v - 1] for v in s)
 

@@ -10,12 +10,15 @@ Solution file: "s pvc <k> <size> <weight>", size "x <id>" lines.
 Lines are split on "\n", and fields on any whitespace; a line whose first
 field starts with "c" is a comment, and lines may come in any order. Each
 parser makes one scan for its single header line, then one pass over the
-body lines that splits each line once and checks it in place. So every
-header fault (a second header, a malformed one, none at all) is raised
-before any body fault, and body faults are raised in line order, each with
-its line number. The counts a header states are compared with the lines
-read, and nothing is sized by a header before that check: "p pvc
-1000000000 0" fails at once with "expected 1000000000 v lines, got 0".
+body through `_records`, a lazy reader that all three parsers share: it
+splits each line once, skips blanks, comments and the header, and checks
+the line type, field count and integers before the parser checks ranges,
+repeats and weights. So every header fault (a second header, a malformed
+one, none at all) is raised before any body fault, and body faults are
+raised in line order, each with its line number. The counts a header
+states are compared with the lines read, and nothing is sized by a header
+before that check: "p pvc 1000000000 0" fails at once with "expected
+1000000000 v lines, got 0".
 
 write(parse(text)) is byte-identical for canonical files. The generators use
 Python's random.Random (Mersenne Twister) with a fixed stream order
@@ -84,49 +87,61 @@ def _not_integers(fields, lineno):
     return ParseError(f"expected integers, got {shown}", line=lineno)
 
 
-def parse_graph(text) -> Graph:
-    lines = text.split("\n")
-    (n, m), _ = _header(lines, "p", "pvc", 4, "p pvc <n> <m>")
-    weights = {}
-    edges = set()
+def _records(lines, head, shapes):
+    """(lineno, kind, a, b) for each body line whose kind is in shapes, with
+    b None on a two-field line. shapes maps a kind to the fields of its line,
+    as in ("v", "<id>", "<weight>"). Blank lines, comments and head lines are
+    skipped; any other kind, a wrong field count or a field that is not an
+    integer raises here. Lazy, so the caller's faults and these come out in
+    line order."""
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields:
             continue
         kind = fields[0]
+        shape = shapes.get(kind)
+        if shape is None:
+            if kind != head and kind[0] != "c":
+                raise ParseError(f"unknown line type {kind!r}", line=lineno)
+            continue
+        if len(fields) != len(shape):
+            raise ParseError(f"expected '{' '.join(shape)}'", line=lineno)
+        try:
+            if len(fields) == 3:
+                yield lineno, kind, int(fields[1]), int(fields[2])
+            else:
+                yield lineno, kind, int(fields[1]), None
+        except ValueError:
+            raise _not_integers(fields[1:], lineno) from None
+
+
+_VERTEX = ("v", "<id>", "<weight>")
+_EDGE = ("e", "<u>", "<v>")
+
+
+def parse_graph(text) -> Graph:
+    lines = text.split("\n")
+    (n, m), _ = _header(lines, "p", "pvc", 4, "p pvc <n> <m>")
+    weights = {}
+    edges = set()
+    for lineno, kind, a, b in _records(lines, "p", {"v": _VERTEX, "e": _EDGE}):
         if kind == "v":
-            if len(fields) != 3:
-                raise ParseError("expected 'v <id> <weight>'", line=lineno)
-            try:
-                vid = int(fields[1])
-                w = int(fields[2])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not 1 <= vid <= n:
-                raise ParseError(f"vertex id {vid} out of range", line=lineno)
-            if vid in weights:
-                raise ParseError(f"duplicate v line for {vid}", line=lineno)
-            if w < 1:
-                raise ParseError(f"weight {w} must be >= 1", line=lineno)
-            weights[vid] = w
-        elif kind == "e":
-            if len(fields) != 3:
-                raise ParseError("expected 'e <u> <v>'", line=lineno)
-            try:
-                u = int(fields[1])
-                v = int(fields[2])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"edge ({u},{v}) endpoint out of range", line=lineno)
-            if u == v:
-                raise ParseError(f"self-loop at {u}", line=lineno)
-            key = (u, v) if u < v else (v, u)
+            if not 1 <= a <= n:
+                raise ParseError(f"vertex id {a} out of range", line=lineno)
+            if a in weights:
+                raise ParseError(f"duplicate v line for {a}", line=lineno)
+            if b < 1:
+                raise ParseError(f"weight {b} must be >= 1", line=lineno)
+            weights[a] = b
+        else:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ParseError(f"edge ({a},{b}) endpoint out of range", line=lineno)
+            if a == b:
+                raise ParseError(f"self-loop at {a}", line=lineno)
+            key = (a, b) if a < b else (b, a)
             if key in edges:
                 raise ParseError(f"duplicate edge {key}", line=lineno)
             edges.add(key)
-        elif kind != "p" and kind[0] != "c":
-            raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if len(weights) != n:
         raise ParseError(f"expected {n} v lines, got {len(weights)}")
     if len(edges) != m:
@@ -141,7 +156,7 @@ def parse_graph(text) -> Graph:
 def write_graph(g: Graph) -> str:
     out = [f"p pvc {g.n} {g.m}"]
     out.extend(f"v {v} {g.weights[v - 1]}" for v in g.vertices())
-    out.extend(f"e {u} {v}" for u, v in sorted(g.edges()))
+    out.extend(f"e {u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"
 
 
@@ -156,59 +171,33 @@ def parse_patch(text) -> InsertionPatch:
     weights = {}
     internal = set()
     attach = set()
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        kind = fields[0]
+    shapes = {"v": _VERTEX, "e": _EDGE, "a": ("a", "<old>", "<new>")}
+    for lineno, kind, a, b in _records(lines, "p", shapes):
         if kind == "v":
-            if len(fields) != 3:
-                raise ParseError("expected 'v <id> <weight>'", line=lineno)
-            try:
-                vid = int(fields[1])
-                w = int(fields[2])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not n_old + 1 <= vid <= n_old + c:
-                raise ParseError(f"new vertex id {vid} out of range", line=lineno)
-            if vid in weights:
-                raise ParseError(f"duplicate v line for {vid}", line=lineno)
-            if w < 1:
-                raise ParseError(f"weight {w} must be >= 1", line=lineno)
-            weights[vid] = w
+            if not n_old + 1 <= a <= n_old + c:
+                raise ParseError(f"new vertex id {a} out of range", line=lineno)
+            if a in weights:
+                raise ParseError(f"duplicate v line for {a}", line=lineno)
+            if b < 1:
+                raise ParseError(f"weight {b} must be >= 1", line=lineno)
+            weights[a] = b
         elif kind == "e":
-            if len(fields) != 3:
-                raise ParseError("expected 'e <u> <v>'", line=lineno)
-            try:
-                u = int(fields[1])
-                v = int(fields[2])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not (n_old < u <= n_old + c and n_old < v <= n_old + c):
-                raise ParseError(f"internal edge ({u},{v}) must join two new vertices", line=lineno)
-            if u == v:
-                raise ParseError(f"self-loop at {u}", line=lineno)
-            key = (u, v) if u < v else (v, u)
+            if not (n_old < a <= n_old + c and n_old < b <= n_old + c):
+                raise ParseError(f"internal edge ({a},{b}) must join two new vertices", line=lineno)
+            if a == b:
+                raise ParseError(f"self-loop at {a}", line=lineno)
+            key = (a, b) if a < b else (b, a)
             if key in internal:
                 raise ParseError(f"duplicate internal edge {key}", line=lineno)
             internal.add(key)
-        elif kind == "a":
-            if len(fields) != 3:
-                raise ParseError("expected 'a <old> <new>'", line=lineno)
-            try:
-                u = int(fields[1])
-                v = int(fields[2])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not (1 <= u <= n_old and n_old < v <= n_old + c):
+        else:
+            if not (1 <= a <= n_old and n_old < b <= n_old + c):
                 raise ParseError(
-                    f"attachment edge ({u},{v}) must join an old and a new vertex", line=lineno
+                    f"attachment edge ({a},{b}) must join an old and a new vertex", line=lineno
                 )
-            if (u, v) in attach:
-                raise ParseError(f"duplicate attachment edge ({u},{v})", line=lineno)
-            attach.add((u, v))
-        elif kind != "p" and kind[0] != "c":
-            raise ParseError(f"unknown line type {kind!r}", line=lineno)
+            if (a, b) in attach:
+                raise ParseError(f"duplicate attachment edge ({a},{b})", line=lineno)
+            attach.add((a, b))
     if len(weights) != c:
         raise ParseError(f"expected {c} v lines, got {len(weights)}")
     if len(internal) != m_a:
@@ -243,26 +232,13 @@ def parse_solution(text, g: Graph) -> CoverSolution:
         raise ParseError(f"k={k} must be at least 2")
     chosen = []
     seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        kind = fields[0]
-        if kind == "x":
-            if len(fields) != 2:
-                raise ParseError("expected 'x <id>'", line=lineno)
-            try:
-                vid = int(fields[1])
-            except ValueError:
-                raise _not_integers(fields[1:], lineno) from None
-            if not 1 <= vid <= g.n:
-                raise ParseError(f"vertex id {vid} out of range", line=lineno)
-            if vid in seen:
-                raise ParseError(f"duplicate x line for {vid}", line=lineno)
-            seen.add(vid)
-            chosen.append(vid)
-        elif kind != "s" and kind[0] != "c":
-            raise ParseError(f"unknown line type {kind!r}", line=lineno)
+    for lineno, _, vid, _ in _records(lines, "s", {"x": ("x", "<id>")}):
+        if not 1 <= vid <= g.n:
+            raise ParseError(f"vertex id {vid} out of range", line=lineno)
+        if vid in seen:
+            raise ParseError(f"duplicate x line for {vid}", line=lineno)
+        seen.add(vid)
+        chosen.append(vid)
     if len(chosen) != size:
         raise ParseError(f"expected {size} x lines, got {len(chosen)}")
     actual = g.weight_of(chosen)

@@ -216,10 +216,10 @@ def good_family_3pvcp(g_new: Graph, patch: InsertionPatch, mode="corrected"):
 
     for x0 in _subsets_by_size(va):
         x0 = frozenset(x0)
-        uncovered = frozenset(va) - x0
-        if has_k_path(g_new, 3, alive=uncovered):
+        # a connected set of three or more vertices holds a 3-path
+        comps = connected_components(g_new, frozenset(va) - x0)
+        if any(len(c) > 2 for c in comps):
             continue
-        comps = connected_components(g_new, uncovered)
         v_i = frozenset(
             next(iter(c)) for c in comps if len(c) == 1 and old_neighbors(c)
         )

@@ -55,7 +55,10 @@ def line_format_texts(draw):
 
     Each header count matches the body lines unless a draw replaces it, so
     many texts get past the count checks to the id, weight and size checks.
-    Strategies are built once, outside the draws, which keeps examples cheap.
+    Stray lines land at drawn positions, so a malformed line can come before
+    or after a line whose fault is its meaning. Strategies that do not depend
+    on the drawn lines are built once, outside the draws, which keeps
+    examples cheap.
     """
     head = draw(_HEADS)
     lines = [f"x {a}" if kind == "x" else f"{kind} {a} {b}" for kind, a, b in draw(_BODY)]
@@ -67,7 +70,8 @@ def line_format_texts(draw):
     }[head]
     numbers = [draw(SMALL_INTS) if x is None else x for x in numbers]
     numbers = [x if (y := draw(_OFF)) is None else y for x in numbers]
-    lines += draw(_STRAY_LINES)
+    for stray in draw(_STRAY_LINES):
+        lines.insert(draw(st.integers(0, len(lines))), stray)
     lines.insert(draw(st.integers(0, len(lines))), " ".join([head, *map(str, numbers)]))
     return "\n".join(lines)
 

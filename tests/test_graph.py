@@ -39,7 +39,7 @@ def test_apply_patch_isolated_vertex():
     g_new = apply_patch(g, patch)
     assert g_new.n == 5
     assert g_new.degree(5) == 0
-    assert g_new.weight(5) == 2
+    assert g_new.weights[4] == 2
 
 
 def test_apply_patch_rejects_mismatched_old_count():
@@ -107,7 +107,7 @@ def test_induced_subgraph(path4):
 def test_induced_subgraph_keeps_weights():
     g = Graph.build(4, [(1, 2), (3, 4)], weights=[7, 1, 9, 2])
     sub, orig = induced_subgraph(g, {1, 3, 4})
-    assert [sub.weight(i + 1) for i in range(3)] == [7, 9, 2]
+    assert sub.weights == (7, 9, 2)
 
 
 def test_bfs_forest_levels(path4):

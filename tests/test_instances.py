@@ -257,6 +257,11 @@ _PARSE = {
         ("patch", "p patch " + "9" * 5000 + " 0 0 0\n", LONG_FIELD_ERROR.format(1)),
         ("solution", "s pvc 2 1 1\nx " + "9" * 5000 + "\n", LONG_FIELD_ERROR.format(2)),
         ("graph", "p pvc 1 0\nv 1 1\ne 1 2 3\n", "line 3: expected 'e <u> <v>'"),
+        # body faults come out in line order, whether of syntax or of meaning
+        ("graph", "p pvc 1 0\nv 2 1\nv x 1\n", "line 2: vertex id 2 out of range"),
+        ("graph", "p pvc 1 0\nv x 1\nv 2 1\n", "line 2: expected integers, got 'x'"),
+        ("patch", "p patch 1 1 0 1\nv 2 1\na 1\n", "line 3: expected 'a <old> <new>'"),
+        ("solution", "s pvc 2 1 1\nx 1 2\n", "line 2: expected 'x <id>'"),
     ],
 )
 def test_parsers_match_the_earlier_parsers_on_edge_cases(kind, text, error):

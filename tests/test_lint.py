@@ -3,10 +3,12 @@
 Each module but `__init__.py`, which imports to re-export, must read every
 name it imports, and each module-level `_private` function, class or
 constant must be referenced somewhere in the package. Each public one, and
-each public method or property of a module-level class, must be referenced
-by a module of the package other than `__init__.py`, by a demo or by
-perfbench, whose span tracer names the callables it wraps as strings in
-`spans.LAYERS`; a name only the tests use is dead.
+each public property of a module-level class, must be referenced by a
+module of the package other than `__init__.py`, by a demo or by perfbench,
+whose span tracer names the callables it wraps as strings in
+`spans.LAYERS`; a name only the tests use is dead. A public method must be
+called there, as in `x.name(...)`, or named in `spans.LAYERS`: an attribute
+of the same name on another class does not count as a use.
 
 The tests' shared `conftest.py` must read every name it imports, and each
 of its module-level names, public or private, must be referenced by a test
@@ -66,14 +68,27 @@ def _definitions(tree):
             yield name, node.lineno
 
 
+def _method_calls(tree):
+    """The names a module calls as attributes, as in x.name(...)."""
+    return {
+        n.func.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+
+
 def _public_members(tree):
-    """(Class.name, name, line) for each public method or property of a
-    module-level class."""
+    """(Class.name, name, line, is_property) for each public method or
+    property of a module-level class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member.name, member.lineno
+                    is_property = any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in member.decorator_list
+                    )
+                    yield f"{node.name}.{member.name}", member.name, member.lineno, is_property
 
 
 def _parameters(tree):
@@ -127,7 +142,9 @@ def test_every_public_name_is_used_outside_the_tests():
     for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         users[path] = ast.parse(path.read_text(), str(path))
     used = set().union(*map(_references, users.values()))
-    used.update(_layer_names(users[ROOT / "perfbench" / "spans.py"]))
+    layers = set(_layer_names(users[ROOT / "perfbench" / "spans.py"]))
+    used |= layers
+    called = set().union(*map(_method_calls, users.values())) | layers
     problems = [
         f"{path.name}:{line}: {name} is used only by the tests"
         for path, tree in trees.items()
@@ -138,8 +155,8 @@ def test_every_public_name_is_used_outside_the_tests():
     problems += [
         f"{path.name}:{line}: {member} is used only by the tests"
         for path, tree in trees.items()
-        for member, name, line in _public_members(tree)
-        if name not in used
+        for member, name, line, is_property in _public_members(tree)
+        if name not in (used if is_property else called)
     ]
     assert not problems, "\n".join(problems)
 
