@@ -2,26 +2,34 @@
 
 A k-path is stored as a tuple of k distinct vertex ids with consecutive pairs
 adjacent, in canonical orientation: first endpoint < last endpoint. One
-iterative depth-first walker answers every exhaustive question over a graph
-and an alive vertex set, the k-paths of g[alive], without building that
-subgraph: enumeration, detection (`has_k_path(g, k, alive)`) and coverage
-(the alive set is the complement of the cover); `find_k_path(g, k)` is its
-first k-path of g. The walker takes the alive set as a bytearray of
-g.n + 1 flags (`_flags`), which it copies once and then reads and writes
-by index as vertices join and leave the current path; greedy keeps its
-remaining vertices in such flags and clears one per round. The walker can
-also resume just after a given path (`_walk(after=)`). `enumerate_k_paths`
-and `construct_f`'s walk of the ball around the inserted vertices both
-take their lists from `_walk_capped`, which holds the one path cap.
+iterative depth-first walker, `_walk`, yields the k-paths of g[alive] in
+lexicographic order without building that subgraph. It takes the alive set
+as a bytearray of g.n + 1 flags (`_flags`), which it copies once and then
+reads and writes by index as vertices join and leave the current path;
+greedy keeps its remaining vertices in such flags, clears one per round and
+resumes the walk just after its last path (`_walk(after=)`).
+`enumerate_k_paths` and the walks of a ball around the inserted vertices
+(`_ball`; `construct_f`'s and `FarPaths`') take their lists from
+`_walk_capped`, which holds the one path cap; `find_k_path(g, k)` is the
+walker's first path.
 
-A `PathIndex` keeps the enumerated k-paths of g. Asked many questions
-about one graph, it enumerates once: "does s meet every path?" is one scan,
-and `avoiding(s)`, the one way to ask which k-paths survive in g - s, is a
-part that keeps the enumerated list and the removed set, and filters it on
-each read of its paths. The filter keeps the walker's order, so a part
-equals a fresh enumeration of that subgraph.
-`region_last(r)` also splits the list once into the paths that avoid r and
-those that meet r, which the parts removing vertices of r share.
+Whether g[alive] has a k-path at all is decided one component at a time
+(`_has_path`): a component of fewer than k vertices has none, a tree has
+one iff its longest path is long enough, and only the other components are
+walked, so proving that no path is left costs about a BFS where the walker
+would step from every vertex. `has_k_path` and `covers_all_k_paths` (the
+alive set is the complement of the cover) answer from it.
+
+A `PathIndex` keeps the k-paths of g. Asked many questions about one
+graph, it enumerates once: "does s meet every path?" is one scan, and
+`avoiding(s)`, the one way to ask which k-paths survive in g - s, is a part
+that keeps the path list and the removed set, and filters it on each read
+of its paths. The filter keeps the walker's order, so a part equals a fresh
+enumeration of that subgraph. `PathIndex.region_last(g, k, r, va)` splits
+the paths by r instead (`FarPaths`) and walks them only as far as they are
+read: those through va at once, from a walk of the ball around va, and the
+others from one walk of g - va, pulled as the paths that avoid r are read;
+the parts removing vertices of r share them.
 """
 
 from __future__ import annotations
@@ -112,6 +120,48 @@ def _walk(g: Graph, k, alive, after=None):
                         yield (*path, u, w)
 
 
+def _has_path(g: Graph, k, alive):
+    """True iff g[alive] has a k-path, alive a `_flags` bytearray, decided
+    one component at a time by a BFS over the flags.
+
+    A component of fewer than k vertices has none. A tree, whose alive
+    degrees sum to twice its vertex count less two, has one iff its longest
+    path has at least k vertices: the BFS's last vertex ends a longest
+    path, and a second BFS from it reaches k - 1 layers iff that path is
+    long enough (the double sweep). The other components are searched by
+    one `_walk` over their union, which finds a path iff one of them has one.
+    """
+    adj = g.adj
+    unseen = bytearray(alive)
+    cyclic = None
+    start = 0
+    while (start := unseen.find(1, start + 1)) != -1:
+        unseen[start] = 0
+        comp = [start]
+        ends = 0
+        for v in comp:  # the BFS appends to comp as it reads it
+            for u in adj[v - 1]:
+                if alive[u]:
+                    ends += 1
+                    if unseen[u]:
+                        unseen[u] = 0
+                        comp.append(u)
+        if len(comp) < k:
+            continue
+        if ends == 2 * len(comp) - 2:
+            layer = [(comp[-1], 0)]  # (vertex, the neighbor it was reached from)
+            for _ in range(k - 1):
+                layer = [(u, v) for v, back in layer for u in adj[v - 1] if u != back and alive[u]]
+            if layer:
+                return True
+        else:
+            if cyclic is None:
+                cyclic = bytearray(len(alive))
+            for v in comp:
+                cyclic[v] = 1
+    return cyclic is not None and next(_walk(g, k, cyclic), None) is not None
+
+
 def enumerate_k_paths(g: Graph, k):
     """All k-paths of g, canonical, sorted.
 
@@ -132,21 +182,69 @@ def _walk_capped(g: Graph, k, alive=None):
     return found
 
 
+def _ball(g: Graph, s, radius):
+    """The set of vertices within distance radius of the vertex set s."""
+    ball, ring = set(s), s
+    for _ in range(radius):
+        ring = {u for v in ring for u in g.adj[v - 1]} - ball
+        ball |= ring
+    return ball
+
+
 class FarPaths:
-    """The k-paths of a region-last index split by a vertex set, region:
-    paths, those that avoid it, and near, those that meet it, each in the
-    walker's order. Every part that removes only vertices of region keeps
-    all of paths and shares this object. state is None until the
-    local-ratio pass over paths first runs (`solvers._local_ratio`), and
-    then holds its result for every part that shares them."""
+    """The k-paths of g split by region, a vertex set that holds va, and
+    walked only as far as they are read. Every part that removes only
+    vertices of region keeps all the far paths and shares this object.
 
-    __slots__ = ("region", "paths", "near", "state")
+    - `through`: the paths that meet va, walked at once: the paths of the
+      ball of vertices within distance k - 1 of va that meet va.
+    - `paths`: the far paths, which avoid region, in the walker's order.
+      They come from one `_walk` of g - va, pulled a path at a time through
+      `source` as the local-ratio pass reads them; the paths of that walk
+      that meet region are kept in `rest`.
+    - `near`: None until that walk ends, and then the paths that meet
+      region, through and rest merged into the walker's order.
+    - `base`: near and the far paths merged into the walker's order, built
+      on first read, after pulling the paths that are left.
 
-    def __init__(self, region, paths, near):
+    Only the ball's paths that avoid va are walked twice. The ball's paths,
+    and through with the paths pulled from the walk of g - va, count
+    against DEFAULT_PATH_CAP. state is None until the local-ratio pass over
+    the far paths first runs (`solvers._local_ratio`), and then holds where
+    it stopped.
+    """
+
+    __slots__ = ("region", "through", "paths", "rest", "source", "near", "state", "_base")
+
+    def __init__(self, g, k, region, va):
         self.region = region
-        self.paths = paths
-        self.near = near
-        self.state = None
+        self.through = [p for p in _walk_capped(g, k, _ball(g, va, k - 1)) if not va.isdisjoint(p)]
+        self.paths, self.rest = [], []
+        alive = _flags(g)
+        for v in va:
+            alive[v] = 0
+        self.source = self._pull(_walk(g, k, alive), DEFAULT_PATH_CAP - len(self.through), k)
+        self.near = self.state = self._base = None
+
+    def _pull(self, walk, room, k):
+        far, rest, region = self.paths, self.rest, self.region
+        for p in itertools.islice(walk, room):
+            if region.isdisjoint(p):
+                far.append(p)
+                yield p
+            else:
+                rest.append(p)
+        if next(walk, None) is not None:
+            raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {k}-paths")
+        self.near = sorted(self.through + rest)
+
+    @property
+    def base(self):
+        if self._base is None:
+            for _ in self.source:  # pulls the paths that are left
+                pass
+            self._base = sorted(self.paths + self.near)
+        return self._base
 
 
 class PathIndex:
@@ -156,27 +254,45 @@ class PathIndex:
     the path cap applies; a smaller alive set comes only from `avoiding`.
     Vertex set questions (`covers`, `avoiding`) are answered from the
     paths. `avoiding(s)` returns the index of g[alive - s] without a new
-    walk or a filter: the part shares the enumerated list (`base`) and
-    records the vertices it drops (`removed`), and `paths`, the paths of
-    `base` that avoid `removed`, is built on each read. A pass that walks
-    `base` and skips the paths meeting `removed` sees the same sequence, so
-    it can filter as it goes and stop early.
+    walk or a filter: the part shares the path list (`base`) and records
+    the vertices it drops (`removed`), and `paths`, the paths of `base`
+    that avoid `removed`, is built on each read. A pass that walks `base`
+    and skips the paths meeting `removed` sees the same sequence, so it can
+    filter as it goes and stop early.
 
-    `region_last(r)` is the same index with its paths also split by r into
-    `far` (a `FarPaths`): the far paths, which avoid r, and the near ones.
-    A part keeps far while its removed set lies inside r, as it then keeps
-    every far path, and the local-ratio pass on it takes the far paths
-    first (`solvers._local_ratio`). Every other index has far None.
+    `PathIndex.region_last(g, k, region, va)` indexes g without enumerating
+    it: its paths are split by region into a `FarPaths`, far, walked only
+    as far as they are read, and base is built on first read. A part keeps
+    far while its removed set lies inside region, as it then keeps every
+    far path, and the local-ratio pass on it takes the far paths first
+    (`solvers._local_ratio`). Every other index has far None.
     """
 
-    __slots__ = ("g", "k", "base", "removed", "far")
+    __slots__ = ("g", "k", "removed", "far", "_base")
 
     def __init__(self, g: Graph, k):
-        self.g = g
-        self.k = k
-        self.base = enumerate_k_paths(g, k)
-        self.removed = frozenset()
-        self.far = None
+        self.g, self.k, self.removed, self.far = g, k, frozenset(), None
+        self._base = enumerate_k_paths(g, k)
+
+    @classmethod
+    def region_last(cls, g: Graph, k, region, va):
+        """The index of all of g with far, its paths split by region | va, a
+        vertex set of g (`FarPaths`). Only the ball around va is walked
+        here."""
+        if k < 2:
+            raise ValueError("k must be at least 2")
+        va = frozenset(va)
+        region = frozenset(region) | va
+        g._check_subset(region)
+        ix = object.__new__(cls)
+        ix.g, ix.k, ix.removed, ix._base = g, k, frozenset(), None
+        ix.far = FarPaths(g, k, region, va)
+        return ix
+
+    @property
+    def base(self):
+        """Every k-path of g in the walker's order."""
+        return self.far.base if self._base is None else self._base
 
     @property
     def alive(self):
@@ -191,16 +307,21 @@ class PathIndex:
             return self.base
         return list(filter(self.removed.isdisjoint, self.base))
 
-    def _vertex_set(self, s):
+    def covers(self, s):
+        """True iff the vertex set s meets every path: no path avoids both
+        removed and s. With every path walked, one read of them, so a part
+        builds no path list for it; on a region-last index whose walk has
+        not ended, the no-path verdict on g[alive - s], which reads none of
+        them (`covers_all_k_paths`)."""
         s = frozenset(s)
         self.g._check_subset(s)
-        return s
-
-    def covers(self, s):
-        """True iff the vertex set s meets every path: no path of base
-        avoids both removed and s. One read of base, so a part builds no
-        path list for it."""
-        return not any(map((self.removed | self._vertex_set(s)).isdisjoint, self.base))
+        gone = self.removed | s
+        far = self.far
+        if far is None:
+            return not any(map(gone.isdisjoint, self.base))
+        if far.near is None:
+            return covers_all_k_paths(self.g, gone, self.k)
+        return not any(map(gone.isdisjoint, itertools.chain(far.paths, far.near)))
 
     def avoiding(self, s):
         """The index of g[alive - s]; its paths are filtered on each read.
@@ -210,35 +331,23 @@ class PathIndex:
         if far is None:
             self.g._check_subset(s)
         sub = object.__new__(PathIndex)
-        sub.g = self.g
-        sub.k = self.k
-        sub.base = self.base
-        sub.removed = self.removed | s
-        sub.far = far
+        sub.g, sub.k, sub.removed, sub.far = self.g, self.k, self.removed | s, far
+        sub._base = self._base if far is not None else self.base
         return sub
-
-    def region_last(self, region):
-        """This index with its paths split by region, a vertex set of g, into
-        far and near ones (`FarPaths`), in one pass over paths."""
-        region = self._vertex_set(region)
-        far, near = [], []
-        for p in self.paths:
-            (far if region.isdisjoint(p) else near).append(p)
-        ix = self.avoiding(())
-        ix.far = FarPaths(region, far, near)
-        return ix
 
 
 def has_k_path(g: Graph, k, alive=None) -> bool:
-    """True iff the walker finds a path of order k in g[alive] (all of g when
-    alive is None). alive is read once, and checked before the walk."""
+    """True iff g[alive] (all of g when alive is None) has a path of order
+    k: the component verdict (`_has_path`). alive is read once, and checked
+    before the BFS."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return next(_walk(g, k, _flags(g, alive)), None) is not None
+    return _has_path(g, k, _flags(g, alive))
 
 
 def covers_all_k_paths(g: Graph, s, k) -> bool:
-    """True iff removing s leaves no path of order k."""
+    """True iff removing s leaves no path of order k: the component verdict
+    (`_has_path`) on g - s."""
     if k < 2:
         raise ValueError("k must be at least 2")
     s = frozenset(s)
@@ -246,7 +355,7 @@ def covers_all_k_paths(g: Graph, s, k) -> bool:
     alive = _flags(g)
     for v in s:
         alive[v] = 0
-    return next(_walk(g, k, alive), None) is None
+    return not _has_path(g, k, alive)
 
 
 def find_k_path(g: Graph, k):

@@ -27,7 +27,7 @@ from .graph import (
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import PathIndex, _walk_capped, covers_all_k_paths, has_k_path
+from .kpaths import PathIndex, _ball, _walk_capped, covers_all_k_paths, has_k_path
 from .solvers import (
     ApproxOracle,
     CoverSolution,
@@ -129,40 +129,50 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     touching the inserted vertices (and one member inside an optimum), the
     result is within (2 - 1/rho) of optimal.
 
-    The k-paths of g_new are enumerated once, into a PathIndex split
-    region-last by R = va plus every member into the far paths, which
-    avoid R, and the near ones. Each member F must meet every k-path
-    through va (the family contract), the near paths that meet va, so
-    old_opt + F covers g_new, and so does F plus any cover of the rest.
-    The oracle gets index.avoiding(va | F), the paths of g_new[V_old - F]
-    in g_new's ids, and below = min(w(old_opt + F), best so far) - w(F).
-    The part filters its paths only when something reads them, so an
-    oracle that needs only part.alive (greedy) or walks the shared list
-    (local ratio) pays no filter. va | F lies in R, so
-    every part keeps all the far paths, and the local-ratio pass over them
-    runs once for the whole family; each member's pass walks only the near
-    paths (`solvers._local_ratio`). A member the bound settles (None) keeps
-    old_opt + F and has no oracle output to check; any other cover must lie
-    in V_old - F and meet every path of its part. The winner's feasible
-    flag is a scan of the index, not a new walk of g_new.
+    The k-paths of g_new are indexed region-last by R = va plus every
+    member (`PathIndex.region_last`), and walked only as far as something
+    reads them. Each member F must meet every k-path through va (the family
+    contract), which the index walks at once, in the ball of vertices
+    within distance k - 1 of va; so old_opt + F covers g_new, and so does
+    F plus any cover of the rest. The oracle gets index.avoiding(va | F),
+    the paths of g_new[V_old - F] in g_new's ids, and below =
+    min(w(old_opt + F), best so far) - w(F); one loop over F sums w(F) and
+    w(F & old_opt), and w(old_opt + F) = w(old_opt) + w(F) - w(F & old_opt).
+    va | F lies in R, so every part keeps all the far paths, which avoid R,
+    and the local-ratio pass over them is shared by the whole family. It
+    pulls far paths from one walk of g_new - va only until the member's
+    bound is reached; a member whose bound the far paths do not reach ends
+    them, which ends that walk, and its pass then takes the near paths,
+    which meet R (`solvers._local_ratio`). The exact oracle reads every
+    path, and greedy, which needs only part.alive, none past those of the
+    ball. A member the bound settles (None) keeps old_opt + F and has no
+    oracle output to check; any other cover must lie in V_old - F and meet
+    every path of its part. The winner's feasible flag is a scan of the
+    index when its paths are all walked, and else the no-path verdict on
+    g_new - cover.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
     g = inst.g_new
     k = inst.k
     va = inst.added_ids()
-    index = PathIndex(g, k).region_last(va.union(*family.members))
-    va_paths = [p for p in index.far.near if not va.isdisjoint(p)]
+    index = PathIndex.region_last(g, k, va.union(*family.members), va)
+    va_paths = index.far.through
     old = inst.old_opt.vertices
     w_old = g.weight_of(old)
+    weights = g.weights
     best = None  # (weight, index, base, member): the cover is base | member
     for i, f in enumerate(family.members):
         if any(map(f.isdisjoint, va_paths)):
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
             )
-        cand = (w_old + g.weight_of(f - old), i, old, f)
-        w_f = g.weight_of(f)
+        w_f = w_both = 0  # w(F), and w(F & old_opt), which old_opt + F counts once
+        for v in f:
+            w_f += weights[v - 1]
+            if v in old:
+                w_both += weights[v - 1]
+        cand = (w_old + w_f - w_both, i, old, f)
         part = index.avoiding(va | f)
         below = min(cand, best or cand)[0] - w_f
         sub_sol = oracle.solve(g, k, index=part, below=below)
@@ -315,10 +325,7 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
     # always holds the whole root set; never cap below |va|
     b = max(level_bound(len(va), delta, k), len(va)) if va else 0
     stop_level = k if cap_mode == "corrected" else k - 1
-    ball, ring = set(va), va
-    for _ in range(stop_level - 2):
-        ring = neighbors_of_set(g_new, ring) - ball
-        ball |= ring
+    ball = _ball(g_new, va, stop_level - 2)
     near = {v: [] for v in ball}  # the k-paths of g[ball] through each vertex
     for p in _walk_capped(g_new, k, ball):
         for v in p:

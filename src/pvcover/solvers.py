@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import length_hint
 from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
@@ -101,17 +102,22 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     optimum, being canonical, is the same.
 
     The search reads the index's paths once, and builds from that list one
-    vertex bitmask per path (bit v-1 for vertex v), which only it reads.
-    EXACT_SIZE_LIMIT bounds the search: one mask per path, and one count
-    per node, which is not stored. Up to that many alive vertices there are
-    at most 2^EXACT_SIZE_LIMIT nodes. A larger call gets the same budget of
-    one-word masks, each mask of ceil(g.n / EXACT_SIZE_LIMIT) words: it
-    counts the paths that avoid index.removed and raises SizeLimitExceeded,
-    before it reads the path list or builds any mask, if their masks alone
-    pass it, else once one more node would, which bounds the time too. A
-    call whose alive vertices together weigh less than below, and a search
-    deeper than the recursion limit, raise too; the first before the index
-    is built.
+    path bitset per vertex (bit i set iff path i holds it), which only it
+    reads. A node keeps the set of paths its chosen vertices miss as one
+    int, left: a child that takes v keeps left minus v's paths, and the
+    path to branch on is the lowest bit of left.
+
+    EXACT_SIZE_LIMIT bounds the search: the bitsets, and one count per
+    node, which is not stored. Up to that many alive vertices there are at
+    most 2^EXACT_SIZE_LIMIT nodes. A larger call gets the same budget of
+    one-word masks, counting its bitsets as one mask of
+    ceil(g.n / EXACT_SIZE_LIMIT) words per path, as g.n bitsets of one bit
+    per path hold that many bits: it counts the paths that avoid
+    index.removed and raises SizeLimitExceeded, before it reads the path
+    list or builds any bitset, if their masks alone pass it, else once one
+    more node would, which bounds the time too. A call whose alive vertices
+    together weigh less than below, and a search deeper than the recursion
+    limit, raise too; the first before the index is built.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -145,16 +151,18 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         node = itertools.repeat(None, room).__next__  # StopIteration past the budget
     paths = ix.paths
     n_paths = len(paths)
-    # a path's vertices are distinct, so the sum of their bits is their OR
-    bit = [0, *(1 << i for i in range(g.n))].__getitem__
-    masks = [sum(map(bit, p)) for p in paths]
+    # miss[v] clears the bits of the paths through v. Path i is byte
+    # n_paths - 1 - i of a column of b"0"/b"1" per vertex, read as one
+    # base-2 int, so every bitset is built in time linear in the paths.
+    cols = {v: bytearray(b"0") * n_paths for v in set().union(*paths)}
+    for j, p in enumerate(reversed(paths)):
+        for v in p:
+            cols[v][j] = 49  # b"1"
+    miss = {v: ~int(col, 2) for v, col in cols.items()}
 
-    def branch(chosen, mask, out, weight, i):
+    def branch(chosen, left, out, weight):
         node()
-        # chosen contains the parent's set, so paths before i are still hit
-        while i < n_paths and mask & masks[i]:
-            i += 1
-        if i == n_paths:
+        if not left:
             cand = key(chosen, weight)
             if cand < best[0]:
                 best[:] = cand, frozenset(chosen)
@@ -162,16 +170,17 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
         # any completion adds at least one more positive-weight vertex
         if weight >= best[0][0]:
             return
-        for v in paths[i]:
-            b = 1 << (v - 1)
+        # the first path chosen misses: the lowest bit of left
+        for v in paths[(left & -left).bit_length() - 1]:
+            b = 1 << v
             if not out & b:
                 chosen.add(v)
-                branch(chosen, mask | b, out, weight + g.weights[v - 1], i + 1)
+                branch(chosen, left & miss[v], out, weight + g.weights[v - 1])
                 chosen.remove(v)
                 out |= b
 
     try:
-        branch(set(), 0, 0, 0, 0)
+        branch(set(), (1 << n_paths) - 1, 0, 0)
     except RecursionError:
         raise SizeLimitExceeded(f"exact search at n={n} passes the recursion limit") from None
     except StopIteration:
@@ -220,39 +229,54 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     On an index with far paths (`PathIndex.region_last`) the pass takes
     ix.far.paths first, then ix.far.near, each lexicographically. The far
     paths avoid ix.removed, so the pass over them is the same for every
-    part that shares them: it runs once, on the first call, and is kept in
-    ix.far.state. Each call resumes from a copy of that state and walks
-    only the near paths. When the kept cover or Σδ already reaches its
-    bound, the full pass would have stopped there too, so the call returns
-    None at once.
+    part that shares them, and it is kept in ix.far.state: residuals,
+    cover, skip set, weight, Σδ and the number of far paths passed (None
+    once they have ended). A call advances that shared pass only as far as
+    its bounds need, pulling far paths from their walk as it goes; the
+    cover and Σδ only grow, so when the kept ones reach a bound the full
+    pass would have stopped too, and the call returns None. A call whose
+    bounds the far paths do not reach runs them to their end, which walks
+    every other path of g too, and then passes the near paths from a copy
+    of the kept state.
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
-    cover = []
-    skip = set(ix.removed)  # the removed vertices, then the cover
-    weight = total = 0
-    paths = ix.base
     far = ix.far
-    if far is None or far.state is None:  # else the kept state is copied below
+    if far is None:
         residual = [0, *g.weights]  # residual[v] for vertex v
-    if far is not None:
+        cover, weight, total = [], 0, 0
+        paths = ix.base
+    else:
         if far.state is None:
-            far.state = (residual, cover, *_pass(g, far.paths, set(), residual, cover))
-        residual, cover, weight, total = far.state
+            far.state = [[0, *g.weights], [], set(), 0, 0, 0]
+        state = far.state
+        residual, cover, skip, weight, total, passed = state
+        if passed is not None and weight < below and total < dual_below:
+            # far paths another reader pulled since, then the walk's next ones
+            pulled = iter(far.paths[passed:])
+            paths = itertools.chain(pulled, far.source)
+            weight, total = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
+            if weight < below and total < dual_below:
+                passed = None  # the far paths have ended
+            else:
+                passed = len(far.paths) - length_hint(pulled)
+            state[3:] = weight, total, passed
         if weight >= below or total >= dual_below:
             return None
-        residual = residual.copy()
-        cover = cover.copy()
-        skip.update(cover)
-        paths = far.near
-    found = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
-    return None if found is None else (cover, found[1])
+        residual, cover, paths = residual.copy(), cover.copy(), far.near
+    skip = set(ix.removed).union(cover)  # the removed vertices, then the cover
+    weight, total = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
+    if weight >= below or total >= dual_below:
+        return None
+    return cover, total
 
 
-def _pass(g, paths, skip, residual, cover, weight=0, total=0, below=math.inf, dual_below=math.inf):
+def _pass(g, paths, skip, residual, cover, weight, total, below, dual_below):
     """The local-ratio loop of `_local_ratio` over paths, from the given
     state: skip, residual and cover are updated in place. Returns (weight,
-    Σδ), or None once the cover weighs below or Σδ reaches dual_below.
+    Σδ) once paths end, or once the cover weighs below or Σδ reaches
+    dual_below; the path that reached a bound is taken in full, so paths
+    resumes just after it.
 
     Weights are positive, so a vertex reaches residual 0 only on the path
     that joins it to the cover. A path that meets no vertex of skip thus
@@ -264,8 +288,6 @@ def _pass(g, paths, skip, residual, cover, weight=0, total=0, below=math.inf, du
     for p in filter(skip.isdisjoint, paths):
         delta = min(map(residual.__getitem__, p))
         total += delta
-        if total >= dual_below:
-            return None
         zeros = []
         for v in p:
             residual[v] -= delta
@@ -276,8 +298,8 @@ def _pass(g, paths, skip, residual, cover, weight=0, total=0, below=math.inf, du
             skip.add(v)
             cover.append(v)
             weight += g.weights[v - 1]
-        if weight >= below:
-            return None
+        if weight >= below or total >= dual_below:
+            break
     return weight, total
 
 

@@ -52,9 +52,9 @@ def test_solve_algorithms_agree_on_feasibility(graph_file):
         assert out.startswith("s pvc 3 ")
 
 
-def _bench_graph_file(tmp_path, n, seed):
+def _bench_graph_file(tmp_path, n, seed, max_degree=3):
     """A graph drawn like the benchmark's (max degree 3, 1.3 n edges), and its file."""
-    g = gen_graph(GeneratorConfig(n, edge_target=int(1.3 * n), max_degree=3, seed=seed))
+    g = gen_graph(GeneratorConfig(n, edge_target=int(1.3 * n), max_degree=max_degree, seed=seed))
     path = tmp_path / "g.graph"
     path.write_text(write_graph(g))
     return g, str(path)
@@ -141,6 +141,51 @@ def test_wk_local_ratio_stdout_is_unchanged(tmp_path, n, k, c, seed):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == WK_LOCAL_RATIO_STDOUT_SHA256[
         (n, k, c, seed)
+    ]
+
+
+# SHA-256 of `pvc reopt` stdout on the routes the digests above leave open,
+# one per (mode, oracle, n_old, k, c, seed). The desk-like rows (n_old
+# 14-18, max degree 4, an exact old optimum) run w3 and wk with the exact
+# oracle and w3 with local ratio; the mid-like rows (max degree 3, the
+# pruned local-ratio cover as the old solution) run wk with greedy. Recorded
+# before construct_sol stopped enumerating g_new; the rows at k 256 and 300,
+# larger than any path of their graphs, were recorded at the same code.
+REOPT_STDOUT_SHA256 = {
+    ("w3", "local-ratio", 14, 3, 1, 21): "f734cffa4e7aa2e4293ec7428cedf32484289771b696d7f9b0ea8b0f4f1ffd34",
+    ("w3", "local-ratio", 16, 3, 2, 22): "329ca7bb97f1b99aac5d6652e5201cf704aacae97cab7ee0fdd56bea5578f5ba",
+    ("w3", "local-ratio", 18, 3, 3, 23): "cd324e6ab068d0970d958a704066b835cf7ee3b6ac223f9c7732bcf508fc21db",
+    ("w3", "exact", 15, 3, 1, 24): "fe820128f32afc8f8a2b6d6c988517065bc8d7da6967a80afc7fc99045336cd3",
+    ("w3", "exact", 17, 3, 2, 25): "03f23378ae11687c2fa20dd87ed33112824966d78c3160592d8275e0e608f3fd",
+    ("w3", "exact", 18, 3, 3, 26): "331233b5160a14eaa7b35bc2ccfe35999cf4e305e3e4d8a77fa1253be491aefe",
+    ("wk", "exact", 14, 4, 1, 27): "c33c5e7cbb188ba8a8a44f52c3eb12a48415bd7d42487b80834351120b2dc274",
+    ("wk", "exact", 16, 4, 2, 28): "5ca9fb81573b104bcb25f5cd989e3edb4f4277c846c95714052f6c156687cfed",
+    ("wk", "exact", 18, 4, 3, 29): "ee8c3e8aa90b2c6c3e8381043e62986e1ff41c284b60648eb1303fb761d77ce5",
+    ("wk", "local-ratio", 14, 300, 2, 33): "ad601ddac42f16617687e02e62bd3e352e4c8e3ef467972a2fd66b65b6131097",
+    ("wk", "exact", 16, 256, 2, 34): "c406fb8bf1babaec3c49a565d45821b667d3d2b4b5c6d7d2b1e7275f3ed0a535",
+    ("wk", "greedy", 60, 4, 1, 30): "63a0d55cd4c99a010202e2e690ca4df077ce0944ef7c5dc955c9d310419cc2e7",
+    ("wk", "greedy", 100, 5, 2, 31): "14e401639b23bf028374f16f2287cfad9a40f1faa8d054c6d5778170e2439848",
+    ("wk", "greedy", 140, 4, 3, 32): "52c09f920c7152afa152f5475237ca5efec7cf040395cbf5f3ba0365f01101cd",
+}
+
+
+@pytest.mark.parametrize("mode, oracle, n, k, c, seed", sorted(REOPT_STDOUT_SHA256))
+def test_reopt_stdout_is_unchanged(tmp_path, mode, oracle, n, k, c, seed):
+    desk = oracle != "greedy"
+    g, path = _bench_graph_file(tmp_path, n, seed, max_degree=4 if desk else 3)
+    patch = gen_patch(
+        g, c, attach_prob=2.0 / n, internal_prob=0.5, seed=seed, max_degree=4 if desk else 3
+    )
+    ppath = tmp_path / "p.patch"
+    ppath.write_text(write_patch(patch))
+    spath = tmp_path / "s.sol"
+    spath.write_text(write_solution(solve_exact(g, k) if desk else local_ratio_approx(g, k)))
+    argv = ["reopt", "-k", str(k), "--mode", mode, "--oracle", oracle,
+            path, str(ppath), str(spath)]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REOPT_STDOUT_SHA256[
+        (mode, oracle, n, k, c, seed)
     ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from pvcover import (
     has_k_path,
 )
 from pvcover.errors import UnknownVertex
-from pvcover.kpaths import _flags, _walk
+from pvcover.kpaths import _flags, _has_path, _walk
 
 from conftest import brute_covers, perm_k_paths, random_graph, reference_walk
 
@@ -201,3 +202,78 @@ def test_walk_matches_the_set_based_walker_at_benchmark_sizes():
                 got = list(_walk(g, k, flags, after=after))
                 assert got == list(reference_walk(g, k, alive, after=after)), (seed, k, after)
                 assert got == [p for p in want if p > after]
+
+
+def _forest(seed, n):
+    """A random forest on n vertices: each vertex but the first joins an
+    earlier one, or starts a new tree."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(1, v), v) for v in range(2, n + 1) if rng.random() < 0.85]
+    return Graph.build(n, edges)
+
+
+def _seeded_graphs():
+    """Graphs with and without cycles: forests, sparse and denser random ones."""
+    for seed in range(24):
+        n = 6 + seed % 13
+        yield _forest(seed, n)
+        yield random_graph(seed, n, m=n + n // 4, max_degree=3 + seed % 2)
+        yield random_graph(seed, n, m=2 * n)
+
+
+def test_component_verdict_matches_the_walker():
+    # alive sets from empty to full, on graphs with and without cycles
+    cases = 0
+    for i, g in enumerate(_seeded_graphs()):
+        rng = random.Random(i)
+        order = list(g.vertices())
+        rng.shuffle(order)
+        for k in range(2, 7):
+            for size in range(0, g.n + 1, max(1, g.n // 5)):
+                alive = order[:size]
+                want = next(reference_walk(g, k, alive), None) is not None
+                assert _has_path(g, k, _flags(g, alive)) == want, (i, k, alive)
+                assert has_k_path(g, k, alive=alive) == want
+                removed = frozenset(g.vertices()) - frozenset(alive)
+                assert covers_all_k_paths(g, removed, k) == (not want)
+                cases += 1
+    assert cases > 2000
+
+
+def test_no_path_verdict_on_the_double_star_is_fast():
+    # removing one center leaves a star: a tree whose longest path has 3
+    # vertices, which the walker proves only by stepping from every leaf
+    leaves = 3200
+    edges = [(1, 2)] + [(c, 3 + i + (c - 1) * leaves) for c in (1, 2) for i in range(leaves)]
+    g = Graph.build(2 + 2 * leaves, edges)
+    start = time.perf_counter()
+    assert covers_all_k_paths(g, {1}, 4)
+    assert time.perf_counter() - start < 0.1
+    assert not covers_all_k_paths(g, set(), 4)
+
+
+def test_region_last_index_matches_an_eager_split():
+    # the lazy index gives the lists of an eager split of the whole index,
+    # and the same covers verdicts before and after its paths are walked
+    for i, g in enumerate(_seeded_graphs()):
+        rng = random.Random(i)
+        for k in (3, 4, 5, 6):
+            whole = PathIndex(g, k)
+            va = frozenset(rng.sample(range(1, g.n + 1), 2))
+            region = va | frozenset(v for v in g.vertices() if rng.random() < 0.3)
+            covers = [frozenset(v for v in g.vertices() if rng.random() < p) for p in (0.3, 0.6)]
+            drop = frozenset(v for v in region if rng.random() < 0.5)
+            lazy = PathIndex.region_last(g, k, region, va)
+            part = lazy.avoiding(drop)
+            assert part.far is lazy.far
+            verdicts = [ix.covers(s) for ix in (lazy, part) for s in covers]
+            far = lazy.far
+            assert far.paths == far.rest == [] and far.near is None
+            assert far.through == [p for p in whole.base if not va.isdisjoint(p)]
+            assert lazy.base == whole.base
+            assert far.near == [p for p in whole.base if not region.isdisjoint(p)]
+            assert far.paths == [p for p in whole.base if region.isdisjoint(p)]
+            assert part.paths == whole.avoiding(drop).paths
+            assert verdicts == [ix.covers(s) for ix in (lazy, part) for s in covers]
+            eager = (whole, whole.avoiding(drop))
+            assert verdicts == [ix.covers(s) for ix in eager for s in covers]

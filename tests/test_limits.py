@@ -14,16 +14,20 @@ import pvcover.kpaths
 import pvcover.reopt
 import pvcover.solvers
 from pvcover import (
+    ApproxOracle,
     Graph,
     InsertionPatch,
     PathIndex,
     ReoptInstance,
     apply_patch,
     construct_f,
+    construct_sol,
     enumerate_k_paths,
     gen_patch,
     good_family_3pvcp,
+    local_ratio_approx,
     make_solution,
+    oracle_registry,
     ptas_unweighted,
     solve_exact,
 )
@@ -51,6 +55,38 @@ def _ptas(c):
     return ptas_unweighted(inst, 1.0)
 
 
+def _mid_instance():
+    """A wtd_kpath instance at k = 4, n_new 100, and its 52-member family.
+    g_new has 384 4-paths, 12 of them through the inserted vertices, which
+    come from the 14 paths of the ball around them; the bounded local-ratio
+    pass settles every member after 203 far paths, by then having pulled
+    278 paths from the walk of g_new - va."""
+    g_old = random_graph(10, 98, m=122, max_degree=3)
+    patch = gen_patch(g_old, 2, attach_prob=2.0 / 98, internal_prob=0.4, seed=11, max_degree=3)
+    inst = ReoptInstance.create(g_old, patch, local_ratio_approx(g_old, 4), 4)
+    return inst, construct_f(inst.g_new, inst.added_ids(), 4)
+
+
+MID, MID_FAMILY = _mid_instance()
+ORACLES = oracle_registry()
+# the local-ratio oracle without its bound, whose pass reads every path
+UNBOUNDED = ApproxOracle(
+    "unbounded",
+    lambda g, k, index=None, below=None: ORACLES["local-ratio"].solve(g, k, index=index),
+)
+
+
+def _mid_cover(oracle):
+    return construct_sol(MID, MID_FAMILY, oracle).vertices
+
+
+MID_COVERS = {name: _mid_cover(ORACLES[name]) for name in ("local-ratio", "greedy")}
+
+
+def _path(n):
+    return Graph.build(n, [(v, v + 1) for v in range(1, n)])
+
+
 LIMITS = [
     pytest.param(
         pvcover.kpaths, "DEFAULT_PATH_CAP", 1, LimitExceeded,
@@ -65,15 +101,39 @@ LIMITS = [
         id="DEFAULT_PATH_CAP-PathIndex",
     ),
     pytest.param(
+        # the bounded pass stops at 12 + 278 walked paths; the unbounded one reads all 384
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 290, LimitExceeded,
+        lambda: _mid_cover(UNBOUNDED),
+        lambda: _mid_cover(ORACLES["local-ratio"]) == MID_COVERS["local-ratio"],
+        id="DEFAULT_PATH_CAP-construct_sol",
+    ),
+    pytest.param(
+        # greedy reads only each part's vertex set: no path but the 14 of
+        # the ball around the inserted vertices is walked
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 14, LimitExceeded,
+        lambda: _mid_cover(ORACLES["local-ratio"]),
+        lambda: _mid_cover(ORACLES["greedy"]) == MID_COVERS["greedy"],
+        id="DEFAULT_PATH_CAP-construct_sol-greedy",
+    ),
+    pytest.param(
         pvcover.solvers, "EXACT_SIZE_LIMIT", 9, SizeLimitExceeded,
         lambda: solve_exact(random_graph(0, 10), 3),
         lambda: solve_exact(random_graph(0, 9), 3).feasible,
         id="EXACT_SIZE_LIMIT-solve_exact",
     ),
     pytest.param(
+        # 2^4 words: the 9-path at k = 4 has 6 paths, whose bitsets, 9 of 6
+        # bits, count as 6 masks of 3 words and pass it before any node;
+        # the 5-path at k = 5 has 1 mask of 2 words and visits 6 nodes
+        pvcover.solvers, "EXACT_SIZE_LIMIT", 4, SizeLimitExceeded,
+        lambda: solve_exact(_path(9), 4, below=9),
+        lambda: solve_exact(_path(5), 5, below=5).vertices == {1},
+        id="EXACT_SIZE_LIMIT-solve_exact-bitsets",
+    ),
+    pytest.param(
         # c = 1 asks for a cover of 1 vertex on n = 4 > 3: the search visits
-        # 4 nodes, which with the 1 path, each a mask of 2 words, pass 2^3
-        # words; c = 0 has n = 3
+        # 4 nodes, which with the 1 path's bits, each counted as a mask of 2
+        # words, pass 2^3 words; c = 0 has n = 3
         pvcover.solvers, "EXACT_SIZE_LIMIT", 3, SizeLimitExceeded,
         lambda: _ptas(1),
         lambda: _ptas(0).vertices == {2},

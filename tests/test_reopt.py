@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvcover.kpaths
 import pvcover.reopt
 import pvcover.solvers
 from pvcover import (
@@ -301,37 +302,56 @@ def test_construct_sol_matches_a_region_last_reference():
 
 
 def test_construct_sol_walks_the_far_paths_once(monkeypatch):
-    # the local-ratio pass over the paths that avoid every member runs once
-    # per construct_sol call, and each member's pass walks only the others
-    inst = mid_reopt_instance(0, n_new=100, k=4, c=2)
+    # the local-ratio pass over the paths that avoid every member is shared
+    # by the family and pulled only as far as the members' bounds read it:
+    # here it stops before the last far path, so no near path is passed.
+    # The paths through va come from a walk of the ball around va, so the
+    # only paths walked twice are those of that ball that avoid va
+    inst = mid_reopt_instance(10, n_new=100, k=4, c=2)
     family = construct_f(inst.g_new, inst.added_ids(), 4)
     assert len(family) >= 50
-    region = inst.added_ids().union(*family.members)
+    va = inst.added_ids()
+    region = va.union(*family.members)
     paths = PathIndex(inst.g_new, 4).paths
-    n_near = sum(not region.isdisjoint(p) for p in paths)
-    n_far = len(paths) - n_near
-    assert n_far > n_near > 0
-    walks = []  # [far paths, near paths] handed to each pass
+    far = [p for p in paths if region.isdisjoint(p)]
+    assert len(far) > len(paths) - len(far) > 0
+    passed = []  # (far paths, near paths) handed to each pass
     real_pass = pvcover.solvers._pass
 
     def counting_pass(g, paths, *args, **kwargs):
-        walked = [0, 0]
-        walks.append(walked)
+        split = ([], [])
+        passed.append(split)
 
         def counted():
             for p in paths:
-                walked[not region.isdisjoint(p)] += 1
+                split[not region.isdisjoint(p)].append(p)
                 yield p
 
         return real_pass(g, counted(), *args, **kwargs)
 
-    want = construct_sol(inst, family, LOCAL_RATIO)
+    want = subgraph_construct_sol(inst, family, LOCAL_RATIO)
+    walks = []  # the paths each walk of g_new yields
+    real_walk = pvcover.kpaths._walk
+
+    def spy(*args, **kwargs):
+        walked = []
+        walks.append(walked)
+        for p in real_walk(*args, **kwargs):
+            walked.append(p)
+            yield p
+
+    monkeypatch.setattr(pvcover.kpaths, "_walk", spy)
     monkeypatch.setattr(pvcover.solvers, "_pass", counting_pass)
     got = construct_sol(inst, family, LOCAL_RATIO)
-    assert (got.vertices, got.weight) == (want.vertices, want.weight)
-    assert len(walks) <= len(family) + 1
-    assert [w for w in walks if w[0]] == [[n_far, 0]]
-    assert all(near <= n_near for _, near in walks)
+    assert got.vertices == want and got.feasible
+    ball, rest = walks  # the walk of the ball around va, then that of g_new - va
+    assert ball and all(va.isdisjoint(p) for p in rest)
+    twice = sorted(set(ball) & set(rest))
+    assert twice == [p for p in ball if va.isdisjoint(p)]
+    assert len(ball) + len(rest) - len(twice) < len(paths)
+    far_passed = [p for fars, _ in passed for p in fars]
+    assert [] < far_passed == far[: len(far_passed)] < far
+    assert not any(near for _, near in passed)
 
 
 @settings(max_examples=80)

@@ -252,10 +252,11 @@ def test_local_ratio_pass_matches_the_reference_loop():
     # from the shared far pass, the others walk base
     stopped = {"below": 0, "dual_below": 0}
 
-    def answers(g, ix):
+    def answers(g, ix, split=None):
+        # split: the whole index's far-then-near list, for the parts that keep far
         ref = ix
         if ix.far is not None:
-            ref = SimpleNamespace(base=ix.far.paths + ix.far.near, removed=ix.removed)
+            ref = SimpleNamespace(base=split, removed=ix.removed)
         full = reference_local_ratio(g, ref)
         got = [pvcover.solvers._local_ratio(g, ix)]
         assert got[0] == full
@@ -292,12 +293,38 @@ def test_local_ratio_pass_matches_the_reference_loop():
             whole = PathIndex(g, k)
             for ix in (whole, whole.avoiding(set(g.vertices()) - part)):
                 answers(g, ix)
-            forward = [answers(g, ix) for ix in parts(whole.region_last(region))]
-            # the far state is shared, never changed: any call order agrees
-            backward = [answers(g, ix) for ix in reversed(parts(whole.region_last(region)))]
+            split = sorted(whole.base, key=lambda p: not region.isdisjoint(p))
+            va = frozenset(sorted(region)[:1])
+            index = PathIndex.region_last(g, k, region, va)
+            forward = [answers(g, ix, split) for ix in parts(index)]
+            # the far pass is shared and only ever resumed: any call order agrees
+            index = PathIndex.region_last(g, k, region, va)
+            backward = [answers(g, ix, split) for ix in reversed(parts(index))]
             assert backward[::-1] == forward
     # the bounds cut many passes after they began
     assert min(stopped.values()) > 100
+
+
+def test_far_pass_resumes_where_it_stopped_after_the_far_paths_are_pulled():
+    # a bound stops the shared far pass partway; reading base then pulls the
+    # far paths that are left, and the next call resumes just after the
+    # last path passed: the full far-then-near pass, as the reference gives
+    resumed = 0
+    for seed in range(20):
+        n = 12 + seed % 15
+        g = random_graph(seed, n, m=n + n // 3, max_degree=3 + seed % 2)
+        region = frozenset(v for v in g.vertices() if (v * 7 + seed) % 5 == 0)
+        for k in (3, 4, 5):
+            split = sorted(PathIndex(g, k).base, key=lambda p: not region.isdisjoint(p))
+            full = reference_local_ratio(g, SimpleNamespace(base=split, removed=frozenset()))
+            ix = PathIndex.region_last(g, k, region, ())
+            if full[1] > 1:
+                assert pvcover.solvers._local_ratio(g, ix, dual_below=full[1] // 2) is None
+            assert ix.base == sorted(split)
+            passed = ix.far.state and ix.far.state[5]
+            resumed += passed is not None and passed < len(ix.far.paths)
+            assert pvcover.solvers._local_ratio(g, ix) == full
+    assert resumed > 20
 
 
 def test_optimum_subset_removal_monotonicity():
@@ -399,6 +426,34 @@ def reference_solve_exact(g, k, index, below=math.inf):
     return best[1], g.weight_of(best[1]), index.covers(best[1])
 
 
+def test_exact_search_visits_the_nodes_of_the_mask_search():
+    # the search over per-vertex path bitsets branches as the search over
+    # per-path vertex masks did: on these seeded calls both visit 30,887
+    # nodes, counted as calls of branch
+    nodes = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "branch":
+            nodes.append(code.co_filename == pvcover.solvers.__file__)
+
+    calls = []
+    for seed in range(16):
+        n = 14 + seed % 8
+        shape = random_graph(seed, n, m=n + n // 3, max_degree=4)
+        g = Graph.build(n, shape.edges(), weights=[1 + (v * 7 + seed) % 5 for v in range(n)])
+        for k in (3, 4, 5):
+            whole = PathIndex(g, k)
+            calls += [(g, k, whole), (g, k, whole.avoiding({1 + seed % n}))]
+    sys.setprofile(count)
+    try:
+        for g, k, index in calls:
+            solve_exact(g, k, index=index)
+    finally:
+        sys.setprofile(None)
+    assert len(nodes) == sum(nodes) == 30887
+
+
 @st.composite
 def exact_instances(draw):
     """A graph on 4-14 vertices with weights 1-4, so that optima tie on
@@ -420,7 +475,8 @@ def exact_instances(draw):
         return g, whole.avoiding(removed)
     region = removed | draw(st.frozensets(st.integers(1, n), max_size=n // 2))
     inside = draw(st.booleans())
-    return g, whole.region_last(region).avoiding(removed if inside else removed | {1, n})
+    index = PathIndex.region_last(g, k, region, ())
+    return g, index.avoiding(removed if inside else removed | {1, n})
 
 
 @settings(max_examples=400)
