@@ -5,13 +5,16 @@ adjacent, in canonical orientation: first endpoint < last endpoint. One
 iterative depth-first walker, `_walk`, yields the k-paths of g[alive] in
 lexicographic order without building that subgraph. It takes the alive set
 as a bytearray of g.n + 1 flags (`_flags`), which it copies once and then
-reads and writes by index as vertices join and leave the current path;
-greedy keeps its remaining vertices in such flags, clears one per round and
-resumes the walk just after its last path (`_walk(after=)`).
+reads and writes by index as vertices join and leave the current path.
+Greedy, and the local-ratio pass over a region-last index's far paths,
+keep their vertices in such flags, clear those that join the cover, and
+resume the walk just after the last path (`_walk(after=)`), so every path
+the walk yields is one they take.
 `enumerate_k_paths` and the walks of a ball around the inserted vertices
 (`_ball`; `construct_f`'s and `FarPaths`') take their lists from
-`_walk_capped`, which holds the one path cap; `find_k_path(g, k)` is the
-walker's first path.
+`_walk_capped`, which holds the one path cap, and `FarPaths` counts its
+other walks against the same cap; `find_k_path(g, k)` is the walker's
+first path.
 
 Whether g[alive] has a k-path at all is decided one component at a time
 (`_has_path`): a component of fewer than k vertices has none, a tree has
@@ -27,9 +30,13 @@ that keeps the path list and the removed set, and filters it on each read
 of its paths. The filter keeps the walker's order, so a part equals a fresh
 enumeration of that subgraph. `PathIndex.region_last(g, k, r, va)` splits
 the paths by r instead (`FarPaths`) and walks them only as far as they are
-read: those through va at once, from a walk of the ball around va, and the
-others from one walk of g - va, pulled as the paths that avoid r are read;
-the parts removing vertices of r share them.
+read: those through va at once, from a walk of the ball around va; the far
+ones, which avoid r, only as the local-ratio pass takes them; and every
+path, for a read of the whole list, from one walk of g - va. The parts
+removing vertices of r share them. `_vertex_bits` gives each vertex the
+bitset of the paths of a list that hold it: branch and bound reads those
+of its part's paths, and the family property 2 checks those of the paths
+through va.
 """
 
 from __future__ import annotations
@@ -53,6 +60,14 @@ def _flags(g: Graph, alive=None):
         g._check_vertex(v)
         flags[v] = 1
     return flags
+
+
+def _without(g: Graph, s):
+    """The walker's alive set of g - s, s a vertex set of g."""
+    alive = _flags(g)
+    for v in s:
+        alive[v] = 0
+    return alive
 
 
 def _walk(g: Graph, k, alive, after=None):
@@ -182,6 +197,18 @@ def _walk_capped(g: Graph, k, alive=None):
     return found
 
 
+def _vertex_bits(paths):
+    """{v: the int whose bit i is set iff paths[i] holds v}, for each vertex
+    v on the paths. Path i is byte len(paths) - 1 - i of a column of
+    b"0"/b"1" per vertex, read as one base-2 int, so every bitset is built
+    in time linear in the paths (`|=` per path would be quadratic)."""
+    cols = {v: bytearray(b"0") * len(paths) for v in set().union(*paths)}
+    for j, p in enumerate(reversed(paths)):
+        for v in p:
+            cols[v][j] = 49  # b"1"
+    return {v: int(col, 2) for v, col in cols.items()}
+
+
 def _ball(g: Graph, s, radius):
     """The set of vertices within distance radius of the vertex set s."""
     ball, ring = set(s), s
@@ -194,56 +221,57 @@ def _ball(g: Graph, s, radius):
 class FarPaths:
     """The k-paths of g split by region, a vertex set that holds va, and
     walked only as far as they are read. Every part that removes only
-    vertices of region keeps all the far paths and shares this object.
+    vertices of region keeps all the far paths, which avoid region, and
+    shares this object.
 
     - `through`: the paths that meet va, walked at once: the paths of the
       ball of vertices within distance k - 1 of va that meet va.
-    - `paths`: the far paths, which avoid region, in the walker's order.
-      They come from one `_walk` of g - va, pulled a path at a time through
-      `source` as the local-ratio pass reads them; the paths of that walk
-      that meet region are kept in `rest`.
-    - `near`: None until that walk ends, and then the paths that meet
-      region, through and rest merged into the walker's order.
-    - `base`: near and the far paths merged into the walker's order, built
-      on first read, after pulling the paths that are left.
+    - `walk`: the far paths that the shared local-ratio pass takes
+      (`solvers._local_ratio`), in the walker's order. Each is the walker's
+      first k-path of g[alive] after the one before (`_walk(after=)`), and
+      alive, g - region at first, loses each vertex that joins the pass's
+      cover, so the walk yields no path that the pass would skip.
+    - `base`: every path of g: one walk of g - va merged with through, on
+      first read.
+    - `near`: None until the far pass ends, and then the paths of base that
+      avoid its cover. Every far path then meets that cover, so these all
+      meet region; a near pass would skip the others.
 
-    Only the ball's paths that avoid va are walked twice. The ball's paths,
-    and through with the paths pulled from the walk of g - va, count
-    against DEFAULT_PATH_CAP. state is None until the local-ratio pass over
-    the far paths first runs (`solvers._local_ratio`), and then holds where
-    it stopped.
+    state is None until the far pass first runs, and then holds where it
+    stopped. through, the far paths walked and the walk of base count
+    against DEFAULT_PATH_CAP; the ball's paths count on their own.
     """
 
-    __slots__ = ("region", "through", "paths", "rest", "source", "near", "state", "_base")
+    __slots__ = ("g", "k", "va", "region", "through", "alive", "walk", "near", "state", "room",
+                 "_base")
 
     def __init__(self, g, k, region, va):
-        self.region = region
+        self.g, self.k, self.va, self.region = g, k, va, region
         self.through = [p for p in _walk_capped(g, k, _ball(g, va, k - 1)) if not va.isdisjoint(p)]
-        self.paths, self.rest = [], []
-        alive = _flags(g)
-        for v in va:
-            alive[v] = 0
-        self.source = self._pull(_walk(g, k, alive), DEFAULT_PATH_CAP - len(self.through), k)
+        self.room = DEFAULT_PATH_CAP - len(self.through)
+        self.alive = _without(g, region)
+        self.walk = self._walk_far()
         self.near = self.state = self._base = None
 
-    def _pull(self, walk, room, k):
-        far, rest, region = self.paths, self.rest, self.region
-        for p in itertools.islice(walk, room):
-            if region.isdisjoint(p):
-                far.append(p)
-                yield p
-            else:
-                rest.append(p)
-        if next(walk, None) is not None:
-            raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {k}-paths")
-        self.near = sorted(self.through + rest)
+    def _spend(self, n):
+        """Count n more walked paths against the path cap."""
+        if n > self.room:
+            raise LimitExceeded(f"more than {DEFAULT_PATH_CAP} {self.k}-paths")
+        self.room -= n
+
+    def _walk_far(self):
+        p = None
+        while (p := next(_walk(self.g, self.k, self.alive, after=p), None)) is not None:
+            self._spend(1)
+            yield p
 
     @property
     def base(self):
         if self._base is None:
-            for _ in self.source:  # pulls the paths that are left
-                pass
-            self._base = sorted(self.paths + self.near)
+            walk = _walk(self.g, self.k, _without(self.g, self.va))
+            rest = list(itertools.islice(walk, self.room + 1))
+            self._spend(len(rest))
+            self._base = sorted(self.through + rest)
         return self._base
 
 
@@ -262,10 +290,12 @@ class PathIndex:
 
     `PathIndex.region_last(g, k, region, va)` indexes g without enumerating
     it: its paths are split by region into a `FarPaths`, far, walked only
-    as far as they are read, and base is built on first read. A part keeps
-    far while its removed set lies inside region, as it then keeps every
-    far path, and the local-ratio pass on it takes the far paths first
-    (`solvers._local_ratio`). Every other index has far None.
+    as far as they are read, and base, one walk of g - va merged with the
+    paths through va, is built on first read; until then `covers` answers
+    by the component verdict. A part keeps far while its removed set lies
+    inside region, as it then keeps every far path, and the local-ratio
+    pass on it takes the far paths first (`solvers._local_ratio`). Every
+    other index has far None.
     """
 
     __slots__ = ("g", "k", "removed", "far", "_base")
@@ -309,19 +339,16 @@ class PathIndex:
 
     def covers(self, s):
         """True iff the vertex set s meets every path: no path avoids both
-        removed and s. With every path walked, one read of them, so a part
-        builds no path list for it; on a region-last index whose walk has
-        not ended, the no-path verdict on g[alive - s], which reads none of
-        them (`covers_all_k_paths`)."""
+        removed and s. With base built, one read of it, so a part builds no
+        path list for it; on a region-last index whose base is not built,
+        the no-path verdict on g[alive - s], which reads no path
+        (`covers_all_k_paths`)."""
         s = frozenset(s)
         self.g._check_subset(s)
         gone = self.removed | s
-        far = self.far
-        if far is None:
-            return not any(map(gone.isdisjoint, self.base))
-        if far.near is None:
+        if self.far is not None and self.far._base is None:
             return covers_all_k_paths(self.g, gone, self.k)
-        return not any(map(gone.isdisjoint, itertools.chain(far.paths, far.near)))
+        return not any(map(gone.isdisjoint, self.base))
 
     def avoiding(self, s):
         """The index of g[alive - s]; its paths are filtered on each read.
@@ -352,10 +379,7 @@ def covers_all_k_paths(g: Graph, s, k) -> bool:
         raise ValueError("k must be at least 2")
     s = frozenset(s)
     g._check_subset(s)
-    alive = _flags(g)
-    for v in s:
-        alive[v] = 0
-    return not _has_path(g, k, alive)
+    return not _has_path(g, k, _without(g, s))
 
 
 def find_k_path(g: Graph, k):

@@ -27,7 +27,7 @@ from .graph import (
     max_degree,
     neighbors_of_set,
 )
-from .kpaths import PathIndex, _ball, _walk_capped, covers_all_k_paths, has_k_path
+from .kpaths import PathIndex, _ball, _vertex_bits, _walk_capped, covers_all_k_paths, has_k_path
 from .solvers import (
     ApproxOracle,
     CoverSolution,
@@ -134,22 +134,25 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     reads them. Each member F must meet every k-path through va (the family
     contract), which the index walks at once, in the ball of vertices
     within distance k - 1 of va; so old_opt + F covers g_new, and so does
-    F plus any cover of the rest. The oracle gets index.avoiding(va | F),
-    the paths of g_new[V_old - F] in g_new's ids, and below =
-    min(w(old_opt + F), best so far) - w(F); one loop over F sums w(F) and
-    w(F & old_opt), and w(old_opt + F) = w(old_opt) + w(F) - w(F & old_opt).
-    va | F lies in R, so every part keeps all the far paths, which avoid R,
-    and the local-ratio pass over them is shared by the whole family. It
-    pulls far paths from one walk of g_new - va only until the member's
-    bound is reached; a member whose bound the far paths do not reach ends
-    them, which ends that walk, and its pass then takes the near paths,
-    which meet R (`solvers._local_ratio`). The exact oracle reads every
-    path, and greedy, which needs only part.alive, none past those of the
-    ball. A member the bound settles (None) keeps old_opt + F and has no
-    oracle output to check; any other cover must lie in V_old - F and meet
-    every path of its part. The winner's feasible flag is a scan of the
-    index when its paths are all walked, and else the no-path verdict on
-    g_new - cover.
+    F plus any cover of the rest. Each vertex has the bitset of the paths
+    through va that hold it (`_vertex_bits`), and F meets them all iff the
+    OR of its vertices' bitsets has every bit set. The oracle gets
+    index.avoiding(va | F), the paths of g_new[V_old - F] in g_new's ids,
+    and below = min(w(old_opt + F), best so far) - w(F); one loop over F
+    sums w(F) and w(F & old_opt), with w(old_opt + F) = w(old_opt) + w(F)
+    - w(F & old_opt), and ORs the bitsets. va | F lies in R, so every part
+    keeps all the far paths, which avoid R, and the local-ratio pass over
+    them is shared by the whole family. Its walk yields only the far paths
+    it takes, and only until the member's bound is reached; a member whose
+    bound the far paths do not reach ends them, and its pass then takes the
+    near paths, which meet R, from one walk of g_new - va
+    (`solvers._local_ratio`). The exact oracle reads every path, from that
+    same walk, and greedy, which needs only part.alive, none past those of
+    the ball. A member the bound settles (None) keeps old_opt + F and has
+    no oracle output to check; any other cover must lie in V_old - F and
+    meet every path of its part. The winner's feasible flag is a scan of
+    the index when its whole path list is walked, and else the no-path
+    verdict on g_new - cover.
     """
     if not family.members:
         raise EmptyFamily("good family has no members")
@@ -157,21 +160,26 @@ def construct_sol(inst: ReoptInstance, family: GoodFamily, oracle: ApproxOracle)
     k = inst.k
     va = inst.added_ids()
     index = PathIndex.region_last(g, k, va.union(*family.members), va)
-    va_paths = index.far.through
+    through = index.far.through
+    bits = _vertex_bits(through)
+    every = (1 << len(through)) - 1  # one bit per path through va
     old = inst.old_opt.vertices
     w_old = g.weight_of(old)
     weights = g.weights
     best = None  # (weight, index, base, member): the cover is base | member
     for i, f in enumerate(family.members):
-        if any(map(f.isdisjoint, va_paths)):
+        # w(F), w(F & old_opt), which old_opt + F counts once, and the
+        # paths through va that F meets
+        w_f = w_both = met = 0
+        for v in f:
+            w_f += weights[v - 1]
+            met |= bits.get(v, 0)
+            if v in old:
+                w_both += weights[v - 1]
+        if met != every:
             raise FamilyPropertyViolated(
                 f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
             )
-        w_f = w_both = 0  # w(F), and w(F & old_opt), which old_opt + F counts once
-        for v in f:
-            w_f += weights[v - 1]
-            if v in old:
-                w_both += weights[v - 1]
         cand = (w_old + w_f - w_both, i, old, f)
         part = index.avoiding(va | f)
         below = min(cand, best or cand)[0] - w_f
@@ -326,6 +334,7 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
     b = max(level_bound(len(va), delta, k), len(va)) if va else 0
     stop_level = k if cap_mode == "corrected" else k - 1
     ball = _ball(g_new, va, stop_level - 2)
+    adj = g_new.adj
     near = {v: [] for v in ball}  # the k-paths of g[ball] through each vertex
     for p in _walk_capped(g_new, k, ball):
         for v in p:
@@ -348,7 +357,7 @@ def construct_f(g_new: Graph, va, k, cap_mode="corrected"):
                 rejected.append(vp)
                 continue
             x2 = x | (l - vp)
-            recurse(x2, v2, neighbors_of_set(g_new, vp) - v2 - x2, level + 1)
+            recurse(x2, v2, set().union(*[adj[u - 1] for u in vp]) - v2 - x2, level + 1)
 
     try:
         recurse(frozenset(), frozenset(), va, 1)
@@ -379,8 +388,10 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     """Exact checks of both family properties.
 
     Property 2: every member meets every k-path touching va, the paths of
-    one PathIndex of g_new that meet va; the counterexample is the first
-    member that misses one, with the first path it misses. Property 1: some
+    one PathIndex of g_new that meet va, which holds iff the OR of its
+    vertices' path bitsets (`_vertex_bits`) has every bit set; the
+    counterexample is the first member that misses one, with the first
+    path it misses, the lowest bit left unset. Property 1: some
     member F lies inside some optimum, that is, w(F) + OPT(g_new - F) =
     OPT(g_new): F plus any cover of g_new - F covers g_new, and an optimum
     holding F loses F to a cover of g_new - F. Each member is one
@@ -395,7 +406,17 @@ def validate_good_family(g_new: Graph, va, family: GoodFamily, k):
     below = local_ratio_approx(g_new, k, index=index).weight + 1
     opt = solve_exact(g_new, k, index=index, below=below).weight
     va_paths = [p for p in index.paths if not va.isdisjoint(p)]
-    p2_cex = next(((f, p) for f in family.members for p in va_paths if f.isdisjoint(p)), None)
+    bits = _vertex_bits(va_paths)
+    every = (1 << len(va_paths)) - 1
+    p2_cex = None
+    for f in family.members:
+        met = 0
+        for v in f:
+            met |= bits.get(v, 0)
+        if met != every:
+            missed = every & ~met  # its lowest bit is the first path f misses
+            p2_cex = (f, va_paths[(missed & -missed).bit_length() - 1])
+            break
     p1_witness = None
     for member in family.members:
         rest = solve_exact(

@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import length_hint
 from typing import Callable
 
 from .errors import SizeLimitExceeded, UnknownOracle
 from .graph import Graph
-from .kpaths import PathIndex, _flags, _walk, covers_all_k_paths
+from .kpaths import PathIndex, _flags, _vertex_bits, _walk, covers_all_k_paths
 
 EXACT_SIZE_LIMIT = 24
 
@@ -150,15 +149,8 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
             raise SizeLimitExceeded(f"{masks_of} {guard}")
         node = itertools.repeat(None, room).__next__  # StopIteration past the budget
     paths = ix.paths
-    n_paths = len(paths)
-    # miss[v] clears the bits of the paths through v. Path i is byte
-    # n_paths - 1 - i of a column of b"0"/b"1" per vertex, read as one
-    # base-2 int, so every bitset is built in time linear in the paths.
-    cols = {v: bytearray(b"0") * n_paths for v in set().union(*paths)}
-    for j, p in enumerate(reversed(paths)):
-        for v in p:
-            cols[v][j] = 49  # b"1"
-    miss = {v: ~int(col, 2) for v, col in cols.items()}
+    # miss[v] clears the bits of the paths through v
+    miss = {v: ~bits for v, bits in _vertex_bits(paths).items()}
 
     def branch(chosen, left, out, weight):
         node()
@@ -180,7 +172,7 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
                 out |= b
 
     try:
-        branch(set(), (1 << n_paths) - 1, 0, 0)
+        branch(set(), (1 << len(paths)) - 1, 0, 0)
     except RecursionError:
         raise SizeLimitExceeded(f"exact search at n={n} passes the recursion limit") from None
     except StopIteration:
@@ -226,18 +218,18 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     only grow, so the pass returns None once the cover weighs below or
     more, or once Σδ reaches dual_below.
 
-    On an index with far paths (`PathIndex.region_last`) the pass takes
-    ix.far.paths first, then ix.far.near, each lexicographically. The far
+    On an index with far paths (`PathIndex.region_last`) the pass takes the
+    far paths first, then the near ones, each lexicographically. The far
     paths avoid ix.removed, so the pass over them is the same for every
     part that shares them, and it is kept in ix.far.state: residuals,
-    cover, skip set, weight, Σδ and the number of far paths passed (None
-    once they have ended). A call advances that shared pass only as far as
-    its bounds need, pulling far paths from their walk as it goes; the
-    cover and Σδ only grow, so when the kept ones reach a bound the full
-    pass would have stopped too, and the call returns None. A call whose
-    bounds the far paths do not reach runs them to their end, which walks
-    every other path of g too, and then passes the near paths from a copy
-    of the kept state.
+    cover, weight and Σδ. Its paths come from ix.far.walk, which yields
+    only the far paths that the cover misses, as a vertex that joins the
+    cover leaves the walk's alive flags. A call advances that shared pass
+    only as far as its bounds need; the cover and Σδ only grow, so when
+    the kept ones reach a bound the full pass would have stopped too, and
+    the call returns None. A call whose bounds the far paths do not reach
+    runs them to their end, which sets ix.far.near from every path of g,
+    and then passes the near paths from a copy of the kept state.
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
@@ -248,44 +240,46 @@ def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
         paths = ix.base
     else:
         if far.state is None:
-            far.state = [[0, *g.weights], [], set(), 0, 0, 0]
+            far.state = [[0, *g.weights], [], 0, 0]
         state = far.state
-        residual, cover, skip, weight, total, passed = state
-        if passed is not None and weight < below and total < dual_below:
-            # far paths another reader pulled since, then the walk's next ones
-            pulled = iter(far.paths[passed:])
-            paths = itertools.chain(pulled, far.source)
-            weight, total = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
-            if weight < below and total < dual_below:
-                passed = None  # the far paths have ended
-            else:
-                passed = len(far.paths) - length_hint(pulled)
-            state[3:] = weight, total, passed
+        residual, cover, weight, total = state
+        if far.near is None and weight < below and total < dual_below:
+            alive = far.alive
+
+            def leave(v):  # v joined the cover, so the far walk steps over it
+                alive[v] = 0
+
+            state[2:] = _pass(g, far.walk, leave, residual, cover, weight, total, below, dual_below)
+            weight, total = state[2:]
+            if weight < below and total < dual_below:  # the far paths have ended
+                far.near = list(filter(set(cover).isdisjoint, far.base))
         if weight >= below or total >= dual_below:
             return None
         residual, cover, paths = residual.copy(), cover.copy(), far.near
     skip = set(ix.removed).union(cover)  # the removed vertices, then the cover
-    weight, total = _pass(g, paths, skip, residual, cover, weight, total, below, dual_below)
+    # filter calls skip.isdisjoint on each path as the loop reaches it, so
+    # it sees the vertices that earlier paths added to skip
+    paths = filter(skip.isdisjoint, paths)
+    weight, total = _pass(g, paths, skip.add, residual, cover, weight, total, below, dual_below)
     if weight >= below or total >= dual_below:
         return None
     return cover, total
 
 
-def _pass(g, paths, skip, residual, cover, weight, total, below, dual_below):
-    """The local-ratio loop of `_local_ratio` over paths, from the given
-    state: skip, residual and cover are updated in place. Returns (weight,
-    Σδ) once paths end, or once the cover weighs below or Σδ reaches
-    dual_below; the path that reached a bound is taken in full, so paths
-    resumes just after it.
+def _pass(g, paths, join, residual, cover, weight, total, below, dual_below):
+    """The local-ratio loop of `_local_ratio` over paths, each of which the
+    cover must miss, from the given state: residual and cover are updated
+    in place, and join is called with each vertex that joins the cover.
+    Returns (weight, Σδ) once paths end, or once the cover weighs below or
+    Σδ reaches dual_below; the path that reached a bound is taken in full,
+    so paths resumes just after it.
 
     Weights are positive, so a vertex reaches residual 0 only on the path
-    that joins it to the cover. A path that meets no vertex of skip thus
-    holds no zero-residual vertex, and the vertices it brings to 0 join the
-    cover in ascending order.
+    that joins it to the cover. A path the cover misses thus holds no
+    zero-residual vertex, and the vertices it brings to 0 join the cover in
+    ascending order.
     """
-    # filter calls skip.isdisjoint on each path as the loop reaches it, so
-    # it sees the vertices that earlier paths added to skip
-    for p in filter(skip.isdisjoint, paths):
+    for p in paths:
         delta = min(map(residual.__getitem__, p))
         total += delta
         zeros = []
@@ -295,7 +289,7 @@ def _pass(g, paths, skip, residual, cover, weight, total, below, dual_below):
                 zeros.append(v)
         zeros.sort()
         for v in zeros:
-            skip.add(v)
+            join(v)
             cover.append(v)
             weight += g.weights[v - 1]
         if weight >= below or total >= dual_below:

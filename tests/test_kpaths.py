@@ -15,7 +15,7 @@ from pvcover import (
     has_k_path,
 )
 from pvcover.errors import UnknownVertex
-from pvcover.kpaths import _flags, _has_path, _walk
+from pvcover.kpaths import _flags, _has_path, _vertex_bits, _walk
 
 from conftest import brute_covers, perm_k_paths, random_graph, reference_walk
 
@@ -254,7 +254,9 @@ def test_no_path_verdict_on_the_double_star_is_fast():
 
 def test_region_last_index_matches_an_eager_split():
     # the lazy index gives the lists of an eager split of the whole index,
-    # and the same covers verdicts before and after its paths are walked
+    # and the same covers verdicts before and after its paths are walked;
+    # with no vertex dropped from its flags, the far walk yields every far
+    # path in the walker's order
     for i, g in enumerate(_seeded_graphs()):
         rng = random.Random(i)
         for k in (3, 4, 5, 6):
@@ -268,12 +270,24 @@ def test_region_last_index_matches_an_eager_split():
             assert part.far is lazy.far
             verdicts = [ix.covers(s) for ix in (lazy, part) for s in covers]
             far = lazy.far
-            assert far.paths == far.rest == [] and far.near is None
+            assert far._base is None and far.near is None and far.state is None
             assert far.through == [p for p in whole.base if not va.isdisjoint(p)]
             assert lazy.base == whole.base
-            assert far.near == [p for p in whole.base if not region.isdisjoint(p)]
-            assert far.paths == [p for p in whole.base if region.isdisjoint(p)]
             assert part.paths == whole.avoiding(drop).paths
             assert verdicts == [ix.covers(s) for ix in (lazy, part) for s in covers]
             eager = (whole, whole.avoiding(drop))
             assert verdicts == [ix.covers(s) for ix in eager for s in covers]
+            assert list(far.walk) == [p for p in whole.base if region.isdisjoint(p)]
+
+
+def test_vertex_bits_hold_the_paths_through_each_vertex():
+    for i, g in enumerate(_seeded_graphs()):
+        for k in (2, 3, 4):
+            paths = enumerate_k_paths(g, k)
+            bits = _vertex_bits(paths)
+            assert set(bits) == set().union(*paths)
+            for v, b in bits.items():
+                assert [j for j in range(len(paths)) if b >> j & 1] == [
+                    j for j, p in enumerate(paths) if v in p
+                ], (i, k, v)
+    assert _vertex_bits([]) == {}

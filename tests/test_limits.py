@@ -58,9 +58,10 @@ def _ptas(c):
 def _mid_instance():
     """A wtd_kpath instance at k = 4, n_new 100, and its 52-member family.
     g_new has 384 4-paths, 12 of them through the inserted vertices, which
-    come from the 14 paths of the ball around them; the bounded local-ratio
-    pass settles every member after 203 far paths, by then having pulled
-    278 paths from the walk of g_new - va."""
+    come from the 14 paths of the ball around them. The bounded local-ratio
+    pass settles every member after taking 26 far paths, the only ones its
+    walk yields; the unbounded one takes 30, ends the far paths and walks
+    the 372 paths of g_new - va for the near pass."""
     g_old = random_graph(10, 98, m=122, max_degree=3)
     patch = gen_patch(g_old, 2, attach_prob=2.0 / 98, internal_prob=0.4, seed=11, max_degree=3)
     inst = ReoptInstance.create(g_old, patch, local_ratio_approx(g_old, 4), 4)
@@ -101,15 +102,17 @@ LIMITS = [
         id="DEFAULT_PATH_CAP-PathIndex",
     ),
     pytest.param(
-        # the bounded pass stops at 12 + 278 walked paths; the unbounded one reads all 384
-        pvcover.kpaths, "DEFAULT_PATH_CAP", 290, LimitExceeded,
+        # the bounded pass stops at 12 + 26 walked paths; the unbounded one
+        # walks 12 + 30 + 372
+        pvcover.kpaths, "DEFAULT_PATH_CAP", 38, LimitExceeded,
         lambda: _mid_cover(UNBOUNDED),
         lambda: _mid_cover(ORACLES["local-ratio"]) == MID_COVERS["local-ratio"],
         id="DEFAULT_PATH_CAP-construct_sol",
     ),
     pytest.param(
         # greedy reads only each part's vertex set: no path but the 14 of
-        # the ball around the inserted vertices is walked
+        # the ball around the inserted vertices is walked, where the bounded
+        # local-ratio pass walks 12 + 26
         pvcover.kpaths, "DEFAULT_PATH_CAP", 14, LimitExceeded,
         lambda: _mid_cover(ORACLES["local-ratio"]),
         lambda: _mid_cover(ORACLES["greedy"]) == MID_COVERS["greedy"],

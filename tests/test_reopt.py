@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pvcover.reopt
 import pvcover.solvers
 from pvcover import (
     ApproxOracle,
+    CoverSolution,
     EmptyFamily,
     FamilyPropertyViolated,
     GoodFamily,
@@ -41,6 +43,8 @@ from pvcover import (
     wtd_3path,
     wtd_kpath,
 )
+
+from pvcover.kpaths import _without
 
 from conftest import (
     brute_optima,
@@ -263,6 +267,109 @@ def test_construct_sol_matches_subgraph_reference():
             assert sol.feasible
 
 
+def reference_construct_sol(inst, family, oracle):
+    """construct_sol as it was before property 2 became one OR of path
+    bitsets per member: each member is tested against every path through
+    va by isdisjoint. A reference for the covers, and for which error is
+    raised first; the winner's feasible flag comes from make_solution."""
+    if not family.members:
+        raise EmptyFamily("good family has no members")
+    g = inst.g_new
+    k = inst.k
+    va = inst.added_ids()
+    index = PathIndex.region_last(g, k, va.union(*family.members), va)
+    va_paths = index.far.through
+    old = inst.old_opt.vertices
+    w_old = g.weight_of(old)
+    weights = g.weights
+    best = None
+    for i, f in enumerate(family.members):
+        if any(map(f.isdisjoint, va_paths)):
+            raise FamilyPropertyViolated(
+                f"member {i} ({sorted(f)}) misses a k-path through the inserted vertices"
+            )
+        w_f = w_both = 0
+        for v in f:
+            w_f += weights[v - 1]
+            if v in old:
+                w_both += weights[v - 1]
+        cand = (w_old + w_f - w_both, i, old, f)
+        part = index.avoiding(va | f)
+        below = min(cand, best or cand)[0] - w_f
+        sub_sol = oracle.solve(g, k, index=part, below=below)
+        if sub_sol is not None:
+            chosen = sub_sol.vertices
+            in_g = all(map(g.vertices().__contains__, chosen))
+            if not (in_g and part.removed.isdisjoint(chosen)):
+                raise ValueError(
+                    f"oracle {oracle.name} chose vertices outside V_old minus member {i}"
+                )
+            if not part.covers(chosen):
+                raise FamilyPropertyViolated(
+                    f"member {i} ({sorted(f)}): oracle completion is infeasible"
+                )
+            w2 = g.weight_of(chosen) + w_f
+            if w2 < cand[0]:
+                cand = (w2, i, chosen, f)
+        best = min(best or cand, cand)
+    cover = best[2] | best[3]
+    return make_solution(g, cover, k)
+
+
+def test_construct_sol_matches_the_isdisjoint_reference_on_broken_families():
+    # seeded families, some members stripped of every vertex of one path
+    # through va (property 2 fails), and an oracle that misbehaves on some
+    # members: it picks a removed vertex or one outside g (ValueError), or
+    # returns the empty cover (infeasible on a part with a path). Both
+    # loops give the same cover, or raise the same first error
+    registry = oracle_registry()
+    outcomes = {}
+    for seed in range(90):
+        rng = random.Random(seed)
+        k = 3 + seed % 3
+        inst = random_reopt_instance(seed, n_new=10 + seed % 7, k=k, c=1 + seed % 3, max_degree=4)
+        g, va = inst.g_new, inst.added_ids()
+        if k == 3:
+            family = good_family_3pvcp(g, inst.patch)
+        else:
+            family = construct_f(g, va, k)
+        through = [p for p in enumerate_k_paths(g, k) if not va.isdisjoint(p)]
+        members = list(family.members)
+        broken = rng.sample(range(len(members)), min(len(members), rng.randint(0, 2)))
+        for i in broken if through else ():
+            members[i] = members[i] - set(rng.choice(through))
+        family = GoodFamily(tuple(members), tuple(str(i) for i in range(len(members))))
+        base = registry[("exact", "local-ratio", "greedy")[seed % 3]]
+        faults = {
+            va | f: rng.choice(("removed", "foreign", "empty"))
+            for f in rng.sample(members, min(len(members), rng.randint(0, 2)))
+        }
+
+        def solve(g, k, index=None, below=math.inf):
+            fault = faults.get(index.removed)
+            if fault is None:
+                return base.solve(g, k, index=index, below=below)
+            chosen = {"removed": index.removed, "foreign": {g.n + 1}, "empty": set()}[fault]
+            return CoverSolution(frozenset(chosen), k, 0, len(chosen), False)
+
+        oracle = ApproxOracle(name="faulty", solve=solve)
+        got = []
+        for impl in (construct_sol, reference_construct_sol):
+            try:
+                sol = impl(inst, family, oracle)
+                got.append(("cover", sol.vertices, sol.weight, sol.feasible))
+            except (FamilyPropertyViolated, ValueError) as exc:
+                got.append((type(exc).__name__, str(exc)))
+        assert got[0] == got[1], seed
+        kind = got[0][0] if got[0][0] != "FamilyPropertyViolated" else got[0][1].split(")")[-1]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+        # an oracle fault on a member before the first that fails property 2
+        outcomes["fault first"] = outcomes.get("fault first", 0) + bool(
+            through and broken and "misses" not in got[0][1]
+        )
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
+
+
 def region_last_construct_sol(inst, family):
     """construct_sol with the local-ratio oracle, written over induced
     subgraphs whose k-paths, in g_new's ids, run far then near: first those
@@ -303,55 +410,77 @@ def test_construct_sol_matches_a_region_last_reference():
 
 def test_construct_sol_walks_the_far_paths_once(monkeypatch):
     # the local-ratio pass over the paths that avoid every member is shared
-    # by the family and pulled only as far as the members' bounds read it:
-    # here it stops before the last far path, so no near path is passed.
-    # The paths through va come from a walk of the ball around va, so the
-    # only paths walked twice are those of that ball that avoid va
+    # by the family, and its walk yields only the paths it takes: each
+    # lowers a residual and meets no vertex of the cover so far, and each
+    # restart of the walk resumes just after the path before. Here the
+    # members' bounds stop the pass before the far paths end, so no near
+    # path is passed and g_new - va is never walked
     inst = mid_reopt_instance(10, n_new=100, k=4, c=2)
     family = construct_f(inst.g_new, inst.added_ids(), 4)
     assert len(family) >= 50
-    va = inst.added_ids()
+    g, va = inst.g_new, inst.added_ids()
     region = va.union(*family.members)
-    paths = PathIndex(inst.g_new, 4).paths
+    paths = PathIndex(g, 4).paths
     far = [p for p in paths if region.isdisjoint(p)]
     assert len(far) > len(paths) - len(far) > 0
-    passed = []  # (far paths, near paths) handed to each pass
-    real_pass = pvcover.solvers._pass
+    # the far paths a lexicographic pass takes, in order
+    residual, cover, takes = [0, *g.weights], set(), []
+    for p in far:
+        if cover.isdisjoint(p):
+            takes.append(p)
+            delta = min(residual[v] for v in p)
+            for v in p:
+                residual[v] -= delta
+            cover.update(v for v in p if not residual[v])
+    yielded = []  # (path, its least residual, whether it meets the cover)
+    real_walk_far = pvcover.kpaths.FarPaths._walk_far
 
-    def counting_pass(g, paths, *args, **kwargs):
-        split = ([], [])
-        passed.append(split)
-
-        def counted():
-            for p in paths:
-                split[not region.isdisjoint(p)].append(p)
-                yield p
-
-        return real_pass(g, counted(), *args, **kwargs)
-
-    want = subgraph_construct_sol(inst, family, LOCAL_RATIO)
-    walks = []  # the paths each walk of g_new yields
-    real_walk = pvcover.kpaths._walk
-
-    def spy(*args, **kwargs):
-        walked = []
-        walks.append(walked)
-        for p in real_walk(*args, **kwargs):
-            walked.append(p)
+    def spy_far(far_paths):
+        for p in real_walk_far(far_paths):
+            residual, cover = far_paths.state[:2]
+            yielded.append((p, min(residual[v] for v in p), not set(cover).isdisjoint(p)))
             yield p
 
+    walks = []  # (alive flags, after) of each walk of g_new
+    real_walk = pvcover.kpaths._walk
+
+    def spy(g, k, alive, after=None):
+        walks.append((bytes(alive), after))
+        return real_walk(g, k, alive, after)
+
+    want = subgraph_construct_sol(inst, family, LOCAL_RATIO)
+    monkeypatch.setattr(pvcover.kpaths.FarPaths, "_walk_far", spy_far)
     monkeypatch.setattr(pvcover.kpaths, "_walk", spy)
-    monkeypatch.setattr(pvcover.solvers, "_pass", counting_pass)
     got = construct_sol(inst, family, LOCAL_RATIO)
     assert got.vertices == want and got.feasible
-    ball, rest = walks  # the walk of the ball around va, then that of g_new - va
-    assert ball and all(va.isdisjoint(p) for p in rest)
-    twice = sorted(set(ball) & set(rest))
-    assert twice == [p for p in ball if va.isdisjoint(p)]
-    assert len(ball) + len(rest) - len(twice) < len(paths)
-    far_passed = [p for fars, _ in passed for p in fars]
-    assert [] < far_passed == far[: len(far_passed)] < far
-    assert not any(near for _, near in passed)
+    assert all(least > 0 and not meets for _, least, meets in yielded)
+    taken = [p for p, _, _ in yielded]
+    assert [] < taken == takes[: len(taken)] < takes
+    assert [after for _, after in walks if after is not None] == taken[:-1]
+    assert bytes(_without(g, va)) not in {alive for alive, _ in walks}
+
+
+def test_construct_sol_with_the_exact_oracle_walks_g_new_less_va_once(monkeypatch):
+    # the exact oracle reads every path of its part, the base that the
+    # whole family shares: one walk of g_new - va, besides the far walk,
+    # which yields only the paths the far pass takes
+    inst = mid_reopt_instance(10, n_new=20, k=4, c=2)
+    family = construct_f(inst.g_new, inst.added_ids(), 4)
+    g, va = inst.g_new, inst.added_ids()
+    assert len(family) > 30 and va.union(*family.members) != va
+    less_va = bytes(_without(g, va))
+    walks = []
+    real_walk = pvcover.kpaths._walk
+
+    def spy(g, k, alive, after=None):
+        walks.append(bytes(alive) == less_va)
+        return real_walk(g, k, alive, after)
+
+    want = subgraph_construct_sol(inst, family, EXACT)
+    monkeypatch.setattr(pvcover.kpaths, "_walk", spy)
+    got = construct_sol(inst, family, EXACT)
+    assert got.vertices == want and got.feasible
+    assert sum(walks) == 1
 
 
 @settings(max_examples=80)
@@ -676,6 +805,30 @@ def test_validate_reports_a_property2_counterexample(path4):
     report = validate_good_family(path5, {3}, fam, 3)
     assert report.property2_counterexample == (frozenset({5}), (1, 2, 3))
     assert report.property1_witness == (frozenset({3}), frozenset({3}))
+
+
+def test_validate_p2_counterexample_matches_the_isdisjoint_scan():
+    # members stripped of the vertices of some paths through va: the
+    # bitset check names the member and path that the scan of each member
+    # against the paths in index order names first
+    named = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        k = 3 + seed % 2
+        inst = random_reopt_instance(seed, n_new=8 + seed % 5, k=k, c=1 + seed % 2, max_degree=4)
+        g, va = inst.g_new, inst.added_ids()
+        through = [p for p in enumerate_k_paths(g, k) if not va.isdisjoint(p)]
+        members = [frozenset(rng.sample(range(1, g.n + 1), rng.randint(0, g.n))) for _ in range(4)]
+        for i in range(len(members)):
+            for p in rng.sample(through, min(len(through), rng.randint(0, 2))):
+                members[i] -= set(p)
+        fam = GoodFamily(tuple(members), ("",) * len(members))
+        want = next(((f, p) for f in members for p in through if f.isdisjoint(p)), None)
+        report = validate_good_family(g, va, fam, k)
+        assert report.property2_counterexample == want, seed
+        assert report.property2_ok == (want is None)
+        named += want is not None
+    assert named > 30
 
 
 def test_family_members_pass_p2_both_modes():

@@ -305,10 +305,11 @@ def test_local_ratio_pass_matches_the_reference_loop():
     assert min(stopped.values()) > 100
 
 
-def test_far_pass_resumes_where_it_stopped_after_the_far_paths_are_pulled():
-    # a bound stops the shared far pass partway; reading base then pulls the
-    # far paths that are left, and the next call resumes just after the
-    # last path passed: the full far-then-near pass, as the reference gives
+def test_far_pass_resumes_where_it_stopped_after_base_is_read():
+    # a bound stops the shared far pass partway; reading base then walks
+    # g - va apart from the far walk, and the next call resumes that walk
+    # just after the last path taken: the full far-then-near pass, as the
+    # reference gives
     resumed = 0
     for seed in range(20):
         n = 12 + seed % 15
@@ -320,9 +321,8 @@ def test_far_pass_resumes_where_it_stopped_after_the_far_paths_are_pulled():
             ix = PathIndex.region_last(g, k, region, ())
             if full[1] > 1:
                 assert pvcover.solvers._local_ratio(g, ix, dual_below=full[1] // 2) is None
+            resumed += ix.far.state is not None and ix.far.near is None
             assert ix.base == sorted(split)
-            passed = ix.far.state and ix.far.state[5]
-            resumed += passed is not None and passed < len(ix.far.paths)
             assert pvcover.solvers._local_ratio(g, ix) == full
     assert resumed > 20
 
