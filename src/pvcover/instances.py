@@ -35,6 +35,7 @@ from .errors import InfeasibleConfig, LimitExceeded, ParseError, WeightMismatch
 from .graph import Graph, InsertionPatch
 from .solvers import CoverSolution, make_solution
 
+GRAPH_PAIR_GUARD = 10**7  # cap on the n(n-1)/2 vertex pairs gen_graph lists
 PATCH_COIN_GUARD = 10**7  # cap on gen_patch's c(c-1)/2 + c*n coin flips
 TOKEN_ECHO = 20  # characters of a bad field that a ParseError shows
 
@@ -294,7 +295,13 @@ class GeneratorConfig:
 
 
 def gen_graph(cfg: GeneratorConfig) -> Graph:
-    """Deterministic seeded random graph honoring the degree cap exactly."""
+    """Deterministic seeded random graph honoring the degree cap exactly.
+
+    A graph of more than GRAPH_PAIR_GUARD vertex pairs is refused before
+    the first draw."""
+    n_pairs = cfg.n * (cfg.n - 1) // 2
+    if n_pairs > GRAPH_PAIR_GUARD:
+        raise LimitExceeded(f"a {cfg.n}-vertex graph has {n_pairs} pairs, past {GRAPH_PAIR_GUARD}")
     rng = random.Random(cfg.seed)
     wmin, wmax = cfg.weight_range
     weights = [rng.randint(wmin, wmax) for _ in range(cfg.n)]

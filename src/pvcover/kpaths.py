@@ -23,20 +23,21 @@ walked, so proving that no path is left costs about a BFS where the walker
 would step from every vertex. `has_k_path` and `covers_all_k_paths` (the
 alive set is the complement of the cover) answer from it.
 
-A `PathIndex` keeps the k-paths of g. Asked many questions about one
-graph, it enumerates once: "does s meet every path?" is one scan, and
+A `PathIndex` keeps the k-paths of g split by a region r into far ones,
+which avoid r, and near ones (`FarPaths`). Asked many questions about one
+graph, it walks once: "does s meet every path?" is one scan, and
 `avoiding(s)`, the one way to ask which k-paths survive in g - s, is a part
-that keeps the path list and the removed set, and filters it on each read
-of its paths. The filter keeps the walker's order, so a part equals a fresh
-enumeration of that subgraph. `PathIndex.region_last(g, k, r, va)` splits
-the paths by r instead (`FarPaths`) and walks them only as far as they are
-read: those through va at once, from a walk of the ball around va; the far
-ones, which avoid r, only as the local-ratio pass takes them; and every
-path, for a read of the whole list, from one walk of g - va. The parts
-removing vertices of r share them. `_vertex_bits` gives each vertex the
-bitset of the paths of a list that hold it: branch and bound reads those
-of its part's paths, and the family property 2 checks those of the paths
-through va.
+that keeps the path list and the removed set, and filters it, in the
+walker's order, on each read of its paths. `PathIndex(g, k)` enumerates g
+at once and splits it by all of g, so no path is far.
+`PathIndex.region_last(g, k, r, va)` walks its paths only as far as they
+are read: those through va at once, from a walk of the ball around va; the
+far ones only as the local-ratio pass takes them; and every path, for a
+read of the whole list, from one walk of g - va. A part that removes only
+vertices of r shares the split. `_vertex_bits` gives each vertex the bitset
+of the paths of a list that hold it: branch and bound reads those of its
+part's paths, and the family property 2 checks those of the paths through
+va.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ class FarPaths:
     """The k-paths of g split by region, a vertex set that holds va, and
     walked only as far as they are read. Every part that removes only
     vertices of region keeps all the far paths, which avoid region, and
-    shares this object.
+    shares this object. `all_near` is the split by all of g, with no far
+    paths.
 
     - `through`: the paths that meet va, walked at once: the paths of the
       ball of vertices within distance k - 1 of va that meet va.
@@ -234,8 +236,9 @@ class FarPaths:
     - `base`: every path of g: one walk of g - va merged with through, on
       first read.
     - `near`: None until the far pass ends, and then the paths of base that
-      avoid its cover. Every far path then meets that cover, so these all
-      meet region; a near pass would skip the others.
+      avoid its cover (base itself in `all_near`). Every far path then
+      meets that cover, so these all meet region; a near pass would skip
+      the others.
 
     state is None until the far pass first runs, and then holds where it
     stopped. through, the far paths walked and the walk of base count
@@ -252,6 +255,16 @@ class FarPaths:
         self.alive = _without(g, region)
         self.walk = self._walk_far()
         self.near = self.state = self._base = None
+
+    @classmethod
+    def all_near(cls, g, k, base):
+        """The split of base, every k-path of g, by region all of g and no va:
+        the walk yields no path, and the far pass has ended before it runs."""
+        far = object.__new__(cls)
+        far.g, far.k, far.va, far.region = g, k, frozenset(), frozenset(g.vertices())
+        far.through, far.alive, far.walk, far.state = [], bytearray(g.n + 1), iter(()), None
+        far.room, far.near, far._base = DEFAULT_PATH_CAP, base, base
+        return far
 
     def _spend(self, n):
         """Count n more walked paths against the path cap."""
@@ -276,53 +289,49 @@ class FarPaths:
 
 
 class PathIndex:
-    """The k-paths of g[alive] in lexicographic order.
+    """The k-paths of g[alive] in lexicographic order, split by a region
+    into far and near ones (`FarPaths`, far).
 
     `PathIndex(g, k)` indexes all of g by one `enumerate_k_paths` call, so
-    the path cap applies; a smaller alive set comes only from `avoiding`.
-    Vertex set questions (`covers`, `avoiding`) are answered from the
-    paths. `avoiding(s)` returns the index of g[alive - s] without a new
-    walk or a filter: the part shares the path list (`base`) and records
-    the vertices it drops (`removed`), and `paths`, the paths of `base`
-    that avoid `removed`, is built on each read. A pass that walks `base`
-    and skips the paths meeting `removed` sees the same sequence, so it can
-    filter as it goes and stop early.
+    the path cap applies, and splits it by all of g (`FarPaths.all_near`).
+    A smaller alive set comes only from `avoiding(s)`, the index of
+    g[alive - s], which walks nothing: the part shares the path list
+    (`base`) and records the vertices it drops (`removed`), and `paths`, the
+    paths of `base` that avoid `removed`, is built on each read. A pass that
+    walks `base` and skips the paths meeting `removed` sees the same
+    sequence, so it can filter as it goes and stop early. The part shares
+    far while its removed set lies inside far.region, as it then keeps every
+    far path; else it gets the all-near split of base.
 
     `PathIndex.region_last(g, k, region, va)` indexes g without enumerating
-    it: its paths are split by region into a `FarPaths`, far, walked only
-    as far as they are read, and base, one walk of g - va merged with the
-    paths through va, is built on first read; until then `covers` answers
-    by the component verdict. A part keeps far while its removed set lies
-    inside region, as it then keeps every far path, and the local-ratio
-    pass on it takes the far paths first (`solvers._local_ratio`). Every
-    other index has far None.
+    it: far is walked only as far as it is read, and base is built on first
+    read; until then `covers` answers by the component verdict.
     """
 
-    __slots__ = ("g", "k", "removed", "far", "_base")
+    __slots__ = ("g", "k", "removed", "far")
 
     def __init__(self, g: Graph, k):
-        self.g, self.k, self.removed, self.far = g, k, frozenset(), None
-        self._base = enumerate_k_paths(g, k)
+        self.g, self.k, self.removed = g, k, frozenset()
+        self.far = FarPaths.all_near(g, k, enumerate_k_paths(g, k))
 
     @classmethod
     def region_last(cls, g: Graph, k, region, va):
         """The index of all of g with far, its paths split by region | va, a
-        vertex set of g (`FarPaths`). Only the ball around va is walked
-        here."""
+        vertex set of g. Only the ball around va is walked here."""
         if k < 2:
             raise ValueError("k must be at least 2")
         va = frozenset(va)
         region = frozenset(region) | va
         g._check_subset(region)
         ix = object.__new__(cls)
-        ix.g, ix.k, ix.removed, ix._base = g, k, frozenset(), None
+        ix.g, ix.k, ix.removed = g, k, frozenset()
         ix.far = FarPaths(g, k, region, va)
         return ix
 
     @property
     def base(self):
         """Every k-path of g in the walker's order."""
-        return self.far.base if self._base is None else self._base
+        return self.far.base
 
     @property
     def alive(self):
@@ -340,26 +349,26 @@ class PathIndex:
     def covers(self, s):
         """True iff the vertex set s meets every path: no path avoids both
         removed and s. With base built, one read of it, so a part builds no
-        path list for it; on a region-last index whose base is not built,
-        the no-path verdict on g[alive - s], which reads no path
-        (`covers_all_k_paths`)."""
+        path list for it; else the no-path verdict on g[alive - s], which
+        reads no path (`covers_all_k_paths`)."""
         s = frozenset(s)
         self.g._check_subset(s)
         gone = self.removed | s
-        if self.far is not None and self.far._base is None:
+        if self.far._base is None:
             return covers_all_k_paths(self.g, gone, self.k)
         return not any(map(gone.isdisjoint, self.base))
 
     def avoiding(self, s):
         """The index of g[alive - s]; its paths are filtered on each read.
-        An s inside far.region keeps far, and `region_last` checked it."""
+        An s inside far.region, a vertex set of g, keeps far; any other s is
+        checked and gets the all-near split of base."""
         s = frozenset(s)
-        far = self.far if self.far is not None and s <= self.far.region else None
-        if far is None:
+        far = self.far
+        if not s <= far.region:
             self.g._check_subset(s)
+            far = FarPaths.all_near(self.g, self.k, self.base)
         sub = object.__new__(PathIndex)
         sub.g, sub.k, sub.removed, sub.far = self.g, self.k, self.removed | s, far
-        sub._base = self._base if far is not None else self.base
         return sub
 
 

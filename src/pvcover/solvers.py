@@ -95,10 +95,10 @@ def solve_exact(g: Graph, k, index=None, below=math.inf):
     same optimum. The local-ratio pass runs first: its Σδ, a lower bound on
     the optimum, settles most bounded calls before any branching, as the
     pass stops once Σδ reaches below, and its cover is the incumbent when
-    it weighs less than below. On a region-last part the pass takes the far
-    paths first and resumes from their shared state (`_local_ratio`), so
-    the incumbent and Σδ need not be those of the lexicographic pass; the
-    optimum, being canonical, is the same.
+    it weighs less than below. The pass takes the index's far paths first
+    and resumes from their shared state (`_local_ratio`), so on a
+    region-last part the incumbent and Σδ need not be those of the
+    lexicographic pass; the optimum, being canonical, is the same.
 
     The search reads the index's paths once, and builds from that list one
     path bitset per vertex (bit i set iff path i holds it), which only it
@@ -208,58 +208,48 @@ def greedy_approx(g: Graph, k, alive=None):
 def _local_ratio(g: Graph, ix, below=math.inf, dual_below=math.inf):
     """The local-ratio pass over ix's paths: (cover in join order, Σδ).
 
-    Each path the cover misses, taken lexicographically, loses its minimum
-    residual weight δ on every vertex, and zero-residual vertices join the
-    cover. The δs pack the path-hitting LP's dual, so Σδ <= OPT, and the
-    cover is within k of OPT; both hold in any path order.
+    Each path the cover misses loses its minimum residual weight δ on every
+    vertex, and zero-residual vertices join the cover. The δs pack the
+    path-hitting LP's dual, so Σδ <= OPT, and the cover is within k of OPT;
+    both hold in any path order. The cover and Σδ only grow, so the pass
+    returns None once the cover weighs below or more, or once Σδ reaches
+    dual_below.
 
-    The pass walks ix.base and skips the paths that meet ix.removed or the
-    cover, which is ix.paths without building that list. The cover and Σδ
-    only grow, so the pass returns None once the cover weighs below or
-    more, or once Σδ reaches dual_below.
-
-    On an index with far paths (`PathIndex.region_last`) the pass takes the
-    far paths first, then the near ones, each lexicographically. The far
-    paths avoid ix.removed, so the pass over them is the same for every
-    part that shares them, and it is kept in ix.far.state: residuals,
-    cover, weight and Σδ. Its paths come from ix.far.walk, which yields
-    only the far paths that the cover misses, as a vertex that joins the
-    cover leaves the walk's alive flags. A call advances that shared pass
-    only as far as its bounds need; the cover and Σδ only grow, so when
-    the kept ones reach a bound the full pass would have stopped too, and
-    the call returns None. A call whose bounds the far paths do not reach
-    runs them to their end, which sets ix.far.near from every path of g,
-    and then passes the near paths from a copy of the kept state.
+    The pass takes ix.far's far paths first, then the near ones, each
+    lexicographically; on a whole-graph index, whose split has no far
+    paths, it is the lexicographic pass. The far paths avoid ix.removed, so
+    every part that shares them shares the pass over them, kept in
+    ix.far.state: residuals, cover, weight and Σδ. ix.far.walk yields only
+    the far paths that the cover misses, and a call advances the shared
+    pass only as far as its bounds need: once the kept cover or Σδ reach a
+    bound, the full pass would have stopped too. A call whose bounds the far
+    paths do not reach ends them, which sets ix.far.near, and passes the
+    near paths from a copy of the kept state, skipping as it goes those that
+    meet ix.removed or the cover: ix.paths, without building it.
     """
     if below <= 0 or dual_below <= 0:  # the empty cover and Σδ = 0 reach them
         return None
     far = ix.far
-    if far is None:
-        residual = [0, *g.weights]  # residual[v] for vertex v
-        cover, weight, total = [], 0, 0
-        paths = ix.base
-    else:
-        if far.state is None:
-            far.state = [[0, *g.weights], [], 0, 0]
-        state = far.state
-        residual, cover, weight, total = state
-        if far.near is None and weight < below and total < dual_below:
-            alive = far.alive
+    if far.state is None:
+        far.state = [[0, *g.weights], [], 0, 0]  # residual[v] for vertex v
+    residual, cover, weight, total = state = far.state
+    if far.near is None and weight < below and total < dual_below:
+        alive = far.alive
 
-            def leave(v):  # v joined the cover, so the far walk steps over it
-                alive[v] = 0
+        def leave(v):  # v joined the cover, so the far walk steps over it
+            alive[v] = 0
 
-            state[2:] = _pass(g, far.walk, leave, residual, cover, weight, total, below, dual_below)
-            weight, total = state[2:]
-            if weight < below and total < dual_below:  # the far paths have ended
-                far.near = list(filter(set(cover).isdisjoint, far.base))
-        if weight >= below or total >= dual_below:
-            return None
-        residual, cover, paths = residual.copy(), cover.copy(), far.near
+        state[2:] = _pass(g, far.walk, leave, residual, cover, weight, total, below, dual_below)
+        weight, total = state[2:]
+        if weight < below and total < dual_below:  # the far paths have ended
+            far.near = list(filter(set(cover).isdisjoint, far.base))
+    if weight >= below or total >= dual_below:
+        return None
+    residual, cover = residual.copy(), cover.copy()
     skip = set(ix.removed).union(cover)  # the removed vertices, then the cover
     # filter calls skip.isdisjoint on each path as the loop reaches it, so
     # it sees the vertices that earlier paths added to skip
-    paths = filter(skip.isdisjoint, paths)
+    paths = filter(skip.isdisjoint, far.near)
     weight, total = _pass(g, paths, skip.add, residual, cover, weight, total, below, dual_below)
     if weight >= below or total >= dual_below:
         return None

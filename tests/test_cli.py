@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvcover.instances
 from pvcover.cli import main
 from pvcover import (
     Graph,
@@ -189,6 +190,27 @@ def test_reopt_stdout_is_unchanged(tmp_path, mode, oracle, n, k, c, seed):
     ]
 
 
+# SHA-256 of `pvc solve --alg exact` stdout on reopt_desk-like graphs (max
+# degree 4, 1.3 n edges, n 14-18, k 3-4), one per (n, k, seed). Recorded
+# before the whole-graph index became the path split with no far paths.
+EXACT_STDOUT_SHA256 = {
+    (14, 3, 41): "f9c8ad9ede6e6227cf45d74390f711b72193b62486ebfedb053851ca24419bca",
+    (15, 4, 42): "da7c47ad2e78a9a6d5ce366446683bc3fce4a8ff469eaf552ac375e6f618a034",
+    (16, 3, 43): "baa0f56a65431f7cd127c32eae3a839e0f0cd291cf9ca55e4968d635bd625412",
+    (17, 4, 44): "690be8985c81a5bf3be7374bf95220febede5b219e52ddb37f149af0f66825d3",
+    (18, 3, 45): "f723e59c42d123e2d577e6ed36183e9bc870cc29d666e9676bb0d9daf3f5e670",
+    (18, 4, 46): "138f16a43b25f3a9bf92b9e887d4efb466af23cf625d659629827b15012c0734",
+}
+
+
+@pytest.mark.parametrize("n, k, seed", sorted(EXACT_STDOUT_SHA256))
+def test_exact_stdout_is_unchanged(tmp_path, n, k, seed):
+    _, path = _bench_graph_file(tmp_path, n, seed, max_degree=4)
+    code, out, _ = run_cli(["solve", "-k", str(k), "--alg", "exact", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_STDOUT_SHA256[(n, k, seed)]
+
+
 def test_verify_feasible_and_ratio(graph_file, tmp_path):
     sol = tmp_path / "s.sol"
     sol.write_text("s pvc 3 1 1\nx 3\n")
@@ -305,6 +327,15 @@ def test_gen_patch_refuses_a_patch_past_its_coin_guard(graph_file):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (3, "")
     assert err.startswith("limit exceeded:")
+
+
+def test_gen_refuses_a_graph_past_its_pair_guard(monkeypatch):
+    # n(n-1)/2 pairs: 55 at n = 11 pass a guard of 45, which n = 10 meets
+    monkeypatch.setattr(pvcover.instances, "GRAPH_PAIR_GUARD", 45)
+    code, out, err = run_cli(["gen", "-n", "11", "-m", "1"])
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: a 11-vertex graph has 55 pairs, past 45\n"
+    assert run_cli(["gen", "-n", "10", "-m", "1"])[0] == 0
 
 
 def test_reopt_ptas(tmp_path, graph_file):

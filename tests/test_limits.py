@@ -15,6 +15,7 @@ import pvcover.reopt
 import pvcover.solvers
 from pvcover import (
     ApproxOracle,
+    GeneratorConfig,
     Graph,
     InsertionPatch,
     PathIndex,
@@ -23,6 +24,7 @@ from pvcover import (
     construct_f,
     construct_sol,
     enumerate_k_paths,
+    gen_graph,
     gen_patch,
     good_family_3pvcp,
     local_ratio_approx,
@@ -166,6 +168,13 @@ LIMITS = [
         lambda: gen_patch(PATH3, 2, 1.0, 1.0),
         lambda: gen_patch(PATH3, 1, 1.0, 1.0).attachment_edges == ((1, 4), (2, 4), (3, 4)),
         id="PATCH_COIN_GUARD-gen_patch",
+    ),
+    pytest.param(
+        # n(n-1)/2 pairs: 6 for n = 4, 3 for n = 3
+        pvcover.instances, "GRAPH_PAIR_GUARD", 3, LimitExceeded,
+        lambda: gen_graph(GeneratorConfig(4, edge_target=1)),
+        lambda: gen_graph(GeneratorConfig(3, edge_target=3)).m == 3,
+        id="GRAPH_PAIR_GUARD-gen_graph",
     ),
 ]
 

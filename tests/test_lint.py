@@ -14,9 +14,13 @@ The tests' shared `conftest.py` must read every name it imports, and each
 of its module-level names, public or private, must be referenced by a test
 module or by conftest itself; a fixture is referenced by a parameter of
 that name. A reference implementation that no test compares against is dead.
+
+Each module-level `*_CAP`, `*_LIMIT` or `*_GUARD` constant of the package,
+exit codes aside, is a guard, and a row of `test_limits.LIMITS` must lower it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,6 +121,32 @@ def _layer_names(tree):
             for n in ast.walk(node.value):
                 if isinstance(n, ast.Constant) and isinstance(n.value, str):
                     yield from n.value.split(".")
+
+
+def _limit_rows(tree):
+    """(module, constant) for each row of the module-level LIMITS table, whose
+    rows are pytest.param(pvcover.<module>, "<constant>", ...)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LIMITS" for t in node.targets
+        ):
+            for row in node.value.elts:
+                module, name = row.args[:2]
+                yield module.attr, name.value
+
+
+def test_every_guard_constant_has_a_limits_row():
+    path = TESTS / "test_limits.py"
+    rows = set(_limit_rows(ast.parse(path.read_text(), str(path))))
+    problems = [
+        f"{path.name}:{line}: {name} has no row in test_limits.LIMITS"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _definitions(ast.parse(path.read_text(), str(path)))
+        if re.fullmatch(r"(?!EXIT_)\w+_(CAP|LIMIT|GUARD)", name)
+        and (path.stem, name) not in rows
+    ]
+    assert rows
+    assert not problems, "\n".join(problems)
 
 
 def test_no_unused_import_or_unreferenced_private_name():

@@ -246,17 +246,18 @@ def test_hit_count_prune_matches_the_mask_loop():
 
 def test_local_ratio_pass_matches_the_reference_loop():
     # same cover in join order, same Σδ and same None, on whole and part
-    # indexes, unbounded and under bounds that stop the pass partway. On a
-    # region-last index the reference is the full pass over the far paths
-    # and then the near ones: parts that remove only region vertices resume
-    # from the shared far pass, the others walk base
+    # indexes, unbounded and under bounds that stop the pass partway. A
+    # whole-graph index's split has no far paths, so its reference is the
+    # lexicographic pass. On a region-last index the reference is the full
+    # pass over the far paths and then the near ones: parts that remove
+    # only region vertices share its split and resume from the shared far
+    # pass; a part that leaves the region gets a split of its own, with no
+    # far paths, and the lexicographic reference
     stopped = {"below": 0, "dual_below": 0}
 
     def answers(g, ix, split=None):
-        # split: the whole index's far-then-near list, for the parts that keep far
-        ref = ix
-        if ix.far is not None:
-            ref = SimpleNamespace(base=split, removed=ix.removed)
+        # split: the whole index's far-then-near list, for the parts that share it
+        ref = ix if split is None else SimpleNamespace(base=split, removed=ix.removed)
         full = reference_local_ratio(g, ref)
         got = [pvcover.solvers._local_ratio(g, ix)]
         assert got[0] == full
@@ -282,24 +283,31 @@ def test_local_ratio_pass_matches_the_reference_loop():
         outside = (set(g.vertices()) - part) | {max(set(g.vertices()) - region)}
 
         def parts(ix):
-            # two that resume, one that falls back, and the whole index
+            # two that resume, one that leaves the region, and the whole index
             inner = ix.avoiding({v for v in region if v % 2}), ix.avoiding(region)
             assert all(p.far is ix.far for p in inner)
             fallback = ix.avoiding(outside)
-            assert fallback.far is None
+            assert fallback.far is not ix.far
+            assert fallback.far.region == frozenset(g.vertices())
+            assert list(fallback.far.walk) == []
             return [*inner, fallback, ix]
+
+        def answer_parts(index, order):
+            return [answers(g, ix, split if ix.far is index.far else None) for ix in order]
 
         for k in (3, 4, 5, 6):
             whole = PathIndex(g, k)
+            assert list(whole.far.walk) == []
             for ix in (whole, whole.avoiding(set(g.vertices()) - part)):
+                assert ix.far is whole.far
                 answers(g, ix)
             split = sorted(whole.base, key=lambda p: not region.isdisjoint(p))
             va = frozenset(sorted(region)[:1])
             index = PathIndex.region_last(g, k, region, va)
-            forward = [answers(g, ix, split) for ix in parts(index)]
+            forward = answer_parts(index, parts(index))
             # the far pass is shared and only ever resumed: any call order agrees
             index = PathIndex.region_last(g, k, region, va)
-            backward = [answers(g, ix, split) for ix in reversed(parts(index))]
+            backward = answer_parts(index, reversed(parts(index)))
             assert backward[::-1] == forward
     # the bounds cut many passes after they began
     assert min(stopped.values()) > 100
